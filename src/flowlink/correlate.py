@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import collections
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .model import FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
@@ -199,7 +199,6 @@ class _Parked:
     flow_start: float
     flow_end: float
     parked_at: float
-    deadline: float
     tag: object = None
     timer: object = None
 
@@ -215,7 +214,7 @@ class Correlator:
 
     def __init__(self, store: HostStateStore, index: AddressIndex,
                  emit: Callable[[AttributionResult], None],
-                 scheduler=None,
+                 scheduler,
                  retry_window: float = 2.0,
                  max_parked: int = 10_000,
                  ambiguity_window: float = 0.1):
@@ -265,10 +264,9 @@ class Correlator:
         pid = self._next_id
         self._next_id += 1
         entry = _Parked(flow=flow, flow_start=flow_start, flow_end=flow_end,
-                        parked_at=now, deadline=now + self.retry_window, tag=tag)
-        if self.scheduler is not None:
-            entry.timer = self.scheduler.call_later(
-                self.retry_window, self._on_deadline, pid)
+                        parked_at=now, tag=tag)
+        entry.timer = self.scheduler.call_later(
+            self.retry_window, self._on_deadline, pid)
         self._parked[pid] = entry
         self.counters["parked"] += 1
 
@@ -303,13 +301,6 @@ class Correlator:
         self.counters["retry_expired"] += 1
         self._finalize(entry)
 
-    def poll_deadlines(self, now: Optional[float] = None) -> None:
-        """Deadline sweep for callers without a scheduler."""
-        now = self._now() if now is None else now
-        due = [pid for pid, e in self._parked.items() if e.deadline <= now]
-        for pid in due:
-            self._on_deadline(pid)
-
     def flush(self) -> None:
         """Finalize everything still parked (shutdown path)."""
         for pid in list(self._parked):
@@ -340,12 +331,12 @@ class Correlator:
             self._cancel_timer(entry)
 
     def _cancel_timer(self, entry: _Parked) -> None:
-        if entry.timer is not None and self.scheduler is not None:
+        if entry.timer is not None:
             self.scheduler.cancel(entry.timer)
             entry.timer = None
 
     def _now(self) -> float:
-        return self.scheduler.now() if self.scheduler is not None else 0.0
+        return self.scheduler.now()
 
 
 @dataclass

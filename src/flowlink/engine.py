@@ -4,8 +4,9 @@ One `Engine` terminates agent telemetry arriving over the overlay, folds it
 into the host-state store, attributes flow reports to (host, process, user),
 feeds attributed flows to the detectors, and writes the enriched flow log,
 the alert log, and (optionally) a verbatim record of every input for later
-replay.  All ingest funnels through one lock, so flows and telemetry may be
-pushed from any thread while timers run on the scheduler.
+replay.  The scheduler's lock owns all engine state: every entry point takes
+it, and the wall-clock scheduler runs each timer callback while holding it,
+so flows and telemetry may be pushed from any thread.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import collections
 import itertools
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
 
@@ -87,12 +87,11 @@ class Engine:
         self.scheduler = scheduler
         self.bus = bus or InProcessBus(scheduler)
         self.node = OverlayNode(ENGINE_NODE_ID, self.bus, roles=config.roles)
-        self.lock = threading.RLock()
+        self.lock = scheduler.lock
         self.counters: collections.Counter = collections.Counter()
 
-        self.store = HostStateStore(
-            clock=scheduler.now, grace_period=config.grace_period,
-            exec_ambiguity_window=config.exec_ambiguity_window)
+        self.store = HostStateStore(clock=scheduler.now,
+                                    grace_period=config.grace_period)
         self.index = AddressIndex()
         self.metrics = AttributionMetrics(filtered_responders=config.dns_servers)
         self.correlator = Correlator(
@@ -138,27 +137,27 @@ class Engine:
 
     def start(self) -> None:
         """Publish the standing interests every monitored host serves."""
-        if self._started:
-            return
-        self._started = True
-        for table in STREAM_TABLES:
-            self.node.publish_interest(Interest(
-                interest_id=f"stream/{table}", query=f"{table} EVERY 1s",
-                group="all", period=1.0))
-        for table in PROBE_TABLES:
-            self.node.publish_interest(Interest(
-                interest_id=f"probe/{table}",
-                query=f"{table} EVERY {self.config.probe_interval:g}s",
-                group="all", period=self.config.probe_interval))
-        self._housekeeping()
+        with self.lock:
+            if self._started:
+                return
+            self._started = True
+            for table in STREAM_TABLES:
+                self.node.publish_interest(Interest(
+                    interest_id=f"stream/{table}", query=f"{table} EVERY 1s",
+                    group="all", period=1.0))
+            for table in PROBE_TABLES:
+                self.node.publish_interest(Interest(
+                    interest_id=f"probe/{table}",
+                    query=f"{table} EVERY {self.config.probe_interval:g}s",
+                    group="all", period=self.config.probe_interval))
+            self._housekeeping()
 
     def _housekeeping(self) -> None:
-        with self.lock:
-            if self._shut_down:
-                return
-            self.store.expire_disconnected()
-            self._housekeeping_timer = self.scheduler.call_later(
-                self.config.grace_period / 2, self._housekeeping)
+        if self._shut_down:
+            return
+        self.store.expire_disconnected()
+        self._housekeeping_timer = self.scheduler.call_later(
+            self.config.grace_period / 2, self._housekeeping)
 
     def register_host(self, host: str) -> None:
         with self.lock:
@@ -182,20 +181,19 @@ class Engine:
                 self._retract_quietly(iid)
 
     def _verify_tick(self, host: str) -> None:
-        with self.lock:
-            if self._shut_down or host not in self.store.connected_hosts():
-                self._verify_timers.pop(host, None)
-                return
-            previous = self._verify_iid.get(host)
-            if previous is not None:
-                self._retract_quietly(previous)
-            iid = f"verify/{host}/{next(self._verify_seq)}"
-            self._verify_iid[host] = iid
-            self.node.publish_interest(Interest(
-                interest_id=iid, query="verification",
-                group=host_group(host), one_time=True))
-            self._verify_timers[host] = self.scheduler.call_later(
-                self.config.verification_interval, self._verify_tick, host)
+        if self._shut_down or host not in self.store.connected_hosts():
+            self._verify_timers.pop(host, None)
+            return
+        previous = self._verify_iid.get(host)
+        if previous is not None:
+            self._retract_quietly(previous)
+        iid = f"verify/{host}/{next(self._verify_seq)}"
+        self._verify_iid[host] = iid
+        self.node.publish_interest(Interest(
+            interest_id=iid, query="verification",
+            group=host_group(host), one_time=True))
+        self._verify_timers[host] = self.scheduler.call_later(
+            self.config.verification_interval, self._verify_tick, host)
 
     def shutdown(self) -> None:
         """Finalize parked flows (each exactly once) and flush every sink."""

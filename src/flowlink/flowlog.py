@@ -10,8 +10,8 @@ the same header convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import IO, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator
 
 from .model import FlowTuple, Proto
 from .correlate import AttributionResult
@@ -20,15 +20,12 @@ FORMAT_PREFIX = "#flowlink"
 FLOW_FORMAT = "flow-log v1"
 ENRICHED_FORMAT = "enriched-flow-log v1"
 ALERT_FORMAT = "alert-log v1"
-DOWNLOAD_FORMAT = "download-log v1"
 INPUTS_FORMAT = "inputs v1"
 
 FLOW_FIELDS = ("ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p", "proto",
                "duration", "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts")
 ENRICH_FIELDS = FLOW_FIELDS + ("orig_host", "orig_pids", "orig_binary",
                                "orig_users", "status")
-DOWNLOAD_FIELDS = ("ts", "sha256", "orig_h", "orig_p", "resp_h", "resp_p",
-                   "proto", "flow_uid", "origin_kind")
 
 EMPTY = "-"
 
@@ -146,20 +143,6 @@ def read_flows(lines: Iterator[str]) -> Iterator[FlowRecord]:
         yield parse_flow_line(line, field_names)
 
 
-def load_flow_file(path: str) -> list[FlowRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return list(read_flows(iter(fh)))
-
-
-class FlowLogWriter:
-    def __init__(self, out: IO[str]):
-        self.out = out
-        write_header(out, FLOW_FORMAT, FLOW_FIELDS)
-
-    def write(self, record: FlowRecord) -> None:
-        self.out.write("\t".join(record.to_row()) + "\n")
-
-
 def _join(values: Iterable[str]) -> str:
     items = sorted(set(v for v in values if v != ""))
     return ",".join(items) if items else EMPTY
@@ -227,7 +210,7 @@ def read_alerts(lines: Iterator[str]) -> Iterator[dict]:
             yield json.loads(line)
 
 
-# --- download log input ----------------------------------------------------------------
+# --- download events ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DownloadEvent:
@@ -260,34 +243,6 @@ class DownloadEvent:
                                   int(d["resp_p"]), Proto(d["proto"])),
                    flow_uid=d.get("flow_uid", ""),
                    origin_kind=d.get("origin_kind", "http_download"))
-
-
-def read_downloads(lines: Iterator[str]) -> Iterator[DownloadEvent]:
-    field_names = read_header(lines, DOWNLOAD_FORMAT)
-    for line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        values = dict(zip(field_names, line.rstrip("\n").split("\t")))
-        try:
-            yield DownloadEvent(
-                ts=float(values["ts"]), sha256=values["sha256"],
-                flow=FlowTuple(values["orig_h"], int(values["orig_p"]),
-                               values["resp_h"], int(values["resp_p"]),
-                               Proto(values["proto"])),
-                flow_uid="" if values.get("flow_uid", EMPTY) == EMPTY
-                         else values["flow_uid"],
-                origin_kind=values.get("origin_kind", "http_download"))
-        except (KeyError, ValueError) as exc:
-            raise LogFormatError(f"bad download row {values!r}: {exc}") from exc
-
-
-class DownloadLogWriter:
-    def __init__(self, out: IO[str]):
-        self.out = out
-        write_header(out, DOWNLOAD_FORMAT, DOWNLOAD_FIELDS)
-
-    def write(self, ev: DownloadEvent) -> None:
-        self.out.write("\t".join(ev.to_row()) + "\n")
 
 
 # --- recorded engine inputs --------------------------------------------------------------

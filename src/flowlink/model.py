@@ -9,7 +9,7 @@ remote as seen from the host that owns the socket.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Any
@@ -424,17 +424,3 @@ def match_socket(flow: FlowTuple, side: Side, sock: SocketInfo) -> MatchQuality:
         return MatchQuality.EXACT
     return MatchQuality.NONE
 
-
-def peer_view(sock: SocketInfo) -> SocketInfo:
-    """The same connection as seen from the other endpoint: local and remote
-    endpoints swap and the direction flips."""
-    flipped = {Direction.OUTGOING: Direction.INCOMING,
-               Direction.INCOMING: Direction.OUTGOING,
-               Direction.LISTENING: Direction.OUTGOING}[sock.direction]
-    return SocketInfo(
-        host=sock.host, pid=sock.pid, fd=sock.fd, proto=sock.proto,
-        direction=flipped, source=sock.source,
-        local_addr=sock.remote_addr, local_port=sock.remote_port,
-        remote_addr=sock.local_addr, remote_port=sock.local_port,
-        first_seen=sock.first_seen, last_verified=sock.last_verified,
-    )

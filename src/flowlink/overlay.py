@@ -6,17 +6,15 @@ query schedules of their directly connected agents, replay stored interests
 to late joiners, consolidate semantically identical queries, and route
 results back via response topics.  One node may hold both roles.
 
-Transport is an in-process message bus (deterministic under a fixed
-scheduler) or length-prefixed JSON frames over TCP between processes.
+Transport is an in-process message bus, deterministic under a fixed
+scheduler.
 """
 
 from __future__ import annotations
 
 import collections
-import json
 import logging
 import re
-import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -220,9 +218,6 @@ class InProcessBus:
             subs.pop(subscriber_id, None)
             if not subs:
                 del self._subs[topic]
-
-    def subscriber_count(self, topic: str) -> int:
-        return len(self._subs.get(topic, ()))
 
     def publish(self, topic: str, payload) -> int:
         self.published += 1
@@ -444,72 +439,3 @@ class OverlayNode:
             self.counters["routed"] += 1
         return n
 
-
-# --- TCP framing -----------------------------------------------------------------
-
-MAX_FRAME = 16 * 1024 * 1024
-_HEADER = struct.Struct(">I")
-
-
-class FrameError(Exception):
-    pass
-
-
-def encode_frame(obj: dict) -> bytes:
-    """One wire frame: 4-byte big-endian length, then UTF-8 JSON."""
-    data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    if len(data) > MAX_FRAME:
-        raise FrameError(f"frame too large: {len(data)} bytes")
-    return _HEADER.pack(len(data)) + data
-
-
-class FrameDecoder:
-    """Incremental decoder: feed arbitrary byte chunks, get whole frames out."""
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[dict]:
-        self._buf.extend(data)
-        out = []
-        while True:
-            if len(self._buf) < _HEADER.size:
-                return out
-            (length,) = _HEADER.unpack_from(self._buf)
-            if length > MAX_FRAME:
-                raise FrameError(f"frame too large: {length} bytes")
-            if len(self._buf) < _HEADER.size + length:
-                return out
-            payload = bytes(self._buf[_HEADER.size:_HEADER.size + length])
-            del self._buf[:_HEADER.size + length]
-            out.append(json.loads(payload.decode("utf-8")))
-
-
-def send_frame(sock, obj: dict) -> None:
-    sock.sendall(encode_frame(obj))
-
-
-def recv_frame(sock) -> Optional[dict]:
-    """Read one frame from a stream socket; None on clean EOF."""
-    header = _recv_exactly(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise FrameError(f"frame too large: {length} bytes")
-    payload = _recv_exactly(sock, length)
-    if payload is None:
-        raise FrameError("connection closed mid-frame")
-    return json.loads(payload.decode("utf-8"))
-
-
-def _recv_exactly(sock, n: int) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if not buf:
-                return None
-            raise FrameError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)

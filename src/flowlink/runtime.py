@@ -2,13 +2,16 @@
 replay, plus a wall-clock scheduler for the live service and load tests.
 
 Both expose the same now()/call_at()/call_later()/cancel() surface so engine
-components are agnostic to which mode they run under.
+components are agnostic to which mode they run under.  Each also carries the
+`lock` that owns engine state: the engine takes it on every entry point, and
+the wall-clock scheduler runs every callback while holding it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import threading
 import time
 from typing import Any, Callable
@@ -42,6 +45,7 @@ class EventLoop:
         self._now = start
         self._heap: list[TimerHandle] = []
         self._seq = itertools.count()
+        self.lock = threading.RLock()
 
     def now(self) -> float:
         return self._now
@@ -91,13 +95,16 @@ class EventLoop:
 class WallScheduler:
     """Wall-clock timer thread with the EventLoop call surface.
 
-    Callbacks run on the scheduler thread; engine components serialize their
-    own state, so this is safe to combine with ingestion threads.
+    Callbacks run on the scheduler thread while holding `lock`, so they
+    never interleave with ingestion threads that hold it.  A handle
+    cancelled while its callback waited for the lock does not run.  Do not
+    call stop() while holding `lock`: the timer thread may be waiting for it.
     """
 
     def __init__(self):
         self._heap: list[TimerHandle] = []
         self._seq = itertools.count()
+        self.lock = threading.RLock()
         self._cond = threading.Condition()
         self._stopped = False
         self._thread = threading.Thread(target=self._run, name="flowlink-timer", daemon=True)
@@ -138,8 +145,10 @@ class WallScheduler:
                 h = heapq.heappop(self._heap)
             if h.cancelled:
                 continue
-            try:
-                h.fn(*h.args)
-            except Exception:  # noqa: BLE001 - timer callbacks must not kill the thread
-                import logging
-                logging.getLogger(__name__).exception("timer callback failed")
+            with self.lock:
+                if h.cancelled:
+                    continue
+                try:
+                    h.fn(*h.args)
+                except Exception:  # noqa: BLE001 - timer callbacks must not kill the thread
+                    logging.getLogger(__name__).exception("timer callback failed")

@@ -9,14 +9,12 @@ kernel's current view, purging entries that vanished without a removal event
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
 from flowlink.model import (
     Action,
-    FileHashRecord,
     HostEvent,
     InterfaceRecord,
     ProcessInfo,
@@ -82,10 +80,6 @@ class HostState:
     last_batch_id: dict[TableKind, int] = field(default_factory=dict)
     disconnected_at: float | None = None
 
-    def orphaned_sockets(self) -> list[SocketInfo]:
-        """Sockets whose owning pid is unknown; kept attributable by design."""
-        return [s for s in self.sockets.values() if s.pid not in self.processes]
-
 
 @dataclass(frozen=True)
 class HostView:
@@ -100,25 +94,14 @@ class HostView:
     exec_history: dict[int, tuple[ExecTransition, ...]]
 
 
-class _Slot:
-    __slots__ = ("lock", "state")
-
-    def __init__(self, state: HostState):
-        self.lock = threading.Lock()
-        self.state = state
-
-
 class HostStateStore:
-    """Owns all per-host state; mutations serialize per host, different hosts
-    may be updated concurrently."""
+    """Owns all per-host state.  It takes no lock of its own: callers
+    serialize every call, as the engine does with the scheduler's lock."""
 
-    def __init__(self, clock: Callable[[], float], grace_period: float = 60.0,
-                 exec_ambiguity_window: float = 0.1):
+    def __init__(self, clock: Callable[[], float], grace_period: float = 60.0):
         self._clock = clock
         self.grace_period = grace_period
-        self.exec_ambiguity_window = exec_ambiguity_window
-        self._slots: dict[str, _Slot] = {}
-        self._table_lock = threading.Lock()
+        self._hosts: dict[str, HostState] = {}
         self.counters: Counter = Counter()
         self._listeners: list[Callable[[StateChange], None]] = []
 
@@ -132,10 +115,6 @@ class HostStateStore:
             for fn in self._listeners:
                 fn(ch)
 
-    def _slot(self, host: str) -> _Slot | None:
-        with self._table_lock:
-            return self._slots.get(host)
-
     # -- lifecycle ------------------------------------------------------
 
     def handle_reconnect(self, host: str) -> list[StateChange]:
@@ -144,15 +123,12 @@ class HostStateStore:
         caller's responsibility."""
         now = self._clock()
         changes: list[StateChange] = []
-        with self._table_lock:
-            old = self._slots.pop(host, None)
+        old = self._hosts.pop(host, None)
         if old is not None:
-            with old.lock:
-                for addr in sorted(old.state.addresses):
-                    changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
+            for addr in sorted(old.addresses):
+                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
             changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
-        with self._table_lock:
-            self._slots[host] = _Slot(HostState(host=host))
+        self._hosts[host] = HostState(host=host)
         changes.append(StateChange(host, "host", Action.ADDED, host, time=now))
         self._emit(changes)
         return changes
@@ -161,16 +137,15 @@ class HostStateStore:
         """Freeze the host's state; it stays readable for late attribution
         until the grace period expires."""
         now = self._clock()
-        slot = self._slot(host)
-        if slot is None:
+        st = self._hosts.get(host)
+        if st is None:
             self.counters["disconnect_unknown_host"] += 1
             return []
-        with slot.lock:
-            if not slot.state.connected:
-                self.counters["disconnect_noop"] += 1
-                return []
-            slot.state.connected = False
-            slot.state.disconnected_at = now
+        if not st.connected:
+            self.counters["disconnect_noop"] += 1
+            return []
+        st.connected = False
+        st.disconnected_at = now
         changes = [StateChange(host, "host", Action.REMOVED, "connected", time=now)]
         self._emit(changes)
         return changes
@@ -179,22 +154,14 @@ class HostStateStore:
         """Discard frozen state whose grace period has run out; their
         addresses leave the index so reused IPs resolve to the new owner."""
         now = self._clock() if now is None else now
-        expired: list[str] = []
-        with self._table_lock:
-            for host, slot in list(self._slots.items()):
-                st = slot.state
-                if not st.connected and st.disconnected_at is not None \
-                        and now - st.disconnected_at >= self.grace_period:
-                    expired.append(host)
+        expired = [host for host, st in self._hosts.items()
+                   if not st.connected and st.disconnected_at is not None
+                   and now - st.disconnected_at >= self.grace_period]
         changes: list[StateChange] = []
         for host in expired:
-            with self._table_lock:
-                slot = self._slots.pop(host, None)
-            if slot is None:
-                continue
-            with slot.lock:
-                for addr in sorted(slot.state.addresses):
-                    changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
+            st = self._hosts.pop(host)
+            for addr in sorted(st.addresses):
+                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
             changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
         self._emit(changes)
         return expired
@@ -203,16 +170,15 @@ class HostStateStore:
 
     def apply_event(self, ev: HostEvent) -> list[StateChange]:
         """Fold one streamed add/remove row into the host's state."""
-        slot = self._slot(ev.host)
-        if slot is None or not slot.state.connected:
+        st = self._hosts.get(ev.host)
+        if st is None or not st.connected:
             self.counters["events_while_down"] += 1
             return []
-        with slot.lock:
-            changes = self._apply_locked(slot.state, ev)
+        changes = self._apply(st, ev)
         self._emit(changes)
         return changes
 
-    def _apply_locked(self, st: HostState, ev: HostEvent) -> list[StateChange]:
+    def _apply(self, st: HostState, ev: HostEvent) -> list[StateChange]:
         now = ev.event_time
         if ev.table == TableKind.PROCESS_EVENTS:
             if ev.action == Action.REMOVED:
@@ -313,34 +279,32 @@ class HostStateStore:
         nothing (that is verification's job)."""
         if batch.verification:
             raise StateError("verification batches must go through verify()")
-        slot = self._slot(batch.host)
-        if slot is None or not slot.state.connected:
+        st = self._hosts.get(batch.host)
+        if st is None or not st.connected:
             self.counters["events_while_down"] += 1
             return []
-        with slot.lock:
-            st = slot.state
-            last = st.last_batch_id.get(batch.table, -1)
-            if batch.batch_id <= last:
-                self.counters["stale_batch"] += 1
-                return []
-            st.last_batch_id[batch.table] = batch.batch_id
-            st.last_snapshot_time = batch.event_time
-            now = batch.event_time
-            changes: list[StateChange] = []
-            for row in batch.rows:
-                if batch.table == TableKind.PROCESSES:
-                    changes += self._upsert_process(st, row, now)
-                elif batch.table in SOCKET_TABLES:
-                    changes += self._upsert_socket(st, row, now)
-                elif batch.table == TableKind.USERS:
-                    st.users[row.uid] = row
-                    changes.append(StateChange(st.host, "user", Action.ADDED, row.uid, row, now))
-                elif batch.table == TableKind.INTERFACES:
-                    if row.addr not in st.addresses:
-                        st.addresses.add(row.addr)
-                        changes.append(StateChange(st.host, "address", Action.ADDED, row.addr, row, now))
-                else:
-                    self.counters["unroutable_table"] += 1
+        last = st.last_batch_id.get(batch.table, -1)
+        if batch.batch_id <= last:
+            self.counters["stale_batch"] += 1
+            return []
+        st.last_batch_id[batch.table] = batch.batch_id
+        st.last_snapshot_time = batch.event_time
+        now = batch.event_time
+        changes: list[StateChange] = []
+        for row in batch.rows:
+            if batch.table == TableKind.PROCESSES:
+                changes += self._upsert_process(st, row, now)
+            elif batch.table in SOCKET_TABLES:
+                changes += self._upsert_socket(st, row, now)
+            elif batch.table == TableKind.USERS:
+                st.users[row.uid] = row
+                changes.append(StateChange(st.host, "user", Action.ADDED, row.uid, row, now))
+            elif batch.table == TableKind.INTERFACES:
+                if row.addr not in st.addresses:
+                    st.addresses.add(row.addr)
+                    changes.append(StateChange(st.host, "address", Action.ADDED, row.addr, row, now))
+            else:
+                self.counters["unroutable_table"] += 1
         self._emit(changes)
         return changes
 
@@ -348,55 +312,49 @@ class HostStateStore:
         """Reconcile held processes and sockets against one atomic probe of
         the kernel status: anything we hold that the probe did not see is
         purged, survivors get a fresh last_verified."""
-        slot = self._slot(batch.host)
-        if slot is None or not slot.state.connected:
+        st = self._hosts.get(batch.host)
+        if st is None or not st.connected:
             raise StateError(f"cannot verify disconnected host {batch.host!r}")
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
         now = batch.event_time
         changes: list[StateChange] = []
-        with slot.lock:
-            st = slot.state
-            removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
-            removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
-            for pid in removed_procs:
-                del st.processes[pid]
-                st.exec_history.pop(pid, None)
-                changes.append(StateChange(st.host, "process", Action.REMOVED, pid, time=now))
-            for key in removed_socks:
-                del st.sockets[key]
-                changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
-            for pid, proc in st.processes.items():
-                st.processes[pid] = replace(proc, last_verified=now)
-            for key, s in st.sockets.items():
-                st.sockets[key] = replace(s, last_verified=now)
+        removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
+        removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
+        for pid in removed_procs:
+            del st.processes[pid]
+            st.exec_history.pop(pid, None)
+            changes.append(StateChange(st.host, "process", Action.REMOVED, pid, time=now))
+        for key in removed_socks:
+            del st.sockets[key]
+            changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
+        for pid, proc in st.processes.items():
+            st.processes[pid] = replace(proc, last_verified=now)
+        for key, s in st.sockets.items():
+            st.sockets[key] = replace(s, last_verified=now)
         self._emit(changes)
         return VerificationReport(batch.host, removed_procs, removed_socks, now)
 
     # -- reads ------------------------------------------------------------
 
     def view(self, host: str) -> HostView | None:
-        slot = self._slot(host)
-        if slot is None:
+        st = self._hosts.get(host)
+        if st is None:
             return None
-        with slot.lock:
-            st = slot.state
-            return HostView(
-                host=st.host, connected=st.connected,
-                addresses=frozenset(st.addresses),
-                processes=dict(st.processes),
-                sockets=dict(st.sockets),
-                users=dict(st.users),
-                exec_history={pid: tuple(h) for pid, h in st.exec_history.items()},
-            )
+        return HostView(
+            host=st.host, connected=st.connected,
+            addresses=frozenset(st.addresses),
+            processes=dict(st.processes),
+            sockets=dict(st.sockets),
+            users=dict(st.users),
+            exec_history={pid: tuple(h) for pid, h in st.exec_history.items()},
+        )
 
     def hosts(self) -> list[str]:
-        with self._table_lock:
-            return sorted(self._slots)
+        return sorted(self._hosts)
 
     def connected_hosts(self) -> list[str]:
-        with self._table_lock:
-            return sorted(h for h, s in self._slots.items() if s.state.connected)
+        return sorted(h for h, st in self._hosts.items() if st.connected)
 
     def dump_records(self, host: str | None = None) -> Iterator[dict]:
         """Full state as plain records, the same row shape agents emit in

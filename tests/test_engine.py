@@ -1,14 +1,17 @@
 """End-to-end engine behaviour over the simulated fleet."""
 
 import io
+import threading
 
+from conftest import iface_ev, make_proc, make_sock, proc_ev, sock_ev
+from flowlink import correlate
 from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_workload
 from flowlink.config import EngineConfig
 from flowlink.detect import ATTACHMENT_EXECUTED, STEPPING_STONE
 from flowlink.engine import Engine, EngineOutputs, run_simulation, schedule_replay
-from flowlink.flowlog import read_alerts, read_enriched, read_inputs
+from flowlink.flowlog import FlowRecord, read_alerts, read_enriched, read_inputs
 from flowlink.model import FlowTuple, Proto
-from flowlink.runtime import EventLoop
+from flowlink.runtime import EventLoop, WallScheduler
 
 
 def spec(**kw) -> WorkloadSpec:
@@ -265,3 +268,85 @@ def test_record_then_replay_reproduces_logs_byte_identical():
     assert out2.flows.getvalue() == out1.flows.getvalue()
     assert out2.alerts.getvalue() == out1.alerts.getvalue()
     assert engine2.counters["flows_out"] == engine1.counters["flows_out"]
+
+
+# --- wall-clock threading ---------------------------------------------------------
+
+
+def test_deadline_during_retry_emits_flow_once(monkeypatch):
+    """A retry deadline that falls due while telemetry is resolving the
+    parked flow must not finalize it a second time."""
+    sched = WallScheduler()
+    engine = Engine(config(retry_window=0.2), sched)
+    counts: dict[str, int] = {}
+    emitted = threading.Event()
+
+    def sink(result):
+        counts[result.tag.uid] = counts.get(result.tag.uid, 0) + 1
+        emitted.set()
+    engine.result_sinks.append(sink)
+
+    original = correlate.attribute
+    stall = threading.Event()
+
+    def slow_attribute(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if stall.is_set() and result.originator:
+            stall.clear()
+            # resolving retry: stay inside it past the 0.2 s deadline
+            emitted.wait(timeout=0.5)
+        return result
+    monkeypatch.setattr(correlate, "attribute", slow_attribute)
+
+    try:
+        engine.register_host("h1")
+        engine.ingest_result("t", iface_ev("h1", "10.0.0.1"))
+        engine.ingest_result("t", proc_ev(make_proc(pid=100)))
+        engine.submit_flow(FlowRecord(ts=0.5, uid="F1", orig_h="10.0.0.1",
+                                      orig_p=4000, resp_h="203.0.113.9",
+                                      resp_p=443, proto=Proto.TCP))
+        assert engine.correlator.parked_count == 1
+        stall.set()
+        engine.ingest_result("t", sock_ev(make_sock(
+            pid=100, local=("10.0.0.1", 4000), remote=("203.0.113.9", 443))))
+        # the deadline handle is due before this one, so it has been
+        # handled once this one runs
+        drained = threading.Event()
+        sched.call_later(0.0, drained.set)
+        assert drained.wait(timeout=1.0)
+        assert counts == {"F1": 1}
+    finally:
+        engine.shutdown()
+        sched.stop()
+
+
+def test_wall_scheduler_callbacks_run_under_engine_lock():
+    sched = WallScheduler()
+    engine = Engine(config(), sched)
+    assert engine.lock is sched.lock
+    ran = threading.Event()
+    holding = threading.Event()
+    release = threading.Event()
+
+    def hold():
+        with engine.lock:
+            holding.set()
+            release.wait(timeout=1.0)
+    holder = threading.Thread(target=hold)
+    try:
+        holder.start()
+        assert holding.wait(timeout=1.0)
+        handle = sched.call_later(0.0, ran.set)
+        # due, but the timer thread waits for the lock
+        assert not ran.wait(timeout=0.3)
+        sched.cancel(handle)
+        release.set()
+        holder.join(timeout=1.0)
+        assert not holder.is_alive()
+        drained = threading.Event()
+        sched.call_later(0.0, drained.set)
+        assert drained.wait(timeout=1.0)
+        assert not ran.is_set()
+    finally:
+        release.set()
+        sched.stop()

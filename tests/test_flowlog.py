@@ -12,20 +12,20 @@ from flowlink.correlate import AttributionResult, Candidate
 from flowlink.flowlog import (
     EMPTY,
     ENRICH_FIELDS,
+    FLOW_FIELDS,
+    FLOW_FORMAT,
     AlertWriter,
     DownloadEvent,
-    DownloadLogWriter,
     EnrichedFlowWriter,
-    FlowLogWriter,
     FlowRecord,
     InputRecorder,
     LogFormatError,
     enrich_columns,
     read_alerts,
-    read_downloads,
     read_enriched,
     read_flows,
     read_inputs,
+    write_header,
 )
 from flowlink.model import FlowTuple, MatchQuality, Proto
 
@@ -42,19 +42,21 @@ def result_for(record, cands=()):
                              flow_end=record.end, originator=tuple(cands))
 
 
-def test_flow_log_roundtrip():
+def flow_log(records) -> str:
     buf = io.StringIO()
-    w = FlowLogWriter(buf)
-    records = [rec("F1"), rec("F2", proto=Proto.UDP)]
+    write_header(buf, FLOW_FORMAT, FLOW_FIELDS)
     for r in records:
-        w.write(r)
-    assert list(read_flows(iter(buf.getvalue().splitlines(True)))) == records
+        buf.write("\t".join(r.to_row()) + "\n")
+    return buf.getvalue()
+
+
+def test_flow_log_roundtrip():
+    records = [rec("F1"), rec("F2", proto=Proto.UDP)]
+    assert list(read_flows(iter(flow_log(records).splitlines(True)))) == records
 
 
 def test_flow_header_is_versioned():
-    buf = io.StringIO()
-    FlowLogWriter(buf)
-    first, second = buf.getvalue().splitlines()
+    first, second = flow_log([]).splitlines()
     assert first == "#flowlink flow-log v1"
     assert second.startswith("#fields\tts\tuid")
 
@@ -87,9 +89,7 @@ flow_records = st.builds(
 
 @given(flow_records)
 def test_flow_record_line_roundtrip(record):
-    buf = io.StringIO()
-    FlowLogWriter(buf).write(record)
-    (got,) = list(read_flows(iter(buf.getvalue().splitlines(True))))
+    (got,) = list(read_flows(iter(flow_log([record]).splitlines(True))))
     assert got == record
 
 
@@ -147,16 +147,11 @@ def test_alert_log_roundtrip():
     assert list(read_alerts(iter(buf.getvalue().splitlines(True)))) == alerts
 
 
-def test_download_log_roundtrip():
-    buf = io.StringIO()
-    w = DownloadLogWriter(buf)
+def test_download_event_dict_roundtrip():
     ev = DownloadEvent(ts=5.0, sha256="e3b0" * 16,
                        flow=FlowTuple("10.0.0.1", 4000, "203.0.113.9", 443,
                                       Proto.TCP),
                        flow_uid="F9", origin_kind="mail_attachment")
-    w.write(ev)
-    (got,) = list(read_downloads(iter(buf.getvalue().splitlines(True))))
-    assert got == ev
     assert DownloadEvent.from_dict(ev.to_dict()) == ev
 
 

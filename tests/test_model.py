@@ -19,7 +19,6 @@ from flowlink.model import (
     canonical_addr,
     invert,
     match_socket,
-    peer_view,
 )
 
 A, B, C = "10.0.0.1", "10.0.0.2", "10.0.0.3"
@@ -189,6 +188,21 @@ def test_matches_truth_table_oracle_randomized(f, s, side):
 
 
 # --- invariants ---------------------------------------------------------------
+
+def peer_view(s: SocketInfo) -> SocketInfo:
+    """The same connection as seen from the other endpoint: local and remote
+    endpoints swap and the direction flips."""
+    flipped = {Direction.OUTGOING: Direction.INCOMING,
+               Direction.INCOMING: Direction.OUTGOING,
+               Direction.LISTENING: Direction.OUTGOING}[s.direction]
+    return SocketInfo(
+        host=s.host, pid=s.pid, fd=s.fd, proto=s.proto,
+        direction=flipped, source=s.source,
+        local_addr=s.remote_addr, local_port=s.remote_port,
+        remote_addr=s.local_addr, remote_port=s.local_port,
+        first_seen=s.first_seen, last_verified=s.last_verified,
+    )
+
 
 @given(flows(), sockets())
 @settings(max_examples=300)

@@ -7,14 +7,11 @@ raw interest list alone, what every agent's consolidated schedule must be.
 from __future__ import annotations
 
 import random
-import socket
 
 import pytest
 
 from flowlink.overlay import (
     DEFAULT_GROUP,
-    FrameDecoder,
-    FrameError,
     InProcessBus,
     Interest,
     OverlayError,
@@ -25,12 +22,9 @@ from flowlink.overlay import (
     Schedule,
     ScheduleDelta,
     ScheduleEntry,
-    encode_frame,
     host_group,
     parse_duration,
     parse_query,
-    recv_frame,
-    send_frame,
 )
 from flowlink.runtime import EventLoop
 
@@ -410,45 +404,3 @@ def test_post_quiescence_schedules_match_oracle(seed):
         keys = [e.key for e in stub.schedule()]
         assert len(keys) == len(set(keys)), name
 
-
-# --- framing -----------------------------------------------------------------------
-
-def test_frame_roundtrip_chunked():
-    msgs = [{"kind": "interest", "n": i, "text": "x" * i} for i in range(5)]
-    blob = b"".join(encode_frame(m) for m in msgs)
-    dec = FrameDecoder()
-    got = []
-    for i in range(0, len(blob), 3):  # adversarially small chunks
-        got.extend(dec.feed(blob[i:i + 3]))
-    assert got == msgs
-
-
-def test_frame_over_real_socket():
-    a, b = socket.socketpair()
-    try:
-        send_frame(a, {"hello": "world", "n": 1})
-        send_frame(a, {"second": True})
-        assert recv_frame(b) == {"hello": "world", "n": 1}
-        assert recv_frame(b) == {"second": True}
-        a.close()
-        assert recv_frame(b) is None
-    finally:
-        b.close()
-
-
-def test_frame_eof_mid_frame_raises():
-    a, b = socket.socketpair()
-    try:
-        a.sendall(encode_frame({"x": 1})[:5])
-        a.close()
-        with pytest.raises(FrameError):
-            recv_frame(b)
-    finally:
-        b.close()
-
-
-def test_oversized_frame_rejected():
-    dec = FrameDecoder()
-    import struct as _s
-    with pytest.raises(FrameError):
-        dec.feed(_s.pack(">I", 1 << 30))
