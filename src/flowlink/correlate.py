@@ -25,6 +25,11 @@ class AddressIndex:
     Multiple hosts may claim one address (NAT, address reuse, agents racing
     during DHCP churn); lookups return all claimants and leave the ambiguity
     to the attribution layer.
+
+    The index follows the store's address changes only.  A disconnected host
+    keeps its addresses through its grace period, so its frozen state stays
+    reachable for late attribution; reconnect and grace expiry emit the
+    address removals that take them out.
     """
 
     def __init__(self):
@@ -45,10 +50,6 @@ class AddressIndex:
         if not self._addrs_by_host.get(host):
             self._addrs_by_host.pop(host, None)
 
-    def drop_host(self, host: str) -> None:
-        for addr in list(self._addrs_by_host.get(host, ())):
-            self.remove(host, addr)
-
     def hosts_for(self, addr: str) -> frozenset[str]:
         return frozenset(self._hosts_by_addr.get(canonical_addr(addr), ()))
 
@@ -61,8 +62,6 @@ class AddressIndex:
                 self.add(change.host, change.key)
             else:
                 self.remove(change.host, change.key)
-        elif change.kind == "host" and change.action.value == "removed":
-            self.drop_host(change.host)
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,7 @@ class Correlator:
         for hosts, cands in ((result.originator_hosts, result.originator),
                              (result.responder_hosts, result.responder)):
             if hosts and not cands:
-                connected = any(h in self.store.connected_hosts() for h in hosts)
-                if connected:
+                if any(self.store.is_connected(h) for h in hosts):
                     return True
         return False
 

@@ -245,7 +245,8 @@ class SteppingStoneDetector:
         self._dedup = _AlertDedup(alert_sink, self.counters)
         self._incoming: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
         self._outgoing: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
-        self._attempted: set[tuple] = set()
+        # pair key -> time of the pair's newer leg
+        self._attempted: dict[tuple, float] = {}
         self._pending: dict[tuple[str, int], _PendingDescendants] = {}
 
     def on_attributed(self, result: AttributionResult, now: float) -> None:
@@ -276,6 +277,9 @@ class SteppingStoneDetector:
                     legs_by_host[host] = kept
                 else:
                     del legs_by_host[host]
+        # once its newer leg is pruned, neither leg can pair again
+        self._attempted = {key: ts for key, ts in self._attempted.items()
+                           if ts >= cutoff}
 
     def _pair(self, host: str, incoming, outgoing) -> None:
         for leg_in in incoming:
@@ -288,7 +292,7 @@ class SteppingStoneDetector:
                        leg_in.pid, leg_out.pid)
                 if key in self._attempted:
                     continue
-                self._attempted.add(key)
+                self._attempted[key] = max(leg_in.ts, leg_out.ts)
                 self._query(host, leg_in, leg_out, key)
 
     def _query(self, host: str, leg_in: _SSHLeg, leg_out: _SSHLeg,
@@ -334,4 +338,4 @@ class SteppingStoneDetector:
         self.retract(interest_id)
         self.counters["descendant_timeouts"] += 1
         for _leg_in, _leg_out, attempt_key in entry.attempts:
-            self._attempted.discard(attempt_key)  # retriable on next sighting
+            self._attempted.pop(attempt_key, None)  # retriable on next sighting

@@ -181,7 +181,7 @@ class Engine:
                 self._retract_quietly(iid)
 
     def _verify_tick(self, host: str) -> None:
-        if self._shut_down or host not in self.store.connected_hosts():
+        if self._shut_down or not self.store.is_connected(host):
             self._verify_timers.pop(host, None)
             return
         previous = self._verify_iid.get(host)

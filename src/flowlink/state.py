@@ -96,7 +96,13 @@ class HostView:
 
 class HostStateStore:
     """Owns all per-host state.  It takes no lock of its own: callers
-    serialize every call, as the engine does with the scheduler's lock."""
+    serialize every call, as the engine does with the scheduler's lock.
+
+    Held records are frozen and shared: folding a row stores the incoming
+    record itself unless consolidation or a fresh `last_verified` changes a
+    field, and then builds one new record.  Agents stamp status rows with
+    their batch time, so most snapshot rows are stored as they arrive, and
+    verification rebuilds only the records it verifies at a new time."""
 
     def __init__(self, clock: Callable[[], float], grace_period: float = 60.0):
         self._clock = clock
@@ -218,32 +224,31 @@ class HostStateStore:
     def _upsert_process(self, st: HostState, proc: ProcessInfo, now: float) -> list[StateChange]:
         changes: list[StateChange] = []
         old = st.processes.get(proc.pid)
-        proc = replace(proc, last_verified=max(proc.last_verified, now))
+        last_verified = max(proc.last_verified, now)
+        binary_hash, source = proc.binary_hash, proc.source
         if old is not None and old.start_time == proc.start_time:
-            same_image = old.binary_path == proc.binary_path
-            if not same_image:
+            if old.binary_path == proc.binary_path:
+                if binary_hash is None:
+                    binary_hash = old.binary_hash
+                if old.source == Source.STATUS:
+                    source = Source.STATUS
+            else:
                 # execve: same generation, new image; keep sockets, remember
                 # the prior image for near-transition attribution ambiguity.
                 hist = st.exec_history.setdefault(proc.pid, [])
                 hist.append(ExecTransition(now, old))
                 del hist[:-8]
-            merged = replace(
-                proc,
-                binary_hash=old.binary_hash
-                if same_image and proc.binary_hash is None else proc.binary_hash,
-                source=Source.STATUS
-                if same_image and Source.STATUS in (proc.source, old.source) else proc.source,
-            )
-            st.processes[proc.pid] = merged
-            changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, merged, now))
-            return changes
-        if old is not None:
+        elif old is not None:
             # pid reuse: a different generation took over; its predecessor's
             # sockets cannot explain new flows and are closed here.
             for key in [k for k in st.sockets if k[0] == proc.pid]:
                 del st.sockets[key]
                 changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
             st.exec_history.pop(proc.pid, None)
+        if (last_verified != proc.last_verified or binary_hash != proc.binary_hash
+                or source != proc.source):
+            proc = replace(proc, last_verified=last_verified,
+                           binary_hash=binary_hash, source=source)
         st.processes[proc.pid] = proc
         changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, proc, now))
         return changes
@@ -256,13 +261,7 @@ class HostStateStore:
         return [StateChange(st.host, "process", Action.REMOVED, pid, time=now)]
 
     def _upsert_socket(self, st: HostState, sock: SocketInfo, now: float) -> list[StateChange]:
-        old = st.sockets.get(sock.key)
-        merged = sock
-        if old is not None:
-            merged = _merge_socket(old, sock)
-        merged = replace(merged, last_verified=max(merged.last_verified, now))
-        if merged.first_seen == 0.0:
-            merged = replace(merged, first_seen=now)
+        merged = _merge_socket(st.sockets.get(sock.key), sock, now)
         st.sockets[sock.key] = merged
         return [StateChange(st.host, "socket", Action.ADDED, sock.key, merged, now)]
 
@@ -329,9 +328,11 @@ class HostStateStore:
             del st.sockets[key]
             changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
         for pid, proc in st.processes.items():
-            st.processes[pid] = replace(proc, last_verified=now)
-        for key, s in st.sockets.items():
-            st.sockets[key] = replace(s, last_verified=now)
+            if proc.last_verified != now:
+                st.processes[pid] = replace(proc, last_verified=now)
+        for key, sock in st.sockets.items():
+            if sock.last_verified != now:
+                st.sockets[key] = replace(sock, last_verified=now)
         self._emit(changes)
         return VerificationReport(batch.host, removed_procs, removed_socks, now)
 
@@ -356,6 +357,10 @@ class HostStateStore:
     def connected_hosts(self) -> list[str]:
         return sorted(h for h, st in self._hosts.items() if st.connected)
 
+    def is_connected(self, host: str) -> bool:
+        st = self._hosts.get(host)
+        return st is not None and st.connected
+
     def dump_records(self, host: str | None = None) -> Iterator[dict]:
         """Full state as plain records, the same row shape agents emit in
         snapshot batches."""
@@ -374,23 +379,35 @@ class HostStateStore:
                 yield payload_to_dict(view.users[uid])
 
 
-def _merge_socket(old: SocketInfo, new: SocketInfo) -> SocketInfo:
-    """Consolidate two sightings of the same (pid, fd): status-sourced fields
-    override absent audit fields, never the other way around."""
-    def pick(new_a, new_p, old_a, old_p):
-        if new_a is not None and new_p is not None:
-            return new_a, new_p
-        return old_a, old_p
-
-    la, lp = pick(new.local_addr, new.local_port, old.local_addr, old.local_port)
-    ra, rp = pick(new.remote_addr, new.remote_port, old.remote_addr, old.remote_port)
-    source = Source.STATUS if Source.STATUS in (old.source, new.source) else Source.AUDIT
-    first_seen = min(t for t in (old.first_seen, new.first_seen) if t > 0.0) \
-        if (old.first_seen > 0.0 or new.first_seen > 0.0) else 0.0
+def _merge_socket(old: SocketInfo | None, new: SocketInfo, now: float) -> SocketInfo:
+    """Consolidate a sighting of a (pid, fd) at `now` with what is held for
+    it: status-sourced fields override absent audit fields, never the other
+    way around.  Returns `new` itself when consolidation changes none of its
+    fields, and otherwise builds exactly one record."""
+    la, lp, ra, rp = new.local_addr, new.local_port, new.remote_addr, new.remote_port
+    source, first_seen, last_verified = new.source, new.first_seen, new.last_verified
+    if old is not None:
+        if la is None or lp is None:
+            la, lp = old.local_addr, old.local_port
+        if ra is None or rp is None:
+            ra, rp = old.remote_addr, old.remote_port
+        if old.source == Source.STATUS:
+            source = Source.STATUS
+        if first_seen <= 0.0:
+            first_seen = max(old.first_seen, 0.0)
+        elif 0.0 < old.first_seen < first_seen:
+            first_seen = old.first_seen
+        last_verified = max(old.last_verified, last_verified)
+    last_verified = max(last_verified, now)
+    if first_seen == 0.0:
+        first_seen = now
+    if (la == new.local_addr and lp == new.local_port and ra == new.remote_addr
+            and rp == new.remote_port and source == new.source
+            and first_seen == new.first_seen and last_verified == new.last_verified):
+        return new
     return SocketInfo(
         host=new.host, pid=new.pid, fd=new.fd, proto=new.proto,
         direction=new.direction, source=source,
         local_addr=la, local_port=lp, remote_addr=ra, remote_port=rp,
-        first_seen=first_seen,
-        last_verified=max(old.last_verified, new.last_verified),
+        first_seen=first_seen, last_verified=last_verified,
     )

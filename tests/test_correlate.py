@@ -72,8 +72,9 @@ def test_index_add_lookup_remove():
     assert idx.hosts_for(A) == {"h1", "h2"}
     idx.remove("h1", A)
     assert idx.hosts_for(A) == {"h2"}
-    idx.drop_host("h2")
+    idx.remove("h2", A)
     assert idx.hosts_for(A) == frozenset()
+    assert idx.addresses_of("h2") == frozenset()
 
 
 def test_index_canonicalizes_mapped_ipv6():
@@ -97,6 +98,34 @@ def test_index_host_removal_clears_addresses():
     store.handle_disconnect("h1")
     store.expire_disconnected(now=100.0)
     assert idx.hosts_for(A) == frozenset()
+
+
+def test_index_reconnect_clears_addresses():
+    store, idx, _ = fixture()
+    wire(store, "h1", A)
+    store.handle_reconnect("h1")
+    assert idx.hosts_for(A) == frozenset()
+    wire(store, "h1", B)
+    assert idx.hosts_for(B) == {"h1"} and idx.addresses_of("h1") == {B}
+
+
+def test_disconnected_host_attributes_until_grace_expires():
+    # frozen state stays readable for late attribution: the index keeps the
+    # host's addresses through the grace period
+    store, idx, clock = fixture()
+    wire(store, "h1", A)
+    store.apply_event(proc_ev(make_proc(pid=100, binary="/usr/bin/curl")))
+    store.apply_event(sock_ev(make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443))))
+    before = attribute(flow(), 1.0, 2.0, idx, store)
+    assert [c.pid for c in before.originator] == [100]
+    clock.t = 10.0
+    store.handle_disconnect("h1")
+    during = attribute(flow(), 1.0, 2.0, idx, store)
+    assert during.originator == before.originator
+    assert during.originator_hosts == {"h1"}
+    store.expire_disconnected(now=100.0)
+    after = attribute(flow(), 1.0, 2.0, idx, store)
+    assert after.originator == () and after.originator_hosts == frozenset()
 
 
 # --- attribute() examples -----------------------------------------------------

@@ -335,3 +335,20 @@ def test_duplicate_pair_not_requeried():
     det.on_attributed(inc, now=102.0)  # replay after a successful answer
     assert len(stub.published) == 1
     assert len(alerts) == 1
+
+
+def test_attempted_pairs_expire_with_their_legs():
+    loop, stub, alerts, det = stepping_harness(window=600.0)
+    det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=100.0),
+                      now=100.0)
+    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=101.0),
+                      now=101.0)
+    det.on_descendants(desc_batch("h001", 201, [205]), now=101.2)
+    assert len(stub.published) == 1 and len(alerts) == 1
+    assert len(det._attempted) == 1
+    # the next ssh flow comes after the pairing window: both legs and the
+    # pair key they made are pruned
+    det.on_attributed(ssh_result(orig=("h002", 300), uid="LATER", end=800.0),
+                      now=800.0)
+    assert len(det._attempted) == 0
+    assert len(stub.published) == 1

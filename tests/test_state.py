@@ -3,6 +3,8 @@ interpreter for scripted event sequences."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,19 @@ from conftest import iface_ev, make_proc, make_sock, make_user, proc_ev, snapsho
 from flowlink.model import (
     Action,
     Direction,
+    ProcessInfo,
     Proto,
     SocketInfo,
     Source,
     TableKind,
 )
-from flowlink.state import HostStateStore, StateError
+from flowlink.state import (
+    ExecTransition,
+    HostStateStore,
+    StateChange,
+    StateError,
+    VerificationReport,
+)
 
 
 class FakeClock:
@@ -254,6 +263,49 @@ def test_broken_socket_purged_process_kept():
     assert 100 in s.view("h1").processes
 
 
+def test_status_rows_stamped_with_batch_time_are_stored_as_is():
+    s, _ = store()
+    for t in (5.0, 10.0):   # first sighting, then over the held records
+        proc = replace(make_proc(pid=100, source=Source.STATUS), last_verified=t)
+        sock = replace(make_sock(pid=100, fd=5, source=Source.STATUS,
+                                 local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
+                       last_verified=t)
+        s.merge_snapshot(snapshot("h1", TableKind.PROCESSES, [proc], batch_id=int(t), t=t))
+        s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [sock],
+                                  batch_id=int(t), t=t))
+        view = s.view("h1")
+        assert view.processes[100] is proc
+        assert view.sockets[(100, 5)] is sock
+
+
+def test_verify_keeps_records_already_verified_at_its_time():
+    s, _ = store()
+    proc = replace(make_proc(pid=100, source=Source.STATUS), last_verified=30.0)
+    sock = replace(make_sock(pid=100, fd=5, source=Source.STATUS,
+                             local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
+                   last_verified=30.0)
+    s.merge_snapshot(snapshot("h1", TableKind.PROCESSES, [proc], t=30.0))
+    s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [sock], t=30.0))
+    s.apply_event(proc_ev(make_proc(pid=200, start=2.0), t=2.0))
+    held = s.view("h1")
+    s.verify(snapshot("h1", TableKind.VERIFICATION, [proc, sock, make_proc(pid=200, start=2.0)],
+                      t=30.0, verification=True))
+    view = s.view("h1")
+    assert view.processes[100] is held.processes[100]
+    assert view.sockets[(100, 5)] is held.sockets[(100, 5)]
+    assert view.processes[200] is not held.processes[200]
+    assert view.processes[200].last_verified == 30.0
+
+
+def test_is_connected_follows_lifecycle():
+    s, _ = store()
+    assert s.is_connected("h1") and not s.is_connected("h2")
+    s.handle_disconnect("h1")
+    assert not s.is_connected("h1") and s.view("h1") is not None
+    s.handle_reconnect("h1")
+    assert s.is_connected("h1")
+
+
 def test_verify_disconnected_host_raises():
     s, _ = store()
     s.handle_disconnect("h1")
@@ -431,3 +483,183 @@ def test_audit_and_status_builds_converge():
             assert pid in seen_by_status
         if pid not in seen_by_status:
             assert not any(t0 <= tp < t1 for tp in probe_times)
+
+
+# --- shared records vs. the always-rebuild fold (differential property) -------------
+
+
+class RebuildingStore(HostStateStore):
+    """The fold as it was before records were shared: every upserted row and
+    every held record at verification is rebuilt, even when no field
+    changes.  The oracle for the differential test below."""
+
+    def _upsert_process(self, st, proc, now):
+        changes = []
+        old = st.processes.get(proc.pid)
+        proc = replace(proc, last_verified=max(proc.last_verified, now))
+        if old is not None and old.start_time == proc.start_time:
+            same_image = old.binary_path == proc.binary_path
+            if not same_image:
+                hist = st.exec_history.setdefault(proc.pid, [])
+                hist.append(ExecTransition(now, old))
+                del hist[:-8]
+            merged = replace(
+                proc,
+                binary_hash=old.binary_hash
+                if same_image and proc.binary_hash is None else proc.binary_hash,
+                source=Source.STATUS
+                if same_image and Source.STATUS in (proc.source, old.source) else proc.source,
+            )
+            st.processes[proc.pid] = merged
+            changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, merged, now))
+            return changes
+        if old is not None:
+            for key in [k for k in st.sockets if k[0] == proc.pid]:
+                del st.sockets[key]
+                changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
+            st.exec_history.pop(proc.pid, None)
+        st.processes[proc.pid] = proc
+        changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, proc, now))
+        return changes
+
+    def _upsert_socket(self, st, sock, now):
+        old = st.sockets.get(sock.key)
+        merged = sock
+        if old is not None:
+            merged = _rebuild_merge_socket(old, sock)
+        merged = replace(merged, last_verified=max(merged.last_verified, now))
+        if merged.first_seen == 0.0:
+            merged = replace(merged, first_seen=now)
+        st.sockets[sock.key] = merged
+        return [StateChange(st.host, "socket", Action.ADDED, sock.key, merged, now)]
+
+    def verify(self, batch):
+        st = self._hosts.get(batch.host)
+        if st is None or not st.connected:
+            raise StateError(f"cannot verify disconnected host {batch.host!r}")
+        seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
+        seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
+        now = batch.event_time
+        changes = []
+        removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
+        removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
+        for pid in removed_procs:
+            del st.processes[pid]
+            st.exec_history.pop(pid, None)
+            changes.append(StateChange(st.host, "process", Action.REMOVED, pid, time=now))
+        for key in removed_socks:
+            del st.sockets[key]
+            changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
+        for pid, proc in st.processes.items():
+            st.processes[pid] = replace(proc, last_verified=now)
+        for key, sock in st.sockets.items():
+            st.sockets[key] = replace(sock, last_verified=now)
+        self._emit(changes)
+        return VerificationReport(batch.host, removed_procs, removed_socks, now)
+
+
+def _rebuild_merge_socket(old, new):
+    def pick(new_a, new_p, old_a, old_p):
+        if new_a is not None and new_p is not None:
+            return new_a, new_p
+        return old_a, old_p
+
+    la, lp = pick(new.local_addr, new.local_port, old.local_addr, old.local_port)
+    ra, rp = pick(new.remote_addr, new.remote_port, old.remote_addr, old.remote_port)
+    source = Source.STATUS if Source.STATUS in (old.source, new.source) else Source.AUDIT
+    first_seen = min(t for t in (old.first_seen, new.first_seen) if t > 0.0) \
+        if (old.first_seen > 0.0 or new.first_seen > 0.0) else 0.0
+    return SocketInfo(
+        host=new.host, pid=new.pid, fd=new.fd, proto=new.proto,
+        direction=new.direction, source=source,
+        local_addr=la, local_port=lp, remote_addr=ra, remote_port=rp,
+        first_seen=first_seen,
+        last_verified=max(old.last_verified, new.last_verified),
+    )
+
+
+sources = st.sampled_from(list(Source))
+
+
+def stamps(t):
+    # unstamped, stamped with the batch time, or stamped earlier / later
+    return st.sampled_from([0.0, t, t - 0.5, t + 0.5])
+
+
+@st.composite
+def proc_rows(draw, t):
+    return replace(make_proc(pid=draw(pids), start=draw(starts),
+                             binary=draw(st.sampled_from(["/bin/a", "/bin/b"])),
+                             source=draw(sources),
+                             sha=draw(st.sampled_from([None, "aa", "bb"]))),
+                   last_verified=draw(stamps(t)))
+
+
+@st.composite
+def sock_rows(draw, t):
+    return replace(make_sock(pid=draw(pids), fd=draw(fds), local=draw(locals_),
+                             remote=draw(remotes), source=draw(sources),
+                             first_seen=draw(st.sampled_from([0.0, -1.0, 0.5, t]))),
+                   last_verified=draw(stamps(t)))
+
+
+@st.composite
+def fold_ops(draw):
+    ops = []
+    t = 1.0
+    for batch_id in range(1, draw(st.integers(0, 25)) + 1):
+        t += draw(st.sampled_from([0.0, 0.5, 1.0]))
+        which = draw(st.integers(0, 5))
+        if which == 0:
+            ops.append(proc_ev(draw(proc_rows(t)), t=t))
+        elif which == 1:
+            ops.append(sock_ev(draw(sock_rows(t)), t=t,
+                               table=draw(st.sampled_from(
+                                   [TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS]))))
+        elif which == 2:
+            ops.append(draw(st.sampled_from([
+                proc_ev(make_proc(pid=draw(pids)), action=Action.REMOVED, t=t),
+                sock_ev(make_sock(pid=draw(pids), fd=draw(fds)), action=Action.REMOVED, t=t),
+            ])))
+        elif which == 3:
+            ops.append(snapshot("h1", TableKind.PROCESSES,
+                                draw(st.lists(proc_rows(t), max_size=4)),
+                                batch_id=batch_id, t=t))
+        elif which == 4:
+            table = draw(st.sampled_from([TableKind.PROCESS_OPEN_SOCKETS,
+                                          TableKind.LISTENING_PORTS]))
+            ops.append(snapshot("h1", table, draw(st.lists(sock_rows(t), max_size=4)),
+                                batch_id=batch_id, t=t))
+        else:
+            rows = draw(st.lists(st.one_of(proc_rows(t), sock_rows(t)), max_size=6))
+            ops.append(snapshot("h1", TableKind.VERIFICATION, rows, batch_id=batch_id,
+                                t=t, verification=True))
+    return ops
+
+
+def run_fold(s, ops):
+    changes = []
+    s.add_listener(changes.append)
+    reports = []
+    for op in ops:
+        if not hasattr(op, "rows"):
+            s.apply_event(op)
+        elif op.verification:
+            reports.append(s.verify(op))
+        else:
+            s.merge_snapshot(op)
+    return changes, reports
+
+
+@given(fold_ops())
+@settings(max_examples=200, deadline=None)
+def test_shared_records_fold_equals_rebuilding_fold(ops):
+    shared = HostStateStore(FakeClock())
+    oracle = RebuildingStore(FakeClock())
+    for s in (shared, oracle):
+        s.handle_reconnect("h1")
+    got = run_fold(shared, ops)
+    want = run_fold(oracle, ops)
+    assert list(shared.dump_records()) == list(oracle.dump_records())
+    assert got == want
+    assert shared.view("h1") == oracle.view("h1")
