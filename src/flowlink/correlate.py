@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
-from .model import FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
+from .model import Action, FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
 from .state import HostStateStore, HostView, StateChange
 
 log = logging.getLogger(__name__)
@@ -34,27 +34,19 @@ class AddressIndex:
 
     def __init__(self):
         self._hosts_by_addr: dict[str, set[str]] = collections.defaultdict(set)
-        self._addrs_by_host: dict[str, set[str]] = collections.defaultdict(set)
 
     def add(self, host: str, addr: str) -> None:
         addr = canonical_addr(addr)
         self._hosts_by_addr[addr].add(host)
-        self._addrs_by_host[host].add(addr)
 
     def remove(self, host: str, addr: str) -> None:
         addr = canonical_addr(addr)
         self._hosts_by_addr.get(addr, set()).discard(host)
         if not self._hosts_by_addr.get(addr):
             self._hosts_by_addr.pop(addr, None)
-        self._addrs_by_host.get(host, set()).discard(addr)
-        if not self._addrs_by_host.get(host):
-            self._addrs_by_host.pop(host, None)
 
     def hosts_for(self, addr: str) -> frozenset[str]:
         return frozenset(self._hosts_by_addr.get(canonical_addr(addr), ()))
-
-    def addresses_of(self, host: str) -> frozenset[str]:
-        return frozenset(self._addrs_by_host.get(host, ()))
 
     def apply_change(self, change: StateChange) -> None:
         if change.kind == "address":
@@ -206,9 +198,14 @@ class Correlator:
     """Attribution with a bounded retry window for late telemetry.
 
     A flow whose endpoint resolves to monitored hosts but yields no socket
-    candidates is parked; any state change on a relevant host triggers
-    re-attribution.  At the deadline the flow is finalized as-is.  Every
-    submitted flow produces exactly one emitted result.
+    candidates is parked.  It is re-attributed on the changes that can
+    decide it: a socket added or updated on a host that claims one of its
+    addresses, any host change (connect, disconnect, grace expiry) on such a
+    host, and one of its addresses being added to or removed from any host.
+    At the deadline the flow is finalized as-is.  Every submitted flow
+    produces exactly one emitted result; `counters["retry_attempts"]` counts
+    the re-attributions and `counters["retry_resolved"]` those that decided
+    the flow.
     """
 
     def __init__(self, store: HostStateStore, index: AddressIndex,
@@ -271,20 +268,34 @@ class Correlator:
     # -- retry paths -------------------------------------------------------
 
     def on_state_change(self, change: StateChange) -> None:
-        if change.kind not in ("socket", "process", "host"):
-            return
+        # Only three kinds of change can decide a parked flow: a socket added
+        # or updated (a side gains a candidate), a host change (a side loses
+        # its last connected host), and an address added or removed (a
+        # side's host set changes).  Process, user and socket-removal changes
+        # never turn an empty side into a decided one.
         if not self._parked:
             return
-        host = change.host
+        kind = change.kind
+        if not (kind in ("address", "host")
+                or (kind == "socket" and change.action is not Action.REMOVED)):
+            return
+        host, addr = change.host, change.key
         for pid in list(self._parked):
             entry = self._parked.get(pid)
             if entry is None:
                 continue
-            relevant = (host in self.index.hosts_for(entry.flow.orig_addr)
-                        or host in self.index.hosts_for(entry.flow.resp_addr))
+            flow = entry.flow
+            if kind == "address":
+                # after a removal the host no longer claims the address, so
+                # match the address itself (canonical, as flow addresses are)
+                relevant = addr == flow.orig_addr or addr == flow.resp_addr
+            else:
+                relevant = (host in self.index.hosts_for(flow.orig_addr)
+                            or host in self.index.hosts_for(flow.resp_addr))
             if not relevant:
                 continue
-            result = attribute(entry.flow, entry.flow_start, entry.flow_end,
+            self.counters["retry_attempts"] += 1
+            result = attribute(flow, entry.flow_start, entry.flow_end,
                                self.index, self.store, decided_at=self._now(),
                                ambiguity_window=self.ambiguity_window)
             if not self._should_park(result):

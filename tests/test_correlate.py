@@ -4,12 +4,23 @@ every socket on every host with no indexing or pruning shortcuts."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iface_ev, make_proc, make_sock, make_user, proc_ev, sock_ev, user_ev
+from conftest import (
+    iface_ev,
+    make_proc,
+    make_sock,
+    make_user,
+    proc_ev,
+    snapshot,
+    sock_ev,
+    user_ev,
+)
+from flowlink import correlate
 from flowlink.correlate import (
     UNATTRIBUTED,
     UNIQUE,
@@ -25,14 +36,16 @@ from flowlink.model import (
     Action,
     Direction,
     FlowTuple,
+    InterfaceRecord,
     MatchQuality,
     Proto,
     Side,
     Source,
+    TableKind,
     match_socket,
 )
 from flowlink.runtime import EventLoop
-from flowlink.state import HostStateStore
+from flowlink.state import HostStateStore, StateError
 
 A, B, C = "10.0.0.1", "10.0.0.2", "10.0.0.3"
 
@@ -74,7 +87,6 @@ def test_index_add_lookup_remove():
     assert idx.hosts_for(A) == {"h2"}
     idx.remove("h2", A)
     assert idx.hosts_for(A) == frozenset()
-    assert idx.addresses_of("h2") == frozenset()
 
 
 def test_index_canonicalizes_mapped_ipv6():
@@ -106,7 +118,7 @@ def test_index_reconnect_clears_addresses():
     store.handle_reconnect("h1")
     assert idx.hosts_for(A) == frozenset()
     wire(store, "h1", B)
-    assert idx.hosts_for(B) == {"h1"} and idx.addresses_of("h1") == {B}
+    assert idx.hosts_for(B) == {"h1"} and idx.hosts_for(A) == frozenset()
 
 
 def test_disconnected_host_attributes_until_grace_expires():
@@ -313,7 +325,7 @@ def build_random_world(seed):
     views = {h: store.view(h) for h in hosts}
     index_map = {}
     for h in hosts:
-        for a in idx.addresses_of(h):
+        for a in views[h].addresses:
             index_map.setdefault(a, set()).add(h)
     return store, idx, views, index_map, addrs, rng
 
@@ -376,6 +388,8 @@ def test_parked_flow_resolves_on_late_telemetry():
     assert len(results) == 1
     assert results[0].side_status(Side.ORIGINATOR) == UNIQUE
     assert corr.parked_count == 0
+    # the process start is not retried; the socket is, once
+    assert corr.counters["retry_attempts"] == 1
     assert corr.counters["retry_resolved"] == 1
     loop.run_until_idle()
     assert len(results) == 1  # deadline timer was cancelled; no double emit
@@ -401,6 +415,52 @@ def test_irrelevant_change_does_not_resolve():
     wire(store, "h2", C)
     corr.submit(flow(), 1.0, 2.0)
     store.apply_event(proc_ev(make_proc(host="h2", pid=50)))
+    assert results == [] and corr.parked_count == 1
+
+
+def test_address_claim_resolves_parked_flow_at_that_change():
+    # h1 claims A but holds no matching socket; h2 already holds the matching
+    # socket but does not claim A yet.  Claiming A decides the flow at once.
+    loop, store, idx, corr, results = make_correlator()
+    store.handle_reconnect("h1")
+    store.handle_reconnect("h2")
+    wire(store, "h1", A)
+    wire(store, "h2", C)
+    store.apply_event(proc_ev(make_proc(host="h2", pid=200, binary="/usr/bin/curl")))
+    store.apply_event(sock_ev(make_sock(host="h2", pid=200, fd=5,
+                                        local=(A, 4000), remote=(B, 443))))
+    corr.submit(flow(), 1.0, 2.0)
+    assert results == [] and corr.parked_count == 1
+    loop.run_until(0.5)
+    wire(store, "h2", A)
+    assert len(results) == 1 and corr.parked_count == 0
+    res = results[0]
+    assert [(c.host, c.pid) for c in res.originator] == [("h2", 200)]
+    assert res.originator_hosts == {"h1", "h2"}
+    assert res.decided_at == 0.5
+    assert corr.counters["retry_resolved"] == 1
+
+
+def test_changes_that_cannot_decide_skip_attribution(monkeypatch):
+    loop, store, idx, corr, results = make_correlator()
+    store.handle_reconnect("h1")
+    wire(store, "h1", A)
+    store.apply_event(proc_ev(make_proc(pid=100)))
+    store.apply_event(sock_ev(make_sock(pid=100, fd=7, local=(A, 5000), remote=(C, 80))))
+    corr.submit(flow(), 1.0, 2.0)
+    assert corr.parked_count == 1
+    calls = []
+    original = correlate.attribute
+
+    def counting_attribute(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(correlate, "attribute", counting_attribute)
+    store.apply_event(proc_ev(make_proc(pid=101)))                      # process start
+    store.apply_event(proc_ev(make_proc(pid=100), action=Action.REMOVED))  # process exit
+    store.apply_event(sock_ev(make_sock(pid=100, fd=7), action=Action.REMOVED))  # close
+    assert calls == []
+    assert corr.counters["retry_attempts"] == 0
     assert results == [] and corr.parked_count == 1
 
 
@@ -453,6 +513,173 @@ def test_every_submission_emits_exactly_once():
     corr.flush()
     assert len(results) == n
     assert corr.counters["emitted"] == n
+
+
+# --- retry filter vs. retry-everything (differential property) --------------------
+
+
+class RetryEverythingCorrelator(Correlator):
+    """Retries every parked flow after every state change of any kind, with no
+    relevance filter.  The oracle for the differential test below."""
+
+    def on_state_change(self, change):
+        for pid in list(self._parked):
+            entry = self._parked.get(pid)
+            if entry is None:
+                continue
+            result = attribute(entry.flow, entry.flow_start, entry.flow_end,
+                               self.index, self.store, decided_at=self._now(),
+                               ambiguity_window=self.ambiguity_window)
+            if not self._should_park(result):
+                self._unpark(pid)
+                self._finish(replace(result, tag=entry.tag))
+
+
+D_HOSTS = ("h1", "h2", "h3")
+D_ADDRS = (A, B, "::ffff:10.0.0.1")   # the last one canonicalizes to A
+D_EXTERNAL = "203.0.113.9"
+d_hosts = st.sampled_from(D_HOSTS)
+d_pids = st.sampled_from([100, 101])
+d_protos = st.sampled_from([Proto.TCP, Proto.TCP, Proto.UDP])
+d_actions = st.sampled_from([Action.ADDED, Action.REMOVED])
+# telemetry and flows dominate; lifecycle changes finalize parked flows, so
+# they come less often
+d_op_names = st.sampled_from(
+    ["reconnect", "disconnect", "expire", "proc", "user", "snapshot", "verify"]
+    + ["iface"] + ["advance"] * 2 + ["claim"] * 3 + ["flow"] * 4 + ["sock"] * 5)
+d_flows = st.builds(FlowTuple, st.sampled_from((A, B)), st.sampled_from((4000, 4001)),
+                    st.sampled_from((B, D_EXTERNAL)), st.just(443), d_protos)
+
+
+@st.composite
+def d_proc(draw, host):
+    return make_proc(host=host, pid=draw(d_pids), start=draw(st.sampled_from([1.0, 2.0])),
+                     binary=draw(st.sampled_from(["/bin/a", "/bin/b"])),
+                     uid=draw(st.sampled_from([0, 1000])))
+
+
+@st.composite
+def d_sock(draw, host, flows, claims=None):
+    """A socket that explains one side of an earlier flow (exactly, or
+    partially with one endpoint censored), or one that explains nothing.
+    For a socket that explains a side, `claims` gets (host, that side's
+    address): the host would become a candidate by claiming it."""
+    f = draw(st.sampled_from(flows)) if flows else None
+    shape = draw(st.integers(0, 4 if f else 0))
+    proto = f.proto if f and draw(st.booleans()) else draw(d_protos)
+    local, remote = (A, 5000), (D_EXTERNAL, 80)
+    if shape == 1:
+        local, remote = (f.orig_addr, f.orig_port), (f.resp_addr, f.resp_port)
+    elif shape == 2:
+        local, remote = None, (f.resp_addr, f.resp_port)
+    elif shape == 3:
+        local, remote = (draw(st.sampled_from((f.resp_addr, "0.0.0.0"))), f.resp_port), None
+    elif shape == 4:
+        local, remote = (f.resp_addr, f.resp_port), (f.orig_addr, f.orig_port)
+    if shape and claims is not None:
+        claims.append((host, f.orig_addr if shape <= 2 else f.resp_addr))
+    return make_sock(host=host, pid=draw(d_pids), fd=draw(st.sampled_from([3, 4])),
+                     proto=proto, local=local, remote=remote,
+                     first_seen=draw(st.sampled_from([0.5, 1.0, 2.0])))
+
+
+@st.composite
+def retry_ops(draw):
+    """Telemetry, lifecycle, flows and time steps, as (name, args) pairs."""
+    ops = []
+    flows: list[FlowTuple] = []
+    claims: list[tuple[str, str]] = []
+    for _ in range(draw(st.integers(0, 60))):
+        h = draw(d_hosts)
+        which = draw(d_op_names)
+        if which in ("reconnect", "disconnect", "expire"):
+            ops.append((which, h))
+        elif which == "iface":
+            ops.append(("event", iface_ev(h, draw(st.sampled_from(D_ADDRS)),
+                                          action=draw(d_actions))))
+        elif which == "proc":
+            ops.append(("event", proc_ev(draw(d_proc(h)), action=draw(d_actions))))
+        elif which == "sock":
+            ops.append(("event", sock_ev(draw(d_sock(h, flows, claims)), action=draw(
+                st.sampled_from([Action.ADDED, Action.ADDED, Action.REMOVED])))))
+        elif which == "user":
+            ops.append(("event", user_ev(make_user(host=h, uid=draw(
+                st.sampled_from([0, 1000]))), action=draw(d_actions))))
+        elif which == "snapshot":
+            table, rows = draw(st.sampled_from([
+                (TableKind.PROCESSES, st.lists(d_proc(h), max_size=3)),
+                (TableKind.PROCESS_OPEN_SOCKETS, st.lists(d_sock(h, flows), max_size=3)),
+                (TableKind.INTERFACES, st.lists(st.builds(
+                    InterfaceRecord, st.just(h), st.sampled_from(D_ADDRS)), max_size=2)),
+            ]))
+            ops.append(("snapshot", (h, table, draw(rows))))
+        elif which == "verify":
+            rows = draw(st.lists(st.one_of(d_proc(h), d_sock(h, flows)), max_size=4))
+            ops.append(("verify", (h, rows)))
+        elif which == "claim" and claims:
+            # a host that holds a flow's socket claims the flow's address
+            host, addr = draw(st.sampled_from(claims))
+            if addr == A:
+                addr = draw(st.sampled_from((A, "::ffff:10.0.0.1")))
+            ops.append(("event", iface_ev(host, addr)))
+        elif which == "flow":
+            flows.append(draw(d_flows))
+            ops.append(("flow", flows[-1]))
+        else:
+            ops.append(("advance", draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]))))
+    return ops
+
+
+def run_retry_world(correlator_cls, ops, max_parked):
+    loop = EventLoop()
+    store = HostStateStore(loop.now, grace_period=3.0)
+    index = AddressIndex()
+    store.add_listener(index.apply_change)
+    results: list[AttributionResult] = []
+    corr = correlator_cls(store, index, results.append, scheduler=loop,
+                          retry_window=2.0, max_parked=max_parked)
+    store.add_listener(corr.on_state_change)
+    for host in D_HOSTS:
+        store.handle_reconnect(host)
+    store.apply_event(iface_ev("h1", A, t=0.0))
+    store.apply_event(iface_ev("h2", B, t=0.0))
+    for i, (name, arg) in enumerate(ops):
+        now = loop.now()
+        if name == "reconnect":
+            store.handle_reconnect(arg)
+        elif name == "disconnect":
+            store.handle_disconnect(arg)
+        elif name == "expire":
+            store.expire_disconnected()
+        elif name == "event":
+            store.apply_event(replace(arg, event_time=now))
+        elif name == "snapshot":
+            host, table, rows = arg
+            store.merge_snapshot(snapshot(host, table, rows, batch_id=i, t=now))
+        elif name == "verify":
+            host, rows = arg
+            try:
+                store.verify(snapshot(host, TableKind.VERIFICATION, rows, batch_id=i,
+                                      t=now, verification=True))
+            except StateError:
+                pass
+        elif name == "flow":
+            corr.submit(arg, now, now + 0.1, tag=i)
+        else:
+            loop.run_until(now + arg)
+    loop.run_until(loop.now() + 0.5)
+    corr.flush()
+    return results
+
+
+@given(retry_ops(), st.sampled_from([2, 10_000]))
+@settings(max_examples=300, deadline=None)
+def test_filtered_retry_equals_retry_everything(ops, max_parked):
+    got = run_retry_world(Correlator, ops, max_parked)
+    want = run_retry_world(RetryEverythingCorrelator, ops, max_parked)
+    assert got == want
+    tags = [r.tag for r in got]
+    assert sorted(tags) == [i for i, (name, _) in enumerate(ops) if name == "flow"]
 
 
 # --- metrics ---------------------------------------------------------------------

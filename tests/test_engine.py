@@ -246,6 +246,23 @@ def test_metrics_snapshot_shape():
     assert any(r.get("_kind") == "process" for r in dump["records"])
 
 
+def test_metrics_snapshot_counts_retry_attempts():
+    loop = EventLoop()
+    engine = Engine(config(), loop)
+    engine.register_host("h1")
+    engine.ingest_result("t", iface_ev("h1", "10.0.0.1"))
+    engine.submit_flow(FlowRecord(ts=0.0, uid="F1", orig_h="10.0.0.1", orig_p=4000,
+                                  resp_h="203.0.113.9", resp_p=443, proto=Proto.TCP))
+    # the first socket explains nothing; the second decides the flow
+    engine.ingest_result("t", sock_ev(make_sock(
+        pid=100, fd=6, local=("10.0.0.1", 5000), remote=("203.0.113.9", 80))))
+    engine.ingest_result("t", sock_ev(make_sock(
+        pid=100, local=("10.0.0.1", 4000), remote=("203.0.113.9", 443))))
+    corr = engine.metrics_snapshot()["counters"]["correlator"]
+    assert corr["retry_attempts"] == 2
+    assert corr["retry_resolved"] == 1
+
+
 def test_record_then_replay_reproduces_logs_byte_identical():
     w = build_workload(spec(
         hosts=2, duration=40.0, event_rate=2.0, flow_coupling=0.7, seed=31,
