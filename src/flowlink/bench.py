@@ -25,7 +25,7 @@ import time
 import tracemalloc
 from dataclasses import asdict, dataclass
 
-from .agents import SimAgent, WorkloadSpec, _baseline
+from .agents import SimAgent, _baseline
 from .config import EngineConfig
 from .engine import Engine
 from .flowlog import FlowRecord
@@ -382,8 +382,3 @@ def run_bench(hosts: int = 870, rate: float = 4.0, duration: float = 300.0,
                                 producers=producers, config=config)
     memory = run_memory_scaling(memory_hosts)
     return BenchReport(throughput, memory)
-
-
-def bench(spec: WorkloadSpec, memory_hosts=(100, 200, 400)) -> BenchReport:
-    """Benchmark at the fleet shape a workload spec describes."""
-    return run_bench(spec.hosts, spec.event_rate, spec.duration, memory_hosts)

@@ -287,7 +287,12 @@ def _cmd_replay(args) -> int:
     loop = EventLoop()
     engine = Engine(config, loop, outputs=outputs)
     engine.start()
-    n = schedule_replay(engine, entries)
+    try:
+        n = schedule_replay(engine, entries)
+    except LogFormatError as exc:
+        outputs.close()
+        print(f"error: cannot replay inputs: {exc}", file=sys.stderr)
+        return 2
     until = (max((float(e["t"]) for e in entries), default=0.0)
              + config.retry_window + 1.0)
     loop.run_until(until)

@@ -1,8 +1,8 @@
 """Engine configuration: a flat dataclass with strict JSON (de)serialization.
 
-Unknown keys and non-positive durations are rejected with the offending
-field named, so a typo'd config fails at startup instead of silently using
-defaults.
+Unknown keys, values of the wrong type and non-positive durations are
+rejected with the offending field named, so a typo'd config fails at startup
+instead of silently using defaults.
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ _DURATION_FIELDS = ("verification_interval", "retry_window", "grace_period",
                     "probe_interval", "exec_ambiguity_window",
                     "ssh_pairing_window", "download_retention",
                     "hash_query_timeout")
+
+
+def _names(name: str, value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -44,9 +55,12 @@ class EngineConfig:
     max_parked: int = 10_000
 
     def __post_init__(self):
-        self.roles = tuple(self.roles)
-        self.dns_servers = tuple(self.dns_servers)
-        self.groups = {h: tuple(g) for h, g in dict(self.groups).items()}
+        self.roles = _names("roles", self.roles)
+        self.dns_servers = _names("dns_servers", self.dns_servers)
+        if not isinstance(self.groups, dict):
+            raise ConfigError(f"groups: expected an object of host -> group names, "
+                              f"got {self.groups!r}")
+        self.groups = {h: _names(f"groups[{h!r}]", g) for h, g in self.groups.items()}
         self.validate()
 
     def validate(self) -> None:
@@ -55,19 +69,20 @@ class EngineConfig:
         for r in self.roles:
             if r not in VALID_ROLES:
                 raise ConfigError(f"roles: unknown role {r!r}")
+        for name in ("listen_addr", "log_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name}: expected a string, got {getattr(self, name)!r}")
         for name in _DURATION_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name}: expected a number, got {value!r}")
             if value <= 0:
                 raise ConfigError(f"{name}: duration must be positive, got {value!r}")
-        if self.retry_window < 0:
-            raise ConfigError(f"retry_window: must be >= 0, got {self.retry_window!r}")
-        if self.max_parked < 1:
-            raise ConfigError(f"max_parked: must be >= 1, got {self.max_parked!r}")
+        if not _is_int(self.max_parked) or self.max_parked < 1:
+            raise ConfigError(f"max_parked: must be an integer >= 1, got {self.max_parked!r}")
         for port_field in ("listen_port", "metrics_port"):
             port = getattr(self, port_field)
-            if not isinstance(port, int) or port < 0 or port > 65535:
+            if not _is_int(port) or port < 0 or port > 65535:
                 raise ConfigError(f"{port_field}: invalid port {port!r}")
 
     def to_dict(self) -> dict:

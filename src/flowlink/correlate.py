@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .model import Action, FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
-from .state import HostStateStore, HostView, StateChange
+from .state import HostState, HostStateStore, StateChange
 
 log = logging.getLogger(__name__)
 
@@ -114,26 +114,26 @@ class AttributionResult:
         return UNATTRIBUTED
 
 
-def _candidate_from_socket(view: HostView, sock, quality: MatchQuality,
+def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
                            flow_end: float, ambiguity_window: float) -> list[Candidate]:
     """Build candidates for one matching socket, including the pre-exec image
     when the socket was created close enough to an exec transition that the
     owning image is ambiguous."""
-    host = view.host
+    host = state.host
     out = []
-    proc = view.processes.get(sock.pid)
+    proc = state.processes.get(sock.pid)
     if proc is None:
         out.append(Candidate(host=host, pid=sock.pid, quality=quality,
                              socket_key=sock.key))
         return out
-    user = view.users.get(proc.uid)
+    user = state.users.get(proc.uid)
     out.append(Candidate(host=host, pid=proc.pid, binary_path=proc.binary_path,
                          uid=proc.uid, user_name=user.name if user else "",
                          quality=quality, socket_key=sock.key))
-    for trans in view.exec_history.get(sock.pid, ()):
+    for trans in state.exec_history.get(sock.pid, ()):
         if abs(sock.first_seen - trans.time) <= ambiguity_window:
             prior = trans.prior
-            puser = view.users.get(prior.uid)
+            puser = state.users.get(prior.uid)
             out.append(Candidate(host=host, pid=prior.pid, binary_path=prior.binary_path,
                                  uid=prior.uid, user_name=puser.name if puser else "",
                                  quality=quality, socket_key=sock.key))
@@ -161,14 +161,14 @@ def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
         partial: list[tuple[float, Candidate]] = []
         if flow.proto is not Proto.ICMP:
             for host in sorted(hosts):
-                view = store.view(host)
-                if view is None:
+                state = store.view(host)
+                if state is None:
                     continue
-                for sock in view.sockets.values():
+                for sock in state.sockets.values():
                     quality = match_socket(flow, side, sock)
                     if quality is MatchQuality.NONE:
                         continue
-                    cands = _candidate_from_socket(view, sock, quality,
+                    cands = _candidate_from_socket(state, sock, quality,
                                                    flow_end, ambiguity_window)
                     bucket = exact if quality is MatchQuality.EXACT else partial
                     bucket.extend((sock.first_seen, c) for c in cands)
@@ -189,7 +189,6 @@ class _Parked:
     flow: FlowTuple
     flow_start: float
     flow_end: float
-    parked_at: float
     tag: object = None
     timer: object = None
 
@@ -233,7 +232,7 @@ class Correlator:
         result = attribute(flow, flow_start, flow_end, self.index, self.store,
                            decided_at=now, ambiguity_window=self.ambiguity_window)
         if self.retry_window > 0 and self._should_park(result):
-            self._park(flow, flow_start, flow_end, now, tag)
+            self._park(flow, flow_start, flow_end, tag)
             return
         self._finish(replace(result, tag=tag))
 
@@ -250,7 +249,7 @@ class Correlator:
         return False
 
     def _park(self, flow: FlowTuple, flow_start: float, flow_end: float,
-              now: float, tag: object = None) -> None:
+              tag: object = None) -> None:
         while len(self._parked) >= self.max_parked:
             _, oldest = self._parked.popitem(last=False)
             self._cancel_timer(oldest)
@@ -258,8 +257,7 @@ class Correlator:
             self._finalize(oldest)
         pid = self._next_id
         self._next_id += 1
-        entry = _Parked(flow=flow, flow_start=flow_start, flow_end=flow_end,
-                        parked_at=now, tag=tag)
+        entry = _Parked(flow=flow, flow_start=flow_start, flow_end=flow_end, tag=tag)
         entry.timer = self.scheduler.call_later(
             self.retry_window, self._on_deadline, pid)
         self._parked[pid] = entry

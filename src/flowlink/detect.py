@@ -54,6 +54,10 @@ class Alert:
                    summary=d["summary"], evidence=dict(d["evidence"]))
 
 
+def _ts(ev: DownloadEvent) -> float:
+    return ev.ts
+
+
 class DownloadStore:
     """Recent wire-observed downloads, indexed by content hash.
 
@@ -63,21 +67,21 @@ class DownloadStore:
 
     def __init__(self, retention: float = 86400.0):
         self.retention = retention
-        self._by_time: list[tuple[float, DownloadEvent]] = []
+        self._by_time: list[DownloadEvent] = []   # by ts; events have no order
         self._by_hash: dict[str, list[DownloadEvent]] = collections.defaultdict(list)
 
     def __len__(self) -> int:
         return len(self._by_time)
 
     def add(self, ev: DownloadEvent) -> None:
-        bisect.insort(self._by_time, (ev.ts, ev))
+        bisect.insort(self._by_time, ev, key=_ts)
         self._by_hash[ev.sha256].append(ev)
 
     def prune(self, now: float) -> int:
         cutoff = now - self.retention
-        idx = bisect.bisect_left(self._by_time, (cutoff,))
+        idx = bisect.bisect_left(self._by_time, cutoff, key=_ts)
         expired, self._by_time = self._by_time[:idx], self._by_time[idx:]
-        for _, ev in expired:
+        for ev in expired:
             sightings = self._by_hash[ev.sha256]
             sightings.remove(ev)
             if not sightings:
@@ -87,8 +91,7 @@ class DownloadStore:
     def by_hash(self, sha256: str, now: Optional[float] = None) -> list[DownloadEvent]:
         if now is not None:
             self.prune(now)
-        return sorted(self._by_hash.get(sha256, ()),
-                      key=lambda ev: ev.ts, reverse=True)
+        return sorted(self._by_hash.get(sha256, ()), key=_ts, reverse=True)
 
 
 def _flow_uid(result: AttributionResult) -> str:

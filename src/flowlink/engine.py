@@ -32,6 +32,7 @@ from .flowlog import (
     EnrichedFlowWriter,
     FlowRecord,
     InputRecorder,
+    LogFormatError,
 )
 from .model import Action, HostEvent, SnapshotBatch, TableKind
 from .overlay import InProcessBus, Interest, OverlayNode, host_group
@@ -105,10 +106,10 @@ class Engine:
 
         self.downloads = DownloadStore(retention=config.download_retention)
         self.attachments = AttachmentDetector(
-            self.downloads, self._publish_one_time, self._retract_quietly,
+            self.downloads, self._publish_one_time, self.node.retract_interest,
             self._on_alert, scheduler, query_timeout=config.hash_query_timeout)
         self.stepping = SteppingStoneDetector(
-            self._publish_one_time, self._retract_quietly, self._on_alert,
+            self._publish_one_time, self.node.retract_interest, self._on_alert,
             scheduler, pairing_window=config.ssh_pairing_window,
             query_timeout=config.hash_query_timeout)
 
@@ -178,7 +179,7 @@ class Engine:
                 self.scheduler.cancel(timer)
             iid = self._verify_iid.pop(host, None)
             if iid is not None:
-                self._retract_quietly(iid)
+                self.node.retract_interest(iid)
 
     def _verify_tick(self, host: str) -> None:
         if self._shut_down or not self.store.is_connected(host):
@@ -186,7 +187,7 @@ class Engine:
             return
         previous = self._verify_iid.get(host)
         if previous is not None:
-            self._retract_quietly(previous)
+            self.node.retract_interest(previous)
         iid = f"verify/{host}/{next(self._verify_seq)}"
         self._verify_iid[host] = iid
         self.node.publish_interest(Interest(
@@ -219,9 +220,6 @@ class Engine:
             interest_id=iid, query=query, group=host_group(host),
             one_time=True))
         return iid
-
-    def _retract_quietly(self, interest_id: str) -> None:
-        self.node.retract_interest(interest_id)
 
     # -- ingest -----------------------------------------------------------------
 
@@ -368,34 +366,41 @@ def run_simulation(config: EngineConfig, workload,
 
 def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
     """Schedule recorded inputs onto the engine's scheduler at their original
-    times; the caller then drives the scheduler.  Returns the entry count."""
+    times; the caller then drives the scheduler.  Returns the entry count.
+    A malformed entry raises `LogFormatError` naming its position (from 1)
+    and the cause; the entries before it stay scheduled."""
     n = 0
-    for entry in entries:
-        t = float(entry["t"])
-        kind = entry["kind"]
-        data = entry["data"]
-        topic = entry.get("topic", "")
-        if kind == "flow":
-            engine.scheduler.call_at(t, engine.submit_flow,
-                                     FlowRecord.from_dict(data))
-        elif kind == "download":
-            engine.scheduler.call_at(t, engine.submit_download,
-                                     DownloadEvent.from_dict(data))
-        elif kind == "host_up":
-            engine.scheduler.call_at(t, engine.register_host, data["host"])
-        elif kind == "host_down":
-            engine.scheduler.call_at(t, engine.deregister_host, data["host"])
-        elif kind == "host_event":
-            engine.scheduler.call_at(t, engine.ingest_result, topic,
-                                     HostEvent.from_dict(data))
-        elif kind == "snapshot":
-            engine.scheduler.call_at(t, engine.ingest_result, topic,
-                                     SnapshotBatch.from_dict(data))
-        elif kind == "query_error":
-            engine.scheduler.call_at(t, engine.ingest_result, topic,
-                                     QueryErrorResult.from_dict(data))
-        else:
-            engine.counters["replay_unknown_kind"] += 1
-            continue
-        n += 1
+    pos = 0
+    try:
+        for pos, entry in enumerate(entries, 1):
+            t = float(entry["t"])
+            kind = entry["kind"]
+            data = entry["data"]
+            topic = entry.get("topic", "")
+            if kind == "flow":
+                engine.scheduler.call_at(t, engine.submit_flow,
+                                         FlowRecord.from_dict(data))
+            elif kind == "download":
+                engine.scheduler.call_at(t, engine.submit_download,
+                                         DownloadEvent.from_dict(data))
+            elif kind == "host_up":
+                engine.scheduler.call_at(t, engine.register_host, data["host"])
+            elif kind == "host_down":
+                engine.scheduler.call_at(t, engine.deregister_host, data["host"])
+            elif kind == "host_event":
+                engine.scheduler.call_at(t, engine.ingest_result, topic,
+                                         HostEvent.from_dict(data))
+            elif kind == "snapshot":
+                engine.scheduler.call_at(t, engine.ingest_result, topic,
+                                         SnapshotBatch.from_dict(data))
+            elif kind == "query_error":
+                engine.scheduler.call_at(t, engine.ingest_result, topic,
+                                         QueryErrorResult.from_dict(data))
+            else:
+                engine.counters["replay_unknown_kind"] += 1
+                continue
+            n += 1
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise LogFormatError(
+            f"inputs entry {pos}: {type(exc).__name__}: {exc}") from exc
     return n

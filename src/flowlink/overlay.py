@@ -260,7 +260,6 @@ class OverlayNode:
         self.topic = node_topic(node_id)
         self.counters: collections.Counter = collections.Counter()
         self._result_handlers: list[Callable] = []
-        self._published: dict[str, Interest] = {}
         self._interests: dict[str, Interest] = {}
         self._agents: dict[str, _AgentConn] = {}
         if Role.PROXY in self.roles:
@@ -280,13 +279,11 @@ class OverlayNode:
             interest = replace(interest, response_topic=self.topic)
         if not interest.origin:
             interest = replace(interest, origin=self.node_id)
-        self._published[interest.interest_id] = interest
         self.bus.publish(TOPIC_INTERESTS, ("publish", interest))
         return interest
 
     def retract_interest(self, interest_id: str) -> None:
         self._require(Role.AUTHORITATIVE)
-        self._published.pop(interest_id, None)
         self.bus.publish(TOPIC_INTERESTS, ("retract", interest_id))
 
     def add_result_handler(self, fn: Callable) -> None:

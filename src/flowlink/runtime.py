@@ -88,9 +88,6 @@ class EventLoop:
         if max_time is not None and max_time > self._now:
             self._now = max_time
 
-    def pending(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
-
 
 class WallScheduler:
     """Wall-clock timer thread with the EventLoop call surface.

@@ -26,11 +26,9 @@ from flowlink.model import (
     payload_to_dict,
 )
 
+PROCESS_TABLES = (TableKind.PROCESS_EVENTS, TableKind.PROCESSES)
 SOCKET_TABLES = (TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS,
                  TableKind.PROCESS_OPEN_SOCKETS)
-
-STATE_TABLES = (TableKind.PROCESSES, TableKind.PROCESS_OPEN_SOCKETS,
-                TableKind.LISTENING_PORTS, TableKind.USERS, TableKind.INTERFACES)
 
 
 class StateError(Exception):
@@ -69,40 +67,41 @@ class ExecTransition:
 
 @dataclass
 class HostState:
+    """One host's held state.  After a disconnect it stays readable, frozen,
+    until the grace period runs out; `disconnected_at` is None while the
+    host is connected."""
+
     host: str
-    connected: bool = True
     addresses: set[str] = field(default_factory=set)
     processes: dict[int, ProcessInfo] = field(default_factory=dict)
     sockets: dict[tuple[int, int], SocketInfo] = field(default_factory=dict)
     users: dict[int, UserInfo] = field(default_factory=dict)
     exec_history: dict[int, list[ExecTransition]] = field(default_factory=dict)
-    last_snapshot_time: float = 0.0
     last_batch_id: dict[TableKind, int] = field(default_factory=dict)
     disconnected_at: float | None = None
 
-
-@dataclass(frozen=True)
-class HostView:
-    """Immutable cross-host read snapshot of one host's state."""
-
-    host: str
-    connected: bool
-    addresses: frozenset[str]
-    processes: dict[int, ProcessInfo]
-    sockets: dict[tuple[int, int], SocketInfo]
-    users: dict[int, UserInfo]
-    exec_history: dict[int, tuple[ExecTransition, ...]]
+    @property
+    def connected(self) -> bool:
+        return self.disconnected_at is None
 
 
 class HostStateStore:
     """Owns all per-host state.  It takes no lock of its own: callers
     serialize every call, as the engine does with the scheduler's lock.
 
-    Held records are frozen and shared: folding a row stores the incoming
-    record itself unless consolidation or a fresh `last_verified` changes a
-    field, and then builds one new record.  Agents stamp status rows with
-    their batch time, so most snapshot rows are stored as they arrive, and
-    verification rebuilds only the records it verifies at a new time."""
+    `view(host)` hands out the held `HostState` itself, not a copy.  Readers
+    call it under the same lock and never mutate what it returns; a reader
+    that keeps it past its call sees later folds.  Listeners hear of each
+    change once the call that made it has finished.
+
+    Every row enters through `_upsert`, streamed or from a snapshot, and
+    processes and sockets leave only through `_remove_process` and
+    `_remove_socket`.  Held records are frozen and shared: folding a row
+    stores the incoming record itself unless consolidation or a fresh
+    `last_verified` changes a field, and then builds one new record.  Agents
+    stamp status rows with their batch time, so most snapshot rows are
+    stored as they arrive, and verification rebuilds only the records it
+    verifies at a new time."""
 
     def __init__(self, clock: Callable[[], float], grace_period: float = 60.0):
         self._clock = clock
@@ -123,101 +122,125 @@ class HostStateStore:
 
     # -- lifecycle ------------------------------------------------------
 
-    def handle_reconnect(self, host: str) -> list[StateChange]:
+    def handle_reconnect(self, host: str) -> None:
         """(Re-)connect a host: prior state is discarded and a fresh, empty
         connected state is created. Initial snapshot requests are the
         caller's responsibility."""
         now = self._clock()
-        changes: list[StateChange] = []
-        old = self._hosts.pop(host, None)
-        if old is not None:
-            for addr in sorted(old.addresses):
-                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
-            changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+        changes = self._drop(host, now)
         self._hosts[host] = HostState(host=host)
         changes.append(StateChange(host, "host", Action.ADDED, host, time=now))
         self._emit(changes)
-        return changes
 
-    def handle_disconnect(self, host: str) -> list[StateChange]:
+    def handle_disconnect(self, host: str) -> None:
         """Freeze the host's state; it stays readable for late attribution
         until the grace period expires."""
-        now = self._clock()
         st = self._hosts.get(host)
         if st is None:
             self.counters["disconnect_unknown_host"] += 1
-            return []
+            return
         if not st.connected:
             self.counters["disconnect_noop"] += 1
-            return []
-        st.connected = False
-        st.disconnected_at = now
-        changes = [StateChange(host, "host", Action.REMOVED, "connected", time=now)]
-        self._emit(changes)
-        return changes
+            return
+        st.disconnected_at = now = self._clock()
+        self._emit([StateChange(host, "host", Action.REMOVED, "connected", time=now)])
 
     def expire_disconnected(self, now: float | None = None) -> list[str]:
         """Discard frozen state whose grace period has run out; their
         addresses leave the index so reused IPs resolve to the new owner."""
         now = self._clock() if now is None else now
         expired = [host for host, st in self._hosts.items()
-                   if not st.connected and st.disconnected_at is not None
-                   and now - st.disconnected_at >= self.grace_period]
+                   if not st.connected and now - st.disconnected_at >= self.grace_period]
         changes: list[StateChange] = []
         for host in expired:
-            st = self._hosts.pop(host)
-            for addr in sorted(st.addresses):
-                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
-            changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+            changes += self._drop(host, now)
         self._emit(changes)
         return expired
 
-    # -- event application ----------------------------------------------
-
-    def apply_event(self, ev: HostEvent) -> list[StateChange]:
-        """Fold one streamed add/remove row into the host's state."""
-        st = self._hosts.get(ev.host)
-        if st is None or not st.connected:
-            self.counters["events_while_down"] += 1
+    def _drop(self, host: str, now: float) -> list[StateChange]:
+        """Discard a host's state; its addresses leave before the host."""
+        st = self._hosts.pop(host, None)
+        if st is None:
             return []
-        changes = self._apply(st, ev)
-        self._emit(changes)
+        changes = [StateChange(host, "address", Action.REMOVED, addr, time=now)
+                   for addr in sorted(st.addresses)]
+        changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
         return changes
 
+    def _live(self, host: str) -> HostState | None:
+        """The state telemetry from `host` may change, or None (counted)
+        when the host is unknown or disconnected."""
+        st = self._hosts.get(host)
+        if st is None or not st.connected:
+            self.counters["events_while_down"] += 1
+            return None
+        return st
+
+    # -- folding rows -----------------------------------------------------
+
+    def apply_event(self, ev: HostEvent) -> None:
+        """Fold one streamed add/remove row into the host's state."""
+        st = self._live(ev.host)
+        if st is not None:
+            self._emit(self._apply(st, ev))
+
     def _apply(self, st: HostState, ev: HostEvent) -> list[StateChange]:
-        now = ev.event_time
-        if ev.table == TableKind.PROCESS_EVENTS:
-            if ev.action == Action.REMOVED:
-                return self._remove_process(st, ev.payload.pid, now)
-            return self._upsert_process(st, ev.payload, now)
-        if ev.table in SOCKET_TABLES:
-            if ev.action == Action.REMOVED:
-                return self._remove_socket(st, ev.payload.key, now)
-            return self._upsert_socket(st, ev.payload, now)
-        if ev.table == TableKind.USERS:
-            if ev.action == Action.REMOVED:
-                if st.users.pop(ev.payload.uid, None) is None:
-                    self.counters["late_removal_noop"] += 1
-                    return []
-                return [StateChange(st.host, "user", Action.REMOVED, ev.payload.uid, time=now)]
-            st.users[ev.payload.uid] = ev.payload
-            return [StateChange(st.host, "user", Action.ADDED, ev.payload.uid, ev.payload, now)]
-        if ev.table == TableKind.INTERFACES:
-            addr = ev.payload.addr
-            if ev.action == Action.REMOVED:
-                if addr not in st.addresses:
-                    self.counters["late_removal_noop"] += 1
-                    return []
-                st.addresses.discard(addr)
-                return [StateChange(st.host, "address", Action.REMOVED, addr, time=now)]
-            if addr in st.addresses:
-                return []
-            st.addresses.add(addr)
-            return [StateChange(st.host, "address", Action.ADDED, addr, ev.payload, now)]
+        now, row = ev.event_time, ev.payload
         if ev.table == TableKind.TLS_KEYS:
             # Reserved message kind: counted, carried, never interpreted.
             self.counters["tls_keys_received"] += 1
             return []
+        if ev.action != Action.REMOVED:
+            return self._upsert(st, ev.table, row, now)
+        if ev.table in PROCESS_TABLES:
+            return self._remove_process(st, row.pid, now)
+        if ev.table in SOCKET_TABLES:
+            return self._remove_socket(st, row.key, now)
+        if ev.table == TableKind.USERS:
+            if st.users.pop(row.uid, None) is None:
+                self.counters["late_removal_noop"] += 1
+                return []
+            return [StateChange(st.host, "user", Action.REMOVED, row.uid, time=now)]
+        if ev.table == TableKind.INTERFACES:
+            if row.addr not in st.addresses:
+                self.counters["late_removal_noop"] += 1
+                return []
+            st.addresses.remove(row.addr)
+            return [StateChange(st.host, "address", Action.REMOVED, row.addr, time=now)]
+        self.counters["unroutable_table"] += 1
+        return []
+
+    def merge_snapshot(self, batch: SnapshotBatch) -> None:
+        """Upsert a probe's rows; absence from a plain snapshot removes
+        nothing (that is verification's job)."""
+        if batch.verification:
+            raise StateError("verification batches must go through verify()")
+        st = self._live(batch.host)
+        if st is None:
+            return
+        if batch.batch_id <= st.last_batch_id.get(batch.table, -1):
+            self.counters["stale_batch"] += 1
+            return
+        st.last_batch_id[batch.table] = batch.batch_id
+        changes: list[StateChange] = []
+        for row in batch.rows:
+            changes += self._upsert(st, batch.table, row, batch.event_time)
+        self._emit(changes)
+
+    def _upsert(self, st: HostState, table: TableKind, row, now: float) -> list[StateChange]:
+        """Fold one added or sighted row of `table`."""
+        if table in PROCESS_TABLES:
+            return self._upsert_process(st, row, now)
+        if table in SOCKET_TABLES:
+            return self._upsert_socket(st, row, now)
+        if table == TableKind.USERS:
+            st.users[row.uid] = row
+            return [StateChange(st.host, "user", Action.ADDED, row.uid, row, now)]
+        if table == TableKind.INTERFACES:
+            if row.addr in st.addresses:
+                return []
+            st.addresses.add(row.addr)
+            return [StateChange(st.host, "address", Action.ADDED, row.addr, row, now)]
         self.counters["unroutable_table"] += 1
         return []
 
@@ -240,10 +263,10 @@ class HostStateStore:
                 del hist[:-8]
         elif old is not None:
             # pid reuse: a different generation took over; its predecessor's
-            # sockets cannot explain new flows and are closed here.
+            # sockets cannot explain new flows and are closed here, and its
+            # images are no attribution candidates for the new one.
             for key in [k for k in st.sockets if k[0] == proc.pid]:
-                del st.sockets[key]
-                changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
+                changes += self._remove_socket(st, key, now)
             st.exec_history.pop(proc.pid, None)
         if (last_verified != proc.last_verified or binary_hash != proc.binary_hash
                 or source != proc.source):
@@ -271,42 +294,6 @@ class HostStateStore:
             return []
         return [StateChange(st.host, "socket", Action.REMOVED, key, time=now)]
 
-    # -- snapshots --------------------------------------------------------
-
-    def merge_snapshot(self, batch: SnapshotBatch) -> list[StateChange]:
-        """Upsert a probe's rows; absence from a plain snapshot removes
-        nothing (that is verification's job)."""
-        if batch.verification:
-            raise StateError("verification batches must go through verify()")
-        st = self._hosts.get(batch.host)
-        if st is None or not st.connected:
-            self.counters["events_while_down"] += 1
-            return []
-        last = st.last_batch_id.get(batch.table, -1)
-        if batch.batch_id <= last:
-            self.counters["stale_batch"] += 1
-            return []
-        st.last_batch_id[batch.table] = batch.batch_id
-        st.last_snapshot_time = batch.event_time
-        now = batch.event_time
-        changes: list[StateChange] = []
-        for row in batch.rows:
-            if batch.table == TableKind.PROCESSES:
-                changes += self._upsert_process(st, row, now)
-            elif batch.table in SOCKET_TABLES:
-                changes += self._upsert_socket(st, row, now)
-            elif batch.table == TableKind.USERS:
-                st.users[row.uid] = row
-                changes.append(StateChange(st.host, "user", Action.ADDED, row.uid, row, now))
-            elif batch.table == TableKind.INTERFACES:
-                if row.addr not in st.addresses:
-                    st.addresses.add(row.addr)
-                    changes.append(StateChange(st.host, "address", Action.ADDED, row.addr, row, now))
-            else:
-                self.counters["unroutable_table"] += 1
-        self._emit(changes)
-        return changes
-
     def verify(self, batch: SnapshotBatch) -> VerificationReport:
         """Reconcile held processes and sockets against one atomic probe of
         the kernel status: anything we hold that the probe did not see is
@@ -317,16 +304,13 @@ class HostStateStore:
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
         now = batch.event_time
-        changes: list[StateChange] = []
         removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
         removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
+        changes: list[StateChange] = []
         for pid in removed_procs:
-            del st.processes[pid]
-            st.exec_history.pop(pid, None)
-            changes.append(StateChange(st.host, "process", Action.REMOVED, pid, time=now))
+            changes += self._remove_process(st, pid, now)
         for key in removed_socks:
-            del st.sockets[key]
-            changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
+            changes += self._remove_socket(st, key, now)
         for pid, proc in st.processes.items():
             if proc.last_verified != now:
                 st.processes[pid] = replace(proc, last_verified=now)
@@ -338,18 +322,9 @@ class HostStateStore:
 
     # -- reads ------------------------------------------------------------
 
-    def view(self, host: str) -> HostView | None:
-        st = self._hosts.get(host)
-        if st is None:
-            return None
-        return HostView(
-            host=st.host, connected=st.connected,
-            addresses=frozenset(st.addresses),
-            processes=dict(st.processes),
-            sockets=dict(st.sockets),
-            users=dict(st.users),
-            exec_history={pid: tuple(h) for pid, h in st.exec_history.items()},
-        )
+    def view(self, host: str) -> HostState | None:
+        """The held state of `host` (see the class docstring), or None."""
+        return self._hosts.get(host)
 
     def hosts(self) -> list[str]:
         return sorted(self._hosts)
@@ -366,17 +341,17 @@ class HostStateStore:
         snapshot batches."""
         hosts = [host] if host else self.hosts()
         for h in hosts:
-            view = self.view(h)
-            if view is None:
+            st = self.view(h)
+            if st is None:
                 continue
-            for addr in sorted(view.addresses):
+            for addr in sorted(st.addresses):
                 yield payload_to_dict(InterfaceRecord(h, addr))
-            for pid in sorted(view.processes):
-                yield payload_to_dict(view.processes[pid])
-            for key in sorted(view.sockets):
-                yield payload_to_dict(view.sockets[key])
-            for uid in sorted(view.users):
-                yield payload_to_dict(view.users[uid])
+            for pid in sorted(st.processes):
+                yield payload_to_dict(st.processes[pid])
+            for key in sorted(st.sockets):
+                yield payload_to_dict(st.sockets[key])
+            for uid in sorted(st.users):
+                yield payload_to_dict(st.users[uid])
 
 
 def _merge_socket(old: SocketInfo | None, new: SocketInfo, now: float) -> SocketInfo:

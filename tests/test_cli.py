@@ -59,12 +59,37 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
     assert "hostz" in capsys.readouterr().err
 
 
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"engine": {"roles": 5}}))
+    assert main(["sim", "--config", str(cfg),
+                 "--log-dir", str(tmp_path / "logs")]) == 2
+    assert "roles" in capsys.readouterr().err
+
+
 def test_replay_refuses_garbage_inputs(tmp_path, capsys):
     bad = tmp_path / "inputs.log"
     bad.write_text("not a log\n")
     assert main(["replay", "--inputs", str(bad),
                  "--log-dir", str(tmp_path / "out")]) == 2
     assert "inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, cause", [
+    ('{"kind": "host_up", "data": {"host": "h1"}}', "KeyError"),
+    ("[1, 2]", "TypeError"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2}}', "proto"),
+])
+def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
+    bad = tmp_path / "inputs.log"
+    bad.write_text("#flowlink inputs v1\n"
+                   '{"t": 0.5, "kind": "host_up", "data": {"host": "h1"}}\n'
+                   f"{entry}\n")
+    assert main(["replay", "--inputs", str(bad),
+                 "--log-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "entry 2" in err and cause in err
 
 
 # --- run ----------------------------------------------------------------------------

@@ -62,6 +62,19 @@ def test_ports_validated():
         EngineConfig(metrics_port=99999)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("roles", 5), ("roles", [1]),
+    ("dns_servers", 5), ("dns_servers", [5]),
+    ("groups", 5), ("groups", {"h1": 5}),
+    ("max_parked", "x"), ("max_parked", True), ("max_parked", 0),
+    ("metrics_port", True), ("listen_port", "80"),
+    ("listen_addr", None), ("log_dir", 5),
+])
+def test_wrong_type_named_in_error(name, value):
+    with pytest.raises(ConfigError, match=name):
+        EngineConfig.from_dict({name: value})
+
+
 def test_sectioned_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

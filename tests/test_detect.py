@@ -107,6 +107,17 @@ def test_download_store_duplicate_hash_newest_first():
     assert [d.flow_uid for d in store.by_hash("b" * 64)] == ["other"]
 
 
+def test_download_store_keeps_and_prunes_same_ts_downloads():
+    # two attachments of one mail arrive with one timestamp
+    store = DownloadStore(retention=100.0)
+    store.add(download(ts=5.0, uid="first"))
+    store.add(download(ts=5.0, uid="second"))
+    assert sorted(d.flow_uid for d in store.by_hash("a" * 64)) == ["first", "second"]
+    assert store.prune(now=104.0) == 0
+    assert store.prune(now=106.0) == 2
+    assert len(store) == 0 and store.by_hash("a" * 64) == []
+
+
 # --- attachment detector ---------------------------------------------------------------
 
 

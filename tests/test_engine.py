@@ -9,7 +9,7 @@ from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_work
 from flowlink.config import EngineConfig
 from flowlink.detect import ATTACHMENT_EXECUTED, STEPPING_STONE
 from flowlink.engine import Engine, EngineOutputs, run_simulation, schedule_replay
-from flowlink.flowlog import FlowRecord, read_alerts, read_enriched, read_inputs
+from flowlink.flowlog import DownloadEvent, FlowRecord, read_alerts, read_enriched, read_inputs
 from flowlink.model import FlowTuple, Proto
 from flowlink.runtime import EventLoop, WallScheduler
 
@@ -204,6 +204,18 @@ def test_tls_keys_counted_never_parsed():
         scenarios=[ScenarioHook(ScenarioKind.TLS_KEYS, 5.0)]))
     engine = run_simulation(config(), w)
     assert engine.store.counters["tls_keys_received"] == 1
+
+
+def test_same_timestamp_downloads_are_both_ingested():
+    # a mail with two attachments: two downloads with one timestamp
+    out = outputs()
+    engine = Engine(config(), EventLoop(), outputs=out)
+    flow = FlowTuple("203.0.113.25", 25, "10.1.0.1", 40000, Proto.TCP)
+    for sha in ("a" * 64, "b" * 64):
+        engine.submit_download(DownloadEvent(ts=5.0, sha256=sha, flow=flow, flow_uid="M1"))
+    assert engine.counters["downloads_in"] == 2 and len(engine.downloads) == 2
+    recorded = list(read_inputs(iter(out.inputs.getvalue().splitlines())))
+    assert [e["kind"] for e in recorded] == ["download", "download"]
 
 
 def test_graceful_shutdown_finalizes_parked_flows_exactly_once():

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iface_ev, make_proc, make_sock, make_user, proc_ev, snapshot, sock_ev, user_ev
+from conftest import ev, iface_ev, make_proc, make_sock, make_user, proc_ev, snapshot, sock_ev, user_ev
 from flowlink.model import (
     Action,
     Direction,
+    InterfaceRecord,
     ProcessInfo,
     Proto,
     SocketInfo,
@@ -21,6 +22,7 @@ from flowlink.model import (
 )
 from flowlink.state import (
     ExecTransition,
+    HostState,
     HostStateStore,
     StateChange,
     StateError,
@@ -288,12 +290,13 @@ def test_verify_keeps_records_already_verified_at_its_time():
     s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [sock], t=30.0))
     s.apply_event(proc_ev(make_proc(pid=200, start=2.0), t=2.0))
     held = s.view("h1")
+    procs, socks = dict(held.processes), dict(held.sockets)   # view() is live state
     s.verify(snapshot("h1", TableKind.VERIFICATION, [proc, sock, make_proc(pid=200, start=2.0)],
                       t=30.0, verification=True))
     view = s.view("h1")
-    assert view.processes[100] is held.processes[100]
-    assert view.sockets[(100, 5)] is held.sockets[(100, 5)]
-    assert view.processes[200] is not held.processes[200]
+    assert view.processes[100] is procs[100]
+    assert view.sockets[(100, 5)] is socks[(100, 5)]
+    assert view.processes[200] is not procs[200]
     assert view.processes[200].last_verified == 30.0
 
 
@@ -488,10 +491,123 @@ def test_audit_and_status_builds_converge():
 # --- shared records vs. the always-rebuild fold (differential property) -------------
 
 
+_SOCKET_TABLES = (TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS,
+                  TableKind.PROCESS_OPEN_SOCKETS)
+
+
 class RebuildingStore(HostStateStore):
-    """The fold as it was before records were shared: every upserted row and
-    every held record at verification is rebuilt, even when no field
-    changes.  The oracle for the differential test below."""
+    """The oracle for the differential test below: the store's fold as it
+    was before records were shared (every upserted row and every held
+    record at verification is rebuilt, even when no field changes) and
+    before its paths were merged (events and snapshots dispatch separately,
+    and removals, reconnect and expiry each spell out their own steps)."""
+
+    def handle_reconnect(self, host):
+        now = self._clock()
+        changes = []
+        old = self._hosts.pop(host, None)
+        if old is not None:
+            for addr in sorted(old.addresses):
+                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
+            changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+        self._hosts[host] = HostState(host=host)
+        changes.append(StateChange(host, "host", Action.ADDED, host, time=now))
+        self._emit(changes)
+        return changes
+
+    def expire_disconnected(self, now=None):
+        now = self._clock() if now is None else now
+        expired = [host for host, st in self._hosts.items()
+                   if not st.connected and st.disconnected_at is not None
+                   and now - st.disconnected_at >= self.grace_period]
+        changes = []
+        for host in expired:
+            st = self._hosts.pop(host)
+            for addr in sorted(st.addresses):
+                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
+            changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+        self._emit(changes)
+        return expired
+
+    def _apply(self, st, ev):
+        now = ev.event_time
+        if ev.table == TableKind.PROCESS_EVENTS:
+            if ev.action == Action.REMOVED:
+                return self._remove_process(st, ev.payload.pid, now)
+            return self._upsert_process(st, ev.payload, now)
+        if ev.table in _SOCKET_TABLES:
+            if ev.action == Action.REMOVED:
+                return self._remove_socket(st, ev.payload.key, now)
+            return self._upsert_socket(st, ev.payload, now)
+        if ev.table == TableKind.USERS:
+            if ev.action == Action.REMOVED:
+                if st.users.pop(ev.payload.uid, None) is None:
+                    self.counters["late_removal_noop"] += 1
+                    return []
+                return [StateChange(st.host, "user", Action.REMOVED, ev.payload.uid, time=now)]
+            st.users[ev.payload.uid] = ev.payload
+            return [StateChange(st.host, "user", Action.ADDED, ev.payload.uid, ev.payload, now)]
+        if ev.table == TableKind.INTERFACES:
+            addr = ev.payload.addr
+            if ev.action == Action.REMOVED:
+                if addr not in st.addresses:
+                    self.counters["late_removal_noop"] += 1
+                    return []
+                st.addresses.discard(addr)
+                return [StateChange(st.host, "address", Action.REMOVED, addr, time=now)]
+            if addr in st.addresses:
+                return []
+            st.addresses.add(addr)
+            return [StateChange(st.host, "address", Action.ADDED, addr, ev.payload, now)]
+        if ev.table == TableKind.TLS_KEYS:
+            self.counters["tls_keys_received"] += 1
+            return []
+        self.counters["unroutable_table"] += 1
+        return []
+
+    def merge_snapshot(self, batch):
+        if batch.verification:
+            raise StateError("verification batches must go through verify()")
+        st = self._hosts.get(batch.host)
+        if st is None or not st.connected:
+            self.counters["events_while_down"] += 1
+            return []
+        last = st.last_batch_id.get(batch.table, -1)
+        if batch.batch_id <= last:
+            self.counters["stale_batch"] += 1
+            return []
+        st.last_batch_id[batch.table] = batch.batch_id
+        now = batch.event_time
+        changes = []
+        for row in batch.rows:
+            if batch.table == TableKind.PROCESSES:
+                changes += self._upsert_process(st, row, now)
+            elif batch.table in _SOCKET_TABLES:
+                changes += self._upsert_socket(st, row, now)
+            elif batch.table == TableKind.USERS:
+                st.users[row.uid] = row
+                changes.append(StateChange(st.host, "user", Action.ADDED, row.uid, row, now))
+            elif batch.table == TableKind.INTERFACES:
+                if row.addr not in st.addresses:
+                    st.addresses.add(row.addr)
+                    changes.append(StateChange(st.host, "address", Action.ADDED, row.addr, row, now))
+            else:
+                self.counters["unroutable_table"] += 1
+        self._emit(changes)
+        return changes
+
+    def _remove_process(self, st, pid, now):
+        if st.processes.pop(pid, None) is None:
+            self.counters["late_removal_noop"] += 1
+            return []
+        st.exec_history.pop(pid, None)
+        return [StateChange(st.host, "process", Action.REMOVED, pid, time=now)]
+
+    def _remove_socket(self, st, key, now):
+        if st.sockets.pop(key, None) is None:
+            self.counters["late_removal_noop"] += 1
+            return []
+        return [StateChange(st.host, "socket", Action.REMOVED, key, time=now)]
 
     def _upsert_process(self, st, proc, now):
         changes = []
@@ -603,13 +719,24 @@ def sock_rows(draw, t):
                    last_verified=draw(stamps(t)))
 
 
+users_ = st.builds(lambda uid, name: make_user(uid=uid, name=name),
+                   st.sampled_from([0, 1000]), st.sampled_from(["alice", "bob"]))
+# the IPv4-mapped form canonicalizes to 10.0.0.1, so it duplicates that row
+ifaces = st.builds(lambda addr: InterfaceRecord("h1", addr),
+                   st.sampled_from(["10.0.0.1", "10.0.0.2", "::ffff:10.0.0.1"]))
+actions = st.sampled_from([Action.ADDED, Action.REMOVED])
+
+
 @st.composite
 def fold_ops(draw):
+    """Events, snapshots (some stale), verifications and host lifecycle
+    steps on one host; lifecycle steps are (step, time) pairs."""
     ops = []
     t = 1.0
-    for batch_id in range(1, draw(st.integers(0, 25)) + 1):
-        t += draw(st.sampled_from([0.0, 0.5, 1.0]))
-        which = draw(st.integers(0, 5))
+    for batch_id in range(1, draw(st.integers(0, 30)) + 1):
+        t += draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+        bid = draw(st.sampled_from([batch_id, batch_id - 1]))
+        which = draw(st.integers(0, 10))
         if which == 0:
             ops.append(proc_ev(draw(proc_rows(t)), t=t))
         elif which == 1:
@@ -624,42 +751,73 @@ def fold_ops(draw):
         elif which == 3:
             ops.append(snapshot("h1", TableKind.PROCESSES,
                                 draw(st.lists(proc_rows(t), max_size=4)),
-                                batch_id=batch_id, t=t))
+                                batch_id=bid, t=t))
         elif which == 4:
             table = draw(st.sampled_from([TableKind.PROCESS_OPEN_SOCKETS,
                                           TableKind.LISTENING_PORTS]))
             ops.append(snapshot("h1", table, draw(st.lists(sock_rows(t), max_size=4)),
-                                batch_id=batch_id, t=t))
-        else:
+                                batch_id=bid, t=t))
+        elif which == 5:
             rows = draw(st.lists(st.one_of(proc_rows(t), sock_rows(t)), max_size=6))
-            ops.append(snapshot("h1", TableKind.VERIFICATION, rows, batch_id=batch_id,
+            ops.append(snapshot("h1", TableKind.VERIFICATION, rows, batch_id=bid,
                                 t=t, verification=True))
+        elif which == 6:
+            ops.append(user_ev(draw(users_), action=draw(actions), t=t))
+        elif which == 7:
+            ops.append(ev(draw(ifaces), TableKind.INTERFACES, draw(actions), t=t))
+        elif which == 8:
+            table, rows = draw(st.sampled_from([(TableKind.USERS, users_),
+                                                (TableKind.INTERFACES, ifaces)]))
+            ops.append(snapshot("h1", table, draw(st.lists(rows, max_size=4)),
+                                batch_id=bid, t=t))
+        elif which == 9:
+            # a reserved table, and one the store does not route
+            ops.append(draw(st.sampled_from([
+                ev(make_user(), TableKind.TLS_KEYS, t=t),
+                ev(make_user(), TableKind.FILE_HASH, draw(actions), t=t),
+                snapshot("h1", TableKind.FILE_HASH, [make_user()], batch_id=bid, t=t),
+            ])))
+        else:
+            ops.append((draw(st.sampled_from(["reconnect", "disconnect", "expire"])), t))
     return ops
 
 
-def run_fold(s, ops):
+def run_fold(s, clock, ops):
     changes = []
     s.add_listener(changes.append)
-    reports = []
+    results = []
     for op in ops:
-        if not hasattr(op, "rows"):
+        if isinstance(op, tuple):
+            step, clock.t = op
+            if step == "reconnect":
+                s.handle_reconnect("h1")
+            elif step == "disconnect":
+                s.handle_disconnect("h1")
+            else:
+                results.append(s.expire_disconnected())
+        elif not hasattr(op, "rows"):
             s.apply_event(op)
         elif op.verification:
-            reports.append(s.verify(op))
+            try:
+                results.append(s.verify(op))
+            except StateError as exc:
+                results.append(str(exc))
         else:
             s.merge_snapshot(op)
-    return changes, reports
+    return changes, results
 
 
 @given(fold_ops())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_shared_records_fold_equals_rebuilding_fold(ops):
-    shared = HostStateStore(FakeClock())
-    oracle = RebuildingStore(FakeClock())
-    for s in (shared, oracle):
+    runs = []
+    for cls in (HostStateStore, RebuildingStore):
+        clock = FakeClock()
+        s = cls(clock, grace_period=5.0)
         s.handle_reconnect("h1")
-    got = run_fold(shared, ops)
-    want = run_fold(oracle, ops)
+        runs.append((s, run_fold(s, clock, ops)))
+    (shared, got), (oracle, want) = runs
     assert list(shared.dump_records()) == list(oracle.dump_records())
     assert got == want
     assert shared.view("h1") == oracle.view("h1")
+    assert shared.counters == oracle.counters
