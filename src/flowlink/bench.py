@@ -2,11 +2,12 @@
 
 Throughput: paced producer threads synthesize per-host telemetry cycles
 (process start, socket open, flow report, socket close, process exit) into a
-bounded queue; a single dispatch thread drains it into the engine under
-wall-clock timers, exercising the same locked ingestion path the live service
-uses.  The queue bound is the backpressure mechanism: producers block rather
-than drop, so a consumer that cannot keep up shows as a lower sustained rate
-and higher latency, never as silent loss.
+bounded queue; a single dispatch thread drains it into the engine's locked
+entry points under wall-clock timers.  The queue models the producers and
+measures how far they run ahead; it is not the live service's path, where
+sources call the engine directly.  Producers block rather than drop, so a
+consumer that cannot keep up shows as a lower sustained rate and higher
+latency, never as silent loss.
 
 Memory: engine state is built from serialized telemetry for increasing fleet
 sizes on a virtual clock and the retained footprint is measured with

@@ -9,10 +9,10 @@ Subcommands:
   bench       throughput / latency / memory scaling report (machine-readable)
   dump-state  fetch the state dump from a running instance's metrics endpoint
 
-The ingestion path is staged: sources feed a bounded queue (blocking when
-full, so backpressure reaches the source), one dispatcher drains it into the
-engine, and shutdown stops sources first, drains the queue, then flushes the
-engine so every accepted flow is logged exactly once.
+Every `run` source (the flow file, the TCP feed and the embedded fleet)
+submits straight to the engine under its lock, so a busy engine holds the
+source back.  Shutdown stops the sources, then flushes the engine so every
+accepted flow is logged exactly once; later calls are refused and counted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import signal
 import sys
 import threading
@@ -34,8 +33,7 @@ from .bench import run_bench
 from .config import ConfigError, EngineConfig, load_config_sections
 from .engine import (Engine, open_outputs, run_simulation, schedule_replay,
                      FLOWS_LOG, ALERTS_LOG, INPUTS_LOG)
-from .flowlog import (FLOW_FORMAT, LogFormatError, parse_flow_line,
-                      read_header, read_inputs)
+from .flowlog import LogFormatError, read_flows, read_inputs
 from .runtime import EventLoop, WallScheduler
 from .service import (FlowFeedServer, MetricsServer, start_metrics_snapshots,
                       write_metrics_snapshot)
@@ -52,48 +50,34 @@ def _load_sections(path: str | None) -> tuple[EngineConfig, dict]:
     return load_config_sections(path)
 
 
-def _blocking_put(q: queue.Queue, item, stop: threading.Event) -> bool:
+def _file_lines(fh, follow: bool, stop: threading.Event):
+    """The lines of `fh`, the last one even without its newline; with
+    follow=True, waits for appended lines until stopped, holding back a
+    partial line until its newline arrives."""
+    buf = ""
     while not stop.is_set():
-        try:
-            q.put(item, timeout=0.5)
-            return True
-        except queue.Full:
-            continue
-    return False
+        buf += fh.readline()
+        if buf.endswith("\n") or (buf and not follow):
+            yield buf
+            buf = ""
+        elif follow:
+            time.sleep(0.2)
+        else:
+            return
 
 
-def _feed_flow_file(path: str, follow: bool, q: queue.Queue,
+def _feed_flow_file(path: str, follow: bool, submit,
                     stop: threading.Event) -> None:
-    """Reads a flow-log v1 file into the ingest queue; with follow=True,
-    keeps tailing for appended lines until stopped.  A malformed header or
-    row stops this source loudly; rows already queued stand."""
+    """Submits the records of a flow-log v1 file; with follow=True, keeps
+    tailing for appended lines until stopped.  A malformed header or row
+    stops this source loudly; rows already submitted stand."""
     try:
         with open(path, encoding="utf-8") as fh:
-            fields = None
-            header: list[str] = []
-            buf = ""
-            while not stop.is_set():
-                chunk = fh.readline()
-                if not chunk:
-                    if not follow:
-                        return
-                    time.sleep(0.2)
-                    continue
-                buf += chunk
-                if not buf.endswith("\n"):
-                    continue  # partial line while the writer is mid-append
-                line, buf = buf, ""
-                if fields is None:
-                    header.append(line)
-                    if len(header) == 2:
-                        fields = read_header(iter(header), FLOW_FORMAT)
-                    continue
-                if not line.strip() or line.startswith("#"):
-                    continue
-                if not _blocking_put(q, parse_flow_line(line, fields), stop):
-                    return
-    except (OSError, LogFormatError) as exc:
-        print(f"error: flow file {path}: {exc}", file=sys.stderr)
+            for record in read_flows(_file_lines(fh, follow, stop)):
+                submit(record)
+    except (OSError, LogFormatError, UnicodeDecodeError) as exc:
+        if not stop.is_set():  # a header cut short by shutdown is no error
+            print(f"error: flow file {path}: {exc}", file=sys.stderr)
 
 
 def _spec_from(section: dict, args) -> WorkloadSpec:
@@ -131,116 +115,87 @@ def _cmd_run(args) -> int:
         config.log_dir = args.log_dir
     if args.metrics_port is not None:
         config.metrics_port = args.metrics_port
+    config.validate()
+    try:
+        spec = (WorkloadSpec.from_dict(workload_section)
+                if workload_section else None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     outputs = open_outputs(config.log_dir, record_inputs=args.record)
     scheduler = WallScheduler()
     engine = Engine(config, scheduler, outputs=outputs)
-
-    metrics_server = None
-    feed = None
-    try:
-        if config.metrics_port:
-            metrics_server = MetricsServer(engine, port=config.metrics_port)
-        inbox: queue.Queue = queue.Queue(maxsize=4096)
-        stop = threading.Event()
-        if config.listen_port:
-            feed = FlowFeedServer(lambda rec: _blocking_put(inbox, rec, stop),
-                                  host=config.listen_addr,
-                                  port=config.listen_port)
-    except OSError as exc:
-        print(f"error: cannot bind service port: {exc}", file=sys.stderr)
-        if metrics_server is not None:
-            metrics_server.stop()
-        scheduler.stop()
-        outputs.close()
-        return 2
-
     engine.start()
-    if metrics_server is not None:
-        metrics_server.start()
-        print(f"metrics on http://127.0.0.1:{metrics_server.port}/metrics",
-              file=sys.stderr)
-    if feed is not None:
-        feed.start()
-        print(f"flow feed on {config.listen_addr}:{feed.port}",
-              file=sys.stderr)
     cancel_snapshots = start_metrics_snapshots(
         engine, os.path.join(config.log_dir, METRICS_SNAPSHOT),
         args.metrics_interval)
-
+    stop = threading.Event()
+    servers = []  # only servers that started, so each one can be stopped
+    file_thread = None
+    handlers = {}
     try:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(sig, lambda _s, _f: stop.set())
-    except ValueError:
-        pass  # not on the main thread; --duration or stop() drives shutdown
-
-    threads = []
-    if args.flows:
-        th = threading.Thread(
-            target=_feed_flow_file,
-            args=(args.flows, args.follow, inbox, stop),
-            name="flowlink-flow-file", daemon=True)
-        th.start()
-        threads.append(th)
-
-    fleet = None
-    if workload_section:
         try:
-            spec = WorkloadSpec.from_dict(workload_section)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            stop.set()
-            cancel_snapshots()
-            engine.shutdown()
-            if metrics_server is not None:
-                metrics_server.stop()
-            if feed is not None:
-                feed.stop()
-            scheduler.stop()
+            if config.metrics_port:
+                servers.append(MetricsServer(
+                    engine, port=config.metrics_port).start())
+                print(f"metrics on http://127.0.0.1:{servers[-1].port}/metrics",
+                      file=sys.stderr)
+            if config.listen_port:
+                servers.append(FlowFeedServer(
+                    engine.submit_flow, host=config.listen_addr,
+                    port=config.listen_port).start())
+                print(f"flow feed on {config.listen_addr}:{servers[-1].port}",
+                      file=sys.stderr)
+        except OSError as exc:
+            print(f"error: cannot bind service port: {exc}", file=sys.stderr)
             return 2
-        workload = shift_workload(build_workload(spec), scheduler.now() + 0.2)
-        fleet = FleetSimulator(
-            workload, scheduler, engine.node,
-            flow_sink=engine.submit_flow,
-            download_sink=engine.submit_download,
-            register_host=engine.register_host,
-            deregister_host=engine.deregister_host, groups=config.groups)
-        fleet.start()
-        print(f"embedded fleet: {len(workload.hosts)} hosts, "
-              f"{len(workload.actions)} actions", file=sys.stderr)
 
-    deadline = time.monotonic() + args.duration if args.duration else None
-    file_only = args.flows and not args.follow and feed is None and fleet is None
-    try:
-        while not stop.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
+        if threading.current_thread() is threading.main_thread():
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                handlers[sig] = signal.signal(sig, lambda _s, _f: stop.set())
+
+        if args.flows:
+            file_thread = threading.Thread(
+                target=_feed_flow_file,
+                args=(args.flows, args.follow, engine.submit_flow, stop),
+                name="flowlink-flow-file", daemon=True)
+            file_thread.start()
+
+        if spec is not None:
+            workload = shift_workload(build_workload(spec),
+                                      scheduler.now() + 0.2)
+            FleetSimulator(
+                workload, scheduler, engine.node,
+                flow_sink=engine.submit_flow,
+                download_sink=engine.submit_download,
+                register_host=engine.register_host,
+                deregister_host=engine.deregister_host,
+                groups=config.groups).start()
+            print(f"embedded fleet: {len(workload.hosts)} hosts, "
+                  f"{len(workload.actions)} actions", file=sys.stderr)
+
+        deadline = time.monotonic() + args.duration if args.duration else None
+        file_only = (args.flows and not args.follow and not config.listen_port
+                     and spec is None)
+        while not stop.wait(0.2):
+            if (deadline is not None and time.monotonic() >= deadline
+                    or file_only and not file_thread.is_alive()):
                 break
-            try:
-                record = inbox.get(timeout=0.2)
-            except queue.Empty:
-                if file_only and not any(t.is_alive() for t in threads):
-                    break
-                continue
-            engine.submit_flow(record)
     finally:
         stop.set()
-        if feed is not None:
-            feed.stop()
-        for th in threads:
-            th.join(timeout=2.0)
-        while True:  # drain whatever the sources already handed over
-            try:
-                engine.submit_flow(inbox.get_nowait())
-            except queue.Empty:
-                break
+        for server in servers:
+            server.stop()
+        if file_thread is not None:
+            file_thread.join(timeout=2.0)
         cancel_snapshots()
         engine.shutdown()
         # final snapshot so short runs still leave an accurate metrics file
         write_metrics_snapshot(engine,
                                os.path.join(config.log_dir, METRICS_SNAPSHOT))
-        if metrics_server is not None:
-            metrics_server.stop()
         scheduler.stop()
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
     _print_summary(engine, config.log_dir)
     return 0
 
@@ -280,7 +235,7 @@ def _cmd_replay(args) -> int:
     try:
         with open(args.inputs, encoding="utf-8") as fh:
             entries = list(read_inputs(iter(fh)))
-    except (OSError, LogFormatError, json.JSONDecodeError) as exc:
+    except (OSError, LogFormatError) as exc:
         print(f"error: cannot read inputs: {exc}", file=sys.stderr)
         return 2
     outputs = open_outputs(config.log_dir, record_inputs=False)

@@ -16,8 +16,6 @@ class ConfigError(ValueError):
     pass
 
 
-VALID_ROLES = ("authoritative", "proxy")
-
 _DURATION_FIELDS = ("verification_interval", "retry_window", "grace_period",
                     "probe_interval", "exec_ambiguity_window",
                     "ssh_pairing_window", "download_retention",
@@ -39,7 +37,6 @@ def _is_int(value) -> bool:
 class EngineConfig:
     listen_addr: str = "127.0.0.1"
     listen_port: int = 0                      # 0 = no TCP flow listener
-    roles: tuple[str, ...] = ("authoritative", "proxy")
     verification_interval: float = 30.0
     retry_window: float = 2.0
     grace_period: float = 60.0
@@ -55,7 +52,6 @@ class EngineConfig:
     max_parked: int = 10_000
 
     def __post_init__(self):
-        self.roles = _names("roles", self.roles)
         self.dns_servers = _names("dns_servers", self.dns_servers)
         if not isinstance(self.groups, dict):
             raise ConfigError(f"groups: expected an object of host -> group names, "
@@ -64,11 +60,6 @@ class EngineConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not self.roles:
-            raise ConfigError("roles: at least one role must be enabled")
-        for r in self.roles:
-            if r not in VALID_ROLES:
-                raise ConfigError(f"roles: unknown role {r!r}")
         for name in ("listen_addr", "log_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name}: expected a string, got {getattr(self, name)!r}")
@@ -87,7 +78,6 @@ class EngineConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["roles"] = list(self.roles)
         out["dns_servers"] = list(self.dns_servers)
         out["groups"] = {h: list(g) for h, g in self.groups.items()}
         return out
@@ -99,18 +89,6 @@ class EngineConfig:
         if unknown:
             raise ConfigError(f"unknown config field {unknown[0]!r}")
         return cls(**d)
-
-
-def load_config(path: str) -> EngineConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return EngineConfig.from_dict(raw.get("engine", raw) if "engine" in raw
-                                  or "workload" in raw else raw)
 
 
 def load_config_sections(path: str) -> tuple[EngineConfig, dict]:
@@ -128,8 +106,3 @@ def load_config_sections(path: str) -> tuple[EngineConfig, dict]:
                 raw.get("workload", {}))
     return EngineConfig.from_dict(raw), {}
 
-
-def save_config(config: EngineConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

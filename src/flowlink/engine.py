@@ -6,12 +6,14 @@ feeds attributed flows to the detectors, and writes the enriched flow log,
 the alert log, and (optionally) a verbatim record of every input for later
 replay.  The scheduler's lock owns all engine state: every entry point takes
 it, and the wall-clock scheduler runs each timer callback while holding it,
-so flows and telemetry may be pushed from any thread.
+so flows and telemetry may be pushed from any thread.  Once `shutdown()` has
+run, the entry points that record or emit refuse their input and count it.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -80,6 +82,19 @@ def open_outputs(log_dir: str, record_inputs: bool = False) -> EngineOutputs:
     )
 
 
+def _entry_point(method):
+    """Run an entry point under the engine lock; after `shutdown()`, count
+    the call in `refused_after_shutdown` and do nothing."""
+    @functools.wraps(method)
+    def guarded(self, *args):
+        with self.lock:
+            if self._shut_down:
+                self.counters["refused_after_shutdown"] += 1
+                return
+            method(self, *args)
+    return guarded
+
+
 class Engine:
     def __init__(self, config: EngineConfig, scheduler,
                  bus: Optional[InProcessBus] = None,
@@ -87,7 +102,7 @@ class Engine:
         self.config = config
         self.scheduler = scheduler
         self.bus = bus or InProcessBus(scheduler)
-        self.node = OverlayNode(ENGINE_NODE_ID, self.bus, roles=config.roles)
+        self.node = OverlayNode(ENGINE_NODE_ID, self.bus)
         self.lock = scheduler.lock
         self.counters: collections.Counter = collections.Counter()
 
@@ -160,26 +175,26 @@ class Engine:
         self._housekeeping_timer = self.scheduler.call_later(
             self.config.grace_period / 2, self._housekeeping)
 
+    @_entry_point
     def register_host(self, host: str) -> None:
-        with self.lock:
-            self._record("host_up", {"host": host})
-            self.store.handle_reconnect(host)
-            old = self._verify_timers.pop(host, None)
-            if old is not None:
-                self.scheduler.cancel(old)
-            self._verify_timers[host] = self.scheduler.call_later(
-                self.config.verification_interval, self._verify_tick, host)
+        self._record("host_up", {"host": host})
+        self.store.handle_reconnect(host)
+        old = self._verify_timers.pop(host, None)
+        if old is not None:
+            self.scheduler.cancel(old)
+        self._verify_timers[host] = self.scheduler.call_later(
+            self.config.verification_interval, self._verify_tick, host)
 
+    @_entry_point
     def deregister_host(self, host: str) -> None:
-        with self.lock:
-            self._record("host_down", {"host": host})
-            self.store.handle_disconnect(host)
-            timer = self._verify_timers.pop(host, None)
-            if timer is not None:
-                self.scheduler.cancel(timer)
-            iid = self._verify_iid.pop(host, None)
-            if iid is not None:
-                self.node.retract_interest(iid)
+        self._record("host_down", {"host": host})
+        self.store.handle_disconnect(host)
+        timer = self._verify_timers.pop(host, None)
+        if timer is not None:
+            self.scheduler.cancel(timer)
+        iid = self._verify_iid.pop(host, None)
+        if iid is not None:
+            self.node.retract_interest(iid)
 
     def _verify_tick(self, host: str) -> None:
         if self._shut_down or not self.store.is_connected(host):
@@ -208,8 +223,6 @@ class Engine:
             if self._housekeeping_timer is not None:
                 self.scheduler.cancel(self._housekeeping_timer)
             self.correlator.flush()
-            if self._recorder is not None:
-                self._recorder.close()
             self.outputs.close()
 
     # -- one-time query plumbing for detectors -----------------------------------
@@ -223,45 +236,45 @@ class Engine:
 
     # -- ingest -----------------------------------------------------------------
 
+    @_entry_point
     def submit_flow(self, record: FlowRecord) -> None:
-        with self.lock:
-            if self._recorder is not None:
-                self._record("flow", record.to_dict())
-            self.counters["flows_in"] += 1
-            self.correlator.submit(record.flow_tuple(), record.ts, record.end,
-                                   tag=record)
+        if self._recorder is not None:
+            self._record("flow", record.to_dict())
+        self.counters["flows_in"] += 1
+        self.correlator.submit(record.flow_tuple(), record.ts, record.end,
+                               tag=record)
 
+    @_entry_point
     def submit_download(self, ev: DownloadEvent) -> None:
-        with self.lock:
-            self._record("download", ev.to_dict())
-            self.counters["downloads_in"] += 1
-            self.attachments.on_download(ev)
+        self._record("download", ev.to_dict())
+        self.counters["downloads_in"] += 1
+        self.attachments.on_download(ev)
 
     def ingest_result(self, topic: str, payload) -> None:
         """Entry point for replay and transports that bypass the bus."""
         self._on_result(topic, payload)
 
+    @_entry_point
     def _on_result(self, topic: str, payload) -> None:
-        with self.lock:
-            now = self.scheduler.now()
-            if isinstance(payload, HostEvent):
-                if self._recorder is not None:
-                    self._record("host_event", payload.to_dict(), topic)
-                self.counters["events_in"] += 1
-                self.store.apply_event(payload)
-                if (payload.table is TableKind.PROCESS_EVENTS
-                        and payload.action is Action.ADDED):
-                    self.attachments.on_process_added(payload.payload, now)
-            elif isinstance(payload, SnapshotBatch):
-                if self._recorder is not None:
-                    self._record("snapshot", payload.to_dict(), topic)
-                self.counters["batches_in"] += 1
-                self._dispatch_batch(payload, now)
-            elif isinstance(payload, QueryErrorResult):
-                self._record("query_error", payload.to_dict(), topic)
-                self.counters["query_errors"] += 1
-            else:
-                self.counters["unroutable_results"] += 1
+        now = self.scheduler.now()
+        if isinstance(payload, HostEvent):
+            if self._recorder is not None:
+                self._record("host_event", payload.to_dict(), topic)
+            self.counters["events_in"] += 1
+            self.store.apply_event(payload)
+            if (payload.table is TableKind.PROCESS_EVENTS
+                    and payload.action is Action.ADDED):
+                self.attachments.on_process_added(payload.payload, now)
+        elif isinstance(payload, SnapshotBatch):
+            if self._recorder is not None:
+                self._record("snapshot", payload.to_dict(), topic)
+            self.counters["batches_in"] += 1
+            self._dispatch_batch(payload, now)
+        elif isinstance(payload, QueryErrorResult):
+            self._record("query_error", payload.to_dict(), topic)
+            self.counters["query_errors"] += 1
+        else:
+            self.counters["unroutable_results"] += 1
 
     def _dispatch_batch(self, batch: SnapshotBatch, now: float) -> None:
         if batch.verification or batch.table is TableKind.VERIFICATION:
@@ -370,9 +383,8 @@ def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
     A malformed entry raises `LogFormatError` naming its position (from 1)
     and the cause; the entries before it stay scheduled."""
     n = 0
-    pos = 0
-    try:
-        for pos, entry in enumerate(entries, 1):
+    for pos, entry in enumerate(entries, 1):
+        try:
             t = float(entry["t"])
             kind = entry["kind"]
             data = entry["data"]
@@ -399,8 +411,8 @@ def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
             else:
                 engine.counters["replay_unknown_kind"] += 1
                 continue
-            n += 1
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise LogFormatError(
-            f"inputs entry {pos}: {type(exc).__name__}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise LogFormatError(
+                f"inputs entry {pos}: {type(exc).__name__}: {exc}") from exc
+        n += 1
     return n

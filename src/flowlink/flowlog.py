@@ -261,9 +261,6 @@ class InputRecorder:
             entry["topic"] = topic
         self.out.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def close(self) -> None:
-        self.out.flush()
-
 
 def read_inputs(lines: Iterator[str]) -> Iterator[dict]:
     try:
@@ -272,6 +269,10 @@ def read_inputs(lines: Iterator[str]) -> Iterator[dict]:
         raise LogFormatError("empty inputs file") from None
     if first.strip() != f"{FORMAT_PREFIX} {INPUTS_FORMAT}":
         raise LogFormatError(f"bad inputs header: {first!r}")
-    for line in lines:
+    for lineno, line in enumerate(lines, 2):
         if line.strip():
-            yield json.loads(line)
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LogFormatError(f"inputs line {lineno}: {exc}") from exc
+            yield entry

@@ -411,9 +411,6 @@ class OverlayNode:
         return Schedule(agent=agent, entries=frozenset(
             _entry_from(key, contrib) for key, contrib in conn.entries.items()))
 
-    def connected_agents(self) -> list[str]:
-        return sorted(self._agents)
-
     def agent_groups(self, agent: str) -> frozenset[str]:
         conn = self._agents.get(agent)
         return frozenset(conn.groups) if conn else frozenset()

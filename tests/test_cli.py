@@ -28,6 +28,25 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
+def _main_in_thread(argv, timeout, while_running=None):
+    """main(argv) on a daemon thread, with `while_running()` called meanwhile;
+    None if main has not returned within `timeout` seconds, so a hang fails
+    the test instead of stalling the run."""
+    result = {}
+    th = threading.Thread(target=lambda: result.update(code=main(argv)),
+                          daemon=True)
+    th.start()
+    if while_running is not None:
+        while_running()
+    th.join(timeout)
+    return result.get("code")
+
+
+FLOW_HEADER = ("#flowlink flow-log v1\n"
+               "#fields\tts\tuid\torig_h\torig_p\tresp_h\tresp_p\tproto\t"
+               "duration\torig_bytes\tresp_bytes\torig_pkts\tresp_pkts\n")
+
+
 # --- sim / replay -------------------------------------------------------------------
 
 
@@ -61,10 +80,18 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
 
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"engine": {"roles": 5}}))
+    cfg.write_text(json.dumps({"engine": {"dns_servers": 5}}))
     assert main(["sim", "--config", str(cfg),
                  "--log-dir", str(tmp_path / "logs")]) == 2
-    assert "roles" in capsys.readouterr().err
+    assert "dns_servers" in capsys.readouterr().err
+
+
+def test_config_naming_roles_exits_2_as_unknown_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"roles": ["proxy"]}))
+    assert main(["run", "--config", str(cfg),
+                 "--log-dir", str(tmp_path / "logs")]) == 2
+    assert "unknown config field 'roles'" in capsys.readouterr().err
 
 
 def test_replay_refuses_garbage_inputs(tmp_path, capsys):
@@ -90,6 +117,17 @@ def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
                  "--log-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "entry 2" in err and cause in err
+
+
+def test_replay_names_the_line_of_bad_json(tmp_path, capsys):
+    bad = tmp_path / "inputs.log"
+    bad.write_text("#flowlink inputs v1\n"
+                   '{"t": 0.5, "kind": "host_up", "data": {"host": "h1"}}\n'
+                   '{"t": 0.6, "kind": "host_down", "data": {"host": "h1"}}\n'
+                   "{bad json\n")
+    assert main(["replay", "--inputs", str(bad),
+                 "--log-dir", str(tmp_path / "out")]) == 2
+    assert "line 4" in capsys.readouterr().err
 
 
 # --- run ----------------------------------------------------------------------------
@@ -175,6 +213,14 @@ def test_run_reports_invalid_config_with_field_name(tmp_path, capsys):
     assert "verification_interval" in capsys.readouterr().err
 
 
+def test_run_rejects_out_of_range_metrics_port_before_opening_logs(tmp_path, capsys):
+    log_dir = tmp_path / "logs"
+    assert main(["run", "--log-dir", str(log_dir), "--metrics-port", "70000",
+                 "--duration", "1"]) == 2
+    assert "metrics_port" in capsys.readouterr().err
+    assert not log_dir.exists()
+
+
 def test_run_reports_busy_port(tmp_path, capsys):
     keeper = socket.socket()
     keeper.bind(("127.0.0.1", 0))
@@ -186,6 +232,64 @@ def test_run_reports_busy_port(tmp_path, capsys):
         assert "bind" in capsys.readouterr().err
     finally:
         keeper.close()
+
+
+def test_run_busy_feed_port_exits_2_after_starting_metrics(tmp_path, capsys):
+    keeper = socket.socket()
+    keeper.bind(("127.0.0.1", 0))
+    keeper.listen(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"listen_port": keeper.getsockname()[1],
+                               "log_dir": str(tmp_path / "logs")}))
+    try:
+        assert _main_in_thread(["run", "--config", str(cfg), "--metrics-port",
+                                str(_free_port()), "--duration", "1"], 10) == 2
+    finally:
+        keeper.close()
+    assert "bind" in capsys.readouterr().err
+
+
+def test_run_ingests_last_row_without_newline(tmp_path):
+    flows = tmp_path / "flows.log"
+    flows.write_text(
+        FLOW_HEADER
+        + "10.0\tN1\t192.0.2.1\t5000\t198.51.100.2\t80\ttcp\t1.0\t1\t2\t3\t4\n"
+        + "11.0\tN2\t192.0.2.1\t5001\t198.51.100.2\t443\ttcp\t1.0\t1\t2\t3\t4")
+    log_dir = tmp_path / "logs"
+    assert _main_in_thread(["run", "--log-dir", str(log_dir), "--flows", str(flows),
+                            "--duration", "10"], 20) == 0
+    assert sorted(r["uid"] for r in _enriched_rows(log_dir / "conn.log")) == ["N1", "N2"]
+
+
+def test_run_invalid_workload_leaves_earlier_logs_untouched(tmp_path, capsys):
+    log_dir = tmp_path / "logs"
+    log_dir.mkdir()
+    (log_dir / "conn.log").write_text("earlier run\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"engine": {"log_dir": str(log_dir)},
+                               "workload": {"hostz": 3}}))
+    assert _main_in_thread(["run", "--config", str(cfg), "--duration", "1"], 10) == 2
+    assert "hostz" in capsys.readouterr().err
+    assert (log_dir / "conn.log").read_text() == "earlier run\n"
+    assert not (log_dir / "alerts.log").exists()
+
+
+def test_run_follow_ingests_a_row_appended_in_two_writes_once(tmp_path):
+    flows = tmp_path / "flows.log"
+    flows.write_text(FLOW_HEADER)
+    row = "10.0\tA1\t192.0.2.1\t5000\t198.51.100.2\t80\ttcp\t1.0\t1\t2\t3\t4\n"
+    log_dir = tmp_path / "logs"
+
+    def append_in_two_writes():
+        for part in (row[:20], row[20:]):
+            time.sleep(0.6)  # longer than the tail's poll, so the reader sees each part
+            with open(flows, "a", encoding="utf-8") as fh:
+                fh.write(part)
+
+    assert _main_in_thread(["run", "--log-dir", str(log_dir), "--flows", str(flows),
+                            "--follow", "--duration", "2.5"], 15,
+                           append_in_two_writes) == 0
+    assert [r["uid"] for r in _enriched_rows(log_dir / "conn.log")] == ["A1"]
 
 
 # --- bench / dump-state ---------------------------------------------------------------

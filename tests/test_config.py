@@ -6,20 +6,13 @@ import json
 
 import pytest
 
-from flowlink.config import (
-    ConfigError,
-    EngineConfig,
-    load_config,
-    load_config_sections,
-    save_config,
-)
+from flowlink.config import ConfigError, EngineConfig, load_config_sections
 
 
 def test_defaults_are_valid():
     cfg = EngineConfig()
     assert cfg.verification_interval == 30.0
     assert cfg.retry_window == 2.0
-    assert set(cfg.roles) == {"authoritative", "proxy"}
 
 
 def test_roundtrip_through_dict():
@@ -32,8 +25,9 @@ def test_roundtrip_through_dict():
 def test_roundtrip_through_file(tmp_path):
     cfg = EngineConfig(verification_interval=15.0, log_dir="out")
     path = tmp_path / "cfg.json"
-    save_config(cfg, str(path))
-    assert load_config(str(path)) == cfg
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg.to_dict(), fh)
+    assert load_config_sections(str(path)) == (cfg, {})
 
 
 def test_unknown_field_named_in_error():
@@ -50,20 +44,13 @@ def test_bad_duration_named_in_error():
         EngineConfig.from_dict({"hash_query_timeout": "soon"})
 
 
-def test_roles_validated():
-    with pytest.raises(ConfigError, match="role"):
-        EngineConfig(roles=())
-    with pytest.raises(ConfigError, match="observer"):
-        EngineConfig(roles=("observer",))
-
-
 def test_ports_validated():
     with pytest.raises(ConfigError, match="metrics_port"):
         EngineConfig(metrics_port=99999)
 
 
 @pytest.mark.parametrize("name, value", [
-    ("roles", 5), ("roles", [1]),
+    ("retry_window", True), ("dns_servers", "203.0.113.53"),
     ("dns_servers", 5), ("dns_servers", [5]),
     ("groups", 5), ("groups", {"h1": 5}),
     ("max_parked", "x"), ("max_parked", True), ("max_parked", 0),
@@ -97,4 +84,4 @@ def test_invalid_json_reported(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
-        load_config(str(path))
+        load_config_sections(str(path))

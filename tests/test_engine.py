@@ -3,13 +3,17 @@
 import io
 import threading
 
+import pytest
+
 from conftest import iface_ev, make_proc, make_sock, proc_ev, sock_ev
 from flowlink import correlate
 from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_workload
 from flowlink.config import EngineConfig
 from flowlink.detect import ATTACHMENT_EXECUTED, STEPPING_STONE
-from flowlink.engine import Engine, EngineOutputs, run_simulation, schedule_replay
-from flowlink.flowlog import DownloadEvent, FlowRecord, read_alerts, read_enriched, read_inputs
+from flowlink.engine import (Engine, EngineOutputs, open_outputs, run_simulation,
+                             schedule_replay)
+from flowlink.flowlog import (DownloadEvent, FlowRecord, LogFormatError, read_alerts,
+                              read_enriched, read_inputs)
 from flowlink.model import FlowTuple, Proto
 from flowlink.runtime import EventLoop, WallScheduler
 
@@ -297,6 +301,35 @@ def test_record_then_replay_reproduces_logs_byte_identical():
     assert out2.flows.getvalue() == out1.flows.getvalue()
     assert out2.alerts.getvalue() == out1.alerts.getvalue()
     assert engine2.counters["flows_out"] == engine1.counters["flows_out"]
+
+
+def test_calls_after_shutdown_are_refused_and_counted(tmp_path):
+    engine = Engine(config(), EventLoop(),
+                    outputs=open_outputs(str(tmp_path), record_inputs=True))
+    engine.start()
+    engine.shutdown()
+    logs = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert sorted(logs) == ["alerts.log", "conn.log", "inputs.log"]
+    flow = FlowTuple("10.0.0.1", 4000, "203.0.113.9", 443, Proto.TCP)
+    engine.submit_flow(FlowRecord(ts=1.0, uid="F1", orig_h="10.0.0.1", orig_p=4000,
+                                  resp_h="203.0.113.9", resp_p=443, proto=Proto.TCP))
+    engine.submit_download(DownloadEvent(ts=1.0, sha256="a" * 64, flow=flow))
+    engine.ingest_result("t", iface_ev("h1", "10.0.0.1"))
+    engine.register_host("h1")
+    engine.deregister_host("h1")
+    assert engine.counters["refused_after_shutdown"] == 5
+    assert engine.counters["flows_in"] == engine.counters["events_in"] == 0
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == logs
+
+
+def test_replay_names_the_line_of_a_malformed_recording():
+    lines = ["#flowlink inputs v1\n",
+             '{"t": 0.5, "kind": "host_up", "data": {"host": "h1"}}\n',
+             '{"t": 0.6, "kind": "host_down", "data": {"host": "h1"}}\n',
+             "{bad json\n"]
+    engine = Engine(config(), EventLoop())
+    with pytest.raises(LogFormatError, match="line 4"):
+        schedule_replay(engine, read_inputs(iter(lines)))
 
 
 # --- wall-clock threading ---------------------------------------------------------
