@@ -31,6 +31,7 @@ from .model import (
     InterfaceRecord,
     ProcessInfo,
     Proto,
+    QueryErrorResult,
     SnapshotBatch,
     SocketInfo,
     Source,
@@ -139,7 +140,6 @@ class WorkloadSpec:
 
 class ActionKind(str, Enum):
     PROC_START = "proc_start"
-    PROC_EXEC = "proc_exec"
     PROC_EXIT = "proc_exit"
     PROC_CRASH = "proc_crash"       # vanishes from tables, no audit event
     SOCK_OPEN = "sock_open"
@@ -170,7 +170,7 @@ class SimAction:
     def audit_event(self) -> Optional[HostEvent]:
         if not self.audit:
             return None
-        if self.kind in (ActionKind.PROC_START, ActionKind.PROC_EXEC):
+        if self.kind is ActionKind.PROC_START:
             return HostEvent(self.host, TableKind.PROCESS_EVENTS, Action.ADDED,
                              self.proc, self.time)
         if self.kind is ActionKind.PROC_EXIT:
@@ -742,28 +742,6 @@ def build_workload(spec: WorkloadSpec) -> Workload:
 # --- the runtime agent ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QueryErrorResult:
-    """Agent-side failure executing a scheduled or one-time query."""
-
-    host: str
-    query: str
-    error: str
-    response_topic: str = ""
-    event_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"host": self.host, "query": self.query, "error": self.error,
-                "response_topic": self.response_topic,
-                "event_time": self.event_time}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QueryErrorResult":
-        return cls(host=d["host"], query=d["query"], error=d["error"],
-                   response_topic=d.get("response_topic", ""),
-                   event_time=float(d.get("event_time", 0.0)))
-
-
 class SimAgent:
     """One simulated host: OS tables plus schedule execution.
 
@@ -796,7 +774,7 @@ class SimAgent:
 
     def apply_action(self, action: SimAction) -> None:
         kind = action.kind
-        if kind in (ActionKind.PROC_START, ActionKind.PROC_EXEC):
+        if kind is ActionKind.PROC_START:
             self.processes[action.proc.pid] = action.proc
         elif kind in (ActionKind.PROC_EXIT, ActionKind.PROC_CRASH):
             self.processes.pop(action.proc.pid, None)

@@ -11,8 +11,10 @@ Subcommands:
 
 Every `run` source (the flow file, the TCP feed and the embedded fleet)
 submits straight to the engine under its lock, so a busy engine holds the
-source back.  Shutdown stops the sources, then flushes the engine so every
-accepted flow is logged exactly once; later calls are refused and counted.
+source back.  The main thread waits for the deadline or a signal and
+rewrites `<log_dir>/metrics.json` every `--metrics-interval` seconds.
+Shutdown stops the sources, then flushes the engine so every accepted flow
+is logged exactly once; later calls are refused and counted.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from .agents import (FleetSimulator, WorkloadSpec, build_workload,
                      shift_workload)
 from .bench import run_bench
 from .config import ConfigError, EngineConfig, load_config_sections
-from .engine import (Engine, open_outputs, run_simulation, schedule_replay,
-                     FLOWS_LOG, ALERTS_LOG, INPUTS_LOG)
+from .engine import (Engine, decode_inputs, open_outputs, run_simulation,
+                     schedule_decoded, FLOWS_LOG, ALERTS_LOG, INPUTS_LOG)
 from .flowlog import LogFormatError, read_flows, read_inputs
 from .runtime import EventLoop, WallScheduler
-from .service import (FlowFeedServer, MetricsServer, start_metrics_snapshots,
-                      write_metrics_snapshot)
+from .service import FlowFeedServer, MetricsServer, write_metrics_snapshot
 
 METRICS_SNAPSHOT = "metrics.json"
 
@@ -116,6 +117,10 @@ def _cmd_run(args) -> int:
     if args.metrics_port is not None:
         config.metrics_port = args.metrics_port
     config.validate()
+    if not args.metrics_interval > 0:
+        print(f"error: --metrics-interval must be positive, "
+              f"got {args.metrics_interval:g}", file=sys.stderr)
+        return 2
     try:
         spec = (WorkloadSpec.from_dict(workload_section)
                 if workload_section else None)
@@ -124,12 +129,10 @@ def _cmd_run(args) -> int:
         return 2
 
     outputs = open_outputs(config.log_dir, record_inputs=args.record)
+    metrics_path = os.path.join(config.log_dir, METRICS_SNAPSHOT)
     scheduler = WallScheduler()
     engine = Engine(config, scheduler, outputs=outputs)
     engine.start()
-    cancel_snapshots = start_metrics_snapshots(
-        engine, os.path.join(config.log_dir, METRICS_SNAPSHOT),
-        args.metrics_interval)
     stop = threading.Event()
     servers = []  # only servers that started, so each one can be stopped
     file_thread = None
@@ -176,23 +179,26 @@ def _cmd_run(args) -> int:
                   f"{len(workload.actions)} actions", file=sys.stderr)
 
         deadline = time.monotonic() + args.duration if args.duration else None
+        next_snapshot = time.monotonic() + args.metrics_interval
         file_only = (args.flows and not args.follow and not config.listen_port
                      and spec is None)
         while not stop.wait(0.2):
-            if (deadline is not None and time.monotonic() >= deadline
+            now = time.monotonic()
+            if (deadline is not None and now >= deadline
                     or file_only and not file_thread.is_alive()):
                 break
+            if now >= next_snapshot:
+                write_metrics_snapshot(engine, metrics_path)
+                next_snapshot = now + args.metrics_interval
     finally:
         stop.set()
         for server in servers:
             server.stop()
         if file_thread is not None:
             file_thread.join(timeout=2.0)
-        cancel_snapshots()
         engine.shutdown()
         # final snapshot so short runs still leave an accurate metrics file
-        write_metrics_snapshot(engine,
-                               os.path.join(config.log_dir, METRICS_SNAPSHOT))
+        write_metrics_snapshot(engine, metrics_path)
         scheduler.stop()
         for sig, handler in handlers.items():
             signal.signal(sig, handler)
@@ -232,24 +238,22 @@ def _cmd_replay(args) -> int:
     config, _ = _load_sections(args.config)
     if args.log_dir:
         config.log_dir = args.log_dir
+    # decode the whole recording before any log is opened, so a refused
+    # recording leaves earlier logs in place
     try:
         with open(args.inputs, encoding="utf-8") as fh:
-            entries = list(read_inputs(iter(fh)))
+            decoded = list(decode_inputs(read_inputs(fh)))
     except (OSError, LogFormatError) as exc:
-        print(f"error: cannot read inputs: {exc}", file=sys.stderr)
-        return 2
-    outputs = open_outputs(config.log_dir, record_inputs=False)
-    loop = EventLoop()
-    engine = Engine(config, loop, outputs=outputs)
-    engine.start()
-    try:
-        n = schedule_replay(engine, entries)
-    except LogFormatError as exc:
-        outputs.close()
         print(f"error: cannot replay inputs: {exc}", file=sys.stderr)
         return 2
-    until = (max((float(e["t"]) for e in entries), default=0.0)
+    loop = EventLoop()
+    engine = Engine(config, loop,
+                    outputs=open_outputs(config.log_dir, record_inputs=False))
+    engine.start()
+    n = schedule_decoded(engine, decoded)
+    until = (max((t for t, _, _ in decoded), default=0.0)
              + config.retry_window + 1.0)
+    del decoded
     loop.run_until(until)
     engine.shutdown()
     print(f"replayed {n} inputs to t={until:g}", file=sys.stderr)
@@ -260,8 +264,32 @@ def _cmd_replay(args) -> int:
 # --- bench --------------------------------------------------------------------------
 
 
+def _bench_arg_error(args, memory_hosts) -> str | None:
+    """The first bad `bench` argument, described, or None."""
+    if memory_hosts is None or min(memory_hosts) < 1 or len(set(memory_hosts)) < 2:
+        return (f"--memory-hosts must list at least two distinct positive "
+                f"host counts, got {args.memory_hosts!r}")
+    for flag, value, ok, need in (
+            ("--hosts", args.hosts, args.hosts >= 0, "non-negative"),
+            ("--rate", args.rate, args.rate > 0, "positive"),
+            ("--seconds", args.seconds, args.seconds > 0, "positive"),
+            ("--queue-capacity", args.queue_capacity, args.queue_capacity > 0,
+             "positive"),
+            ("--producers", args.producers, args.producers > 0, "positive")):
+        if not ok:
+            return f"{flag} must be {need}, got {value:g}"
+    return None
+
+
 def _cmd_bench(args) -> int:
-    memory_hosts = tuple(int(x) for x in args.memory_hosts.split(","))
+    try:
+        memory_hosts = tuple(int(x) for x in args.memory_hosts.split(","))
+    except ValueError:
+        memory_hosts = None
+    problem = _bench_arg_error(args, memory_hosts)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     report = run_bench(hosts=args.hosts, rate=args.rate,
                        duration=args.seconds, memory_hosts=memory_hosts,
                        queue_capacity=args.queue_capacity,

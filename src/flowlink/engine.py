@@ -4,10 +4,14 @@ One `Engine` terminates agent telemetry arriving over the overlay, folds it
 into the host-state store, attributes flow reports to (host, process, user),
 feeds attributed flows to the detectors, and writes the enriched flow log,
 the alert log, and (optionally) a verbatim record of every input for later
-replay.  The scheduler's lock owns all engine state: every entry point takes
-it, and the wall-clock scheduler runs each timer callback while holding it,
-so flows and telemetry may be pushed from any thread.  Once `shutdown()` has
-run, the entry points that record or emit refuse their input and count it.
+replay.  All periodic host work rides standing interests published at
+`start()`: the streamed tables, the probed tables and the verification pass
+are each one schedule entry that every agent runs on its own timer, so the
+engine keeps no per-host timers.  The scheduler's lock owns all engine
+state: every entry point takes it, and the wall-clock scheduler runs each
+timer callback while holding it, so flows and telemetry may be pushed from
+any thread.  Once `shutdown()` has run, the entry points that record or
+emit refuse their input and count it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Iterator, Optional
 
-from .agents import QueryErrorResult
 from .config import EngineConfig
 from .correlate import (
     AddressIndex,
@@ -36,7 +39,7 @@ from .flowlog import (
     InputRecorder,
     LogFormatError,
 )
-from .model import Action, HostEvent, SnapshotBatch, TableKind
+from .model import Action, HostEvent, QueryErrorResult, SnapshotBatch, TableKind
 from .overlay import InProcessBus, Interest, OverlayNode, host_group
 from .state import HostStateStore, StateError
 
@@ -80,6 +83,13 @@ def open_outputs(log_dir: str, record_inputs: bool = False) -> EngineOutputs:
         if record_inputs else None,
         owns=True,
     )
+
+
+def _every(table: str, period: float) -> str:
+    """`<table> EVERY <period>s`, the period in plain decimals: the query
+    parser takes no exponent, and `1e+06s` would fail on every agent."""
+    text = f"{period:.9f}".rstrip("0").rstrip(".")
+    return f"{table} EVERY {text}s"
 
 
 def _entry_point(method):
@@ -140,9 +150,6 @@ class Engine:
                           if self.outputs.inputs else None)
 
         self._qid = itertools.count(1)
-        self._verify_seq = itertools.count(1)
-        self._verify_iid: dict[str, str] = {}
-        self._verify_timers: dict[str, object] = {}
         self._housekeeping_timer = None
         self._started = False
         self._shut_down = False
@@ -164,8 +171,12 @@ class Engine:
             for table in PROBE_TABLES:
                 self.node.publish_interest(Interest(
                     interest_id=f"probe/{table}",
-                    query=f"{table} EVERY {self.config.probe_interval:g}s",
+                    query=_every(table, self.config.probe_interval),
                     group="all", period=self.config.probe_interval))
+            self.node.publish_interest(Interest(
+                interest_id="verification",
+                query=_every("verification", self.config.verification_interval),
+                group="all", period=self.config.verification_interval))
             self._housekeeping()
 
     def _housekeeping(self) -> None:
@@ -179,37 +190,11 @@ class Engine:
     def register_host(self, host: str) -> None:
         self._record("host_up", {"host": host})
         self.store.handle_reconnect(host)
-        old = self._verify_timers.pop(host, None)
-        if old is not None:
-            self.scheduler.cancel(old)
-        self._verify_timers[host] = self.scheduler.call_later(
-            self.config.verification_interval, self._verify_tick, host)
 
     @_entry_point
     def deregister_host(self, host: str) -> None:
         self._record("host_down", {"host": host})
         self.store.handle_disconnect(host)
-        timer = self._verify_timers.pop(host, None)
-        if timer is not None:
-            self.scheduler.cancel(timer)
-        iid = self._verify_iid.pop(host, None)
-        if iid is not None:
-            self.node.retract_interest(iid)
-
-    def _verify_tick(self, host: str) -> None:
-        if self._shut_down or not self.store.is_connected(host):
-            self._verify_timers.pop(host, None)
-            return
-        previous = self._verify_iid.get(host)
-        if previous is not None:
-            self.node.retract_interest(previous)
-        iid = f"verify/{host}/{next(self._verify_seq)}"
-        self._verify_iid[host] = iid
-        self.node.publish_interest(Interest(
-            interest_id=iid, query="verification",
-            group=host_group(host), one_time=True))
-        self._verify_timers[host] = self.scheduler.call_later(
-            self.config.verification_interval, self._verify_tick, host)
 
     def shutdown(self) -> None:
         """Finalize parked flows (each exactly once) and flush every sink."""
@@ -217,9 +202,6 @@ class Engine:
             if self._shut_down:
                 return
             self._shut_down = True
-            for timer in self._verify_timers.values():
-                self.scheduler.cancel(timer)
-            self._verify_timers.clear()
             if self._housekeeping_timer is not None:
                 self.scheduler.cancel(self._housekeeping_timer)
             self.correlator.flush()
@@ -315,10 +297,6 @@ class Engine:
 
     # -- introspection -------------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._shut_down
-
     def metrics_snapshot(self) -> dict:
         with self.lock:
             out = self.metrics.snapshot()
@@ -377,12 +355,11 @@ def run_simulation(config: EngineConfig, workload,
 # --- replay -------------------------------------------------------------------------
 
 
-def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
-    """Schedule recorded inputs onto the engine's scheduler at their original
-    times; the caller then drives the scheduler.  Returns the entry count.
-    A malformed entry raises `LogFormatError` naming its position (from 1)
-    and the cause; the entries before it stay scheduled."""
-    n = 0
+def decode_inputs(entries: Iterable[dict]) -> Iterator[tuple]:
+    """Decode recorded inputs, in order, into `(t, entry point, args)`: the
+    time and the `Engine` method name and arguments that replay each one;
+    an unknown kind yields a `None` entry point.  A malformed entry raises
+    `LogFormatError` naming its position (from 1) and the cause."""
     for pos, entry in enumerate(entries, 1):
         try:
             t = float(entry["t"])
@@ -390,29 +367,42 @@ def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
             data = entry["data"]
             topic = entry.get("topic", "")
             if kind == "flow":
-                engine.scheduler.call_at(t, engine.submit_flow,
-                                         FlowRecord.from_dict(data))
+                yield t, "submit_flow", (FlowRecord.from_dict(data),)
             elif kind == "download":
-                engine.scheduler.call_at(t, engine.submit_download,
-                                         DownloadEvent.from_dict(data))
+                yield t, "submit_download", (DownloadEvent.from_dict(data),)
             elif kind == "host_up":
-                engine.scheduler.call_at(t, engine.register_host, data["host"])
+                yield t, "register_host", (data["host"],)
             elif kind == "host_down":
-                engine.scheduler.call_at(t, engine.deregister_host, data["host"])
+                yield t, "deregister_host", (data["host"],)
             elif kind == "host_event":
-                engine.scheduler.call_at(t, engine.ingest_result, topic,
-                                         HostEvent.from_dict(data))
+                yield t, "ingest_result", (topic, HostEvent.from_dict(data))
             elif kind == "snapshot":
-                engine.scheduler.call_at(t, engine.ingest_result, topic,
-                                         SnapshotBatch.from_dict(data))
+                yield t, "ingest_result", (topic, SnapshotBatch.from_dict(data))
             elif kind == "query_error":
-                engine.scheduler.call_at(t, engine.ingest_result, topic,
-                                         QueryErrorResult.from_dict(data))
+                yield t, "ingest_result", (topic, QueryErrorResult.from_dict(data))
             else:
-                engine.counters["replay_unknown_kind"] += 1
-                continue
+                yield t, None, ()
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise LogFormatError(
                 f"inputs entry {pos}: {type(exc).__name__}: {exc}") from exc
-        n += 1
+
+
+def schedule_decoded(engine: Engine, decoded: Iterable[tuple]) -> int:
+    """Schedule `decode_inputs` output onto the engine's scheduler at the
+    original times; the caller then drives the scheduler.  Returns the
+    count scheduled; unknown kinds are counted in `replay_unknown_kind`."""
+    n = 0
+    for t, method, args in decoded:
+        if method is None:
+            engine.counters["replay_unknown_kind"] += 1
+        else:
+            engine.scheduler.call_at(t, getattr(engine, method), *args)
+            n += 1
     return n
+
+
+def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
+    """Decode and schedule recorded inputs; returns the entry count.  A
+    malformed entry raises `LogFormatError`; the entries before it stay
+    scheduled."""
+    return schedule_decoded(engine, decode_inputs(entries))

@@ -56,7 +56,6 @@ class TableKind(str, Enum):
 class Action(str, Enum):
     ADDED = "added"
     REMOVED = "removed"
-    SNAPSHOT = "snapshot"
 
 
 class MatchQuality(str, Enum):
@@ -304,11 +303,8 @@ def payload_from_dict(d: dict[str, Any]) -> Any:
 
 @dataclass(frozen=True)
 class HostEvent:
-    """One telemetry record from a host.
-
-    action=SNAPSHOT rows only travel inside a snapshot batch (batch_id set);
-    tls_keys payloads are carried opaquely and never interpreted.
-    """
+    """One telemetry record from a host; tls_keys payloads are carried
+    opaquely and never interpreted."""
 
     host: str
     table: TableKind
@@ -376,6 +372,28 @@ class SnapshotBatch:
             response_topic=d.get("response_topic", ""),
             verification=bool(d.get("verification", False)),
         )
+
+
+@dataclass(frozen=True)
+class QueryErrorResult:
+    """Agent-side failure executing a scheduled or one-time query."""
+
+    host: str
+    query: str
+    error: str
+    response_topic: str = ""
+    event_time: float = 0.0
+
+    def to_dict(self) -> dict:
+        return {"host": self.host, "query": self.query, "error": self.error,
+                "response_topic": self.response_topic,
+                "event_time": self.event_time}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "QueryErrorResult":
+        return cls(host=d["host"], query=d["query"], error=d["error"],
+                   response_topic=d.get("response_topic", ""),
+                   event_time=float(d.get("event_time", 0.0)))
 
 
 def _endpoint_eq(sock_addr: str | None, sock_port: int | None,

@@ -1,5 +1,5 @@
 """Operational surface for a running engine: a local HTTP endpoint serving
-counters and state dumps, plus periodic metrics snapshots to a file.
+counters and state dumps, a TCP flow feed, and metrics snapshots to a file.
 
 GET /metrics      flattened plain-text counters, one "name value" per line
 GET /metrics.json the full nested snapshot as JSON
@@ -134,26 +134,3 @@ def write_metrics_snapshot(engine, path: str) -> None:
         json.dump(engine.metrics_snapshot(), fh, sort_keys=True, indent=1)
         fh.write("\n")
     os.replace(tmp, path)
-
-
-def start_metrics_snapshots(engine, path: str, interval: float):
-    """Periodically write the metrics snapshot to `path`.
-
-    Returns a zero-argument cancel function.
-    """
-    handle = [None]
-    cancelled = [False]
-
-    def _tick() -> None:
-        if cancelled[0] or engine.closed:
-            return
-        write_metrics_snapshot(engine, path)
-        handle[0] = engine.scheduler.call_later(interval, _tick)
-
-    def cancel() -> None:
-        cancelled[0] = True
-        if handle[0] is not None:
-            engine.scheduler.cancel(handle[0])
-
-    handle[0] = engine.scheduler.call_later(interval, _tick)
-    return cancel

@@ -15,7 +15,6 @@ from flowlink.agents import (
     PID_UDPD,
     ActionKind,
     FleetSimulator,
-    QueryErrorResult,
     ScenarioHook,
     ScenarioKind,
     SimAgent,
@@ -32,6 +31,7 @@ from flowlink.model import (
     HostEvent,
     ProcessInfo,
     Proto,
+    QueryErrorResult,
     SnapshotBatch,
     SocketInfo,
     Source,

@@ -119,6 +119,21 @@ def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
     assert "entry 2" in err and cause in err
 
 
+def test_refused_replay_leaves_earlier_logs_untouched(tmp_path, capsys):
+    bad = tmp_path / "inputs.log"
+    bad.write_text("#flowlink inputs v1\n"
+                   '{"t": 0.5, "kind": "host_up", "data": {"host": "h1"}}\n'
+                   "[1, 2]\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = {"conn.log": b"earlier flows\n", "alerts.log": b"earlier alerts\n"}
+    for name, data in earlier.items():
+        (out / name).write_bytes(data)
+    assert main(["replay", "--inputs", str(bad), "--log-dir", str(out)]) == 2
+    assert "entry 2" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
 def test_replay_names_the_line_of_bad_json(tmp_path, capsys):
     bad = tmp_path / "inputs.log"
     bad.write_text("#flowlink inputs v1\n"
@@ -221,6 +236,34 @@ def test_run_rejects_out_of_range_metrics_port_before_opening_logs(tmp_path, cap
     assert not log_dir.exists()
 
 
+@pytest.mark.parametrize("interval", ["0", "-0.5", "nan"])
+def test_run_rejects_non_positive_metrics_interval_before_opening_logs(
+        tmp_path, capsys, interval):
+    log_dir = tmp_path / "logs"
+    assert _main_in_thread(["run", "--log-dir", str(log_dir), "--metrics-interval",
+                            interval, "--duration", "1"], 10) == 2
+    assert "--metrics-interval" in capsys.readouterr().err
+    assert not log_dir.exists()
+
+
+def test_run_writes_metrics_file_while_running(tmp_path):
+    metrics = tmp_path / "logs" / "metrics.json"
+    seen = {}
+
+    def wait_for_snapshot():
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and not metrics.exists():
+            time.sleep(0.05)
+        seen["snapshot"] = metrics.exists()
+
+    # --duration outlasts the wait, so a file found there is a periodic one
+    assert _main_in_thread(["run", "--log-dir", str(tmp_path / "logs"),
+                            "--metrics-interval", "0.3", "--duration", "3"], 15,
+                           wait_for_snapshot) == 0
+    assert seen["snapshot"]
+    assert json.loads(metrics.read_text())["per_proto"]["tcp"]["flows"] == 0
+
+
 def test_run_reports_busy_port(tmp_path, capsys):
     keeper = socket.socket()
     keeper.bind(("127.0.0.1", 0))
@@ -303,6 +346,20 @@ def test_bench_cli_writes_machine_readable_report(tmp_path):
     assert report["version"] == "bench-report v1"
     assert report["throughput"]["hosts"] == 2
     assert report["memory"]["slope_bytes_per_host"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rate", "0"], ["--memory-hosts", "1,x"], ["--memory-hosts", "100"],
+    ["--memory-hosts", "0,5"], ["--producers", "0"], ["--queue-capacity", "0"],
+    ["--hosts", "-1"], ["--seconds", "0"],
+], ids=" ".join)
+def test_bench_rejects_bad_argument_before_running(monkeypatch, capsys, argv):
+    def must_not_run(**_kw):
+        raise AssertionError("bench ran despite a bad argument")
+    monkeypatch.setattr("flowlink.cli.run_bench", must_not_run)
+    assert main(["bench", "--seconds", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {argv[0]} ")
 
 
 def test_dump_state_reports_unreachable_endpoint(capsys):

@@ -15,6 +15,7 @@ from flowlink.engine import (Engine, EngineOutputs, open_outputs, run_simulation
 from flowlink.flowlog import (DownloadEvent, FlowRecord, LogFormatError, read_alerts,
                               read_enriched, read_inputs)
 from flowlink.model import FlowTuple, Proto
+from flowlink.overlay import parse_query
 from flowlink.runtime import EventLoop, WallScheduler
 
 
@@ -114,6 +115,72 @@ def test_crash_purged_within_one_verification_interval():
     loop.run_until(29.9)
     assert pid in engine.store.view(host).processes  # still unverified
     loop.run_until(31.0)  # first verification probe has answered by now
+    assert pid not in engine.store.view(host).processes
+    assert all(k[0] != pid for k in engine.store.view(host).sockets)
+    engine.shutdown()
+
+
+def _live_fleet(w, engine, loop):
+    from flowlink.agents import FleetSimulator
+    fleet = FleetSimulator(w, loop, engine.node, flow_sink=engine.submit_flow,
+                           register_host=engine.register_host,
+                           deregister_host=engine.deregister_host)
+    engine.start()
+    fleet.start()
+
+
+@pytest.mark.parametrize("hosts", [1, 4])
+def test_verification_is_one_standing_interest_for_the_fleet(hosts):
+    loop = EventLoop()
+    engine = Engine(config(verification_interval=5.0), loop)
+    passes = []
+
+    def on_result(_topic, payload):
+        if getattr(payload, "verification", False):
+            passes.append(payload.host)
+    engine.node.add_result_handler(on_result)
+    _live_fleet(build_workload(spec(hosts=hosts, duration=20.0, event_rate=0.0)),
+                engine, loop)
+    loop.run_until(3 * 5.0 + 1.0)
+    assert sorted(passes) == sorted(engine.store.hosts() * 3)  # each host, each interval
+    verification = [i for i in engine.node.stored_interests().values()
+                    if i.query.startswith("verification")]
+    assert len(verification) == 1
+    (interest,) = verification
+    assert interest.group == "all" and not interest.one_time
+    assert interest.period == 5.0
+    assert not interest.interest_id.startswith("q/")  # not a detector query
+    engine.shutdown()
+
+
+@pytest.mark.parametrize("period", [30.0, 2.5, 2e6, 1e-5])
+def test_scheduled_interests_parse_to_their_period(period):
+    loop = EventLoop()
+    engine = Engine(config(verification_interval=period, probe_interval=period), loop)
+    engine.start()
+    loop.run_until(0.01)  # the proxy stores what start() published
+    scheduled = [i for i in engine.node.stored_interests().values()
+                 if i.period == period]
+    assert len(scheduled) == 6  # five probed tables and verification
+    for interest in scheduled:
+        assert parse_query(interest.query).every == pytest.approx(period)
+    engine.shutdown()
+
+
+def test_reconnected_host_purges_crash_within_one_verification_interval():
+    reconnect_at = 8.0
+    w = build_workload(spec(
+        hosts=1, duration=50.0, event_rate=0.0,
+        scenarios=[ScenarioHook(ScenarioKind.HOST_RECONNECT, 5.0,
+                                params={"down": reconnect_at - 5.0}),
+                   ScenarioHook(ScenarioKind.PROCESS_CRASH, 9.0)]))
+    crash_t, host, pid = w.truth.crashes[0]
+    loop = EventLoop()
+    engine = Engine(config(verification_interval=30.0), loop)
+    _live_fleet(w, engine, loop)
+    loop.run_until(crash_t + 1.0)
+    assert pid in engine.store.view(host).processes  # crash is silent
+    loop.run_until(reconnect_at + 30.0 + 0.1)
     assert pid not in engine.store.view(host).processes
     assert all(k[0] != pid for k in engine.store.view(host).sockets)
     engine.shutdown()
