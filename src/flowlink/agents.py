@@ -78,10 +78,6 @@ class ScenarioHook:
     host: str = ""              # defaults to the first host (or hosts for chains)
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "at": self.at, "host": self.host,
-                "params": self.params}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioHook":
         return cls(kind=ScenarioKind(d["kind"]), at=float(d["at"]),
@@ -118,11 +114,6 @@ class WorkloadSpec:
         if self.udp_sockets_per_host and self.duration < 3 * self.probe_interval:
             raise ValueError("duration: need >= 3 probe intervals for "
                              "probe-visibility sockets")
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["scenarios"] = [s.to_dict() for s in self.scenarios]
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":
@@ -231,7 +222,6 @@ class FlowTruth:
     pid: int
     uid: int
     spans_probe: Optional[bool] = None   # set for probe-visibility-only sockets
-    racy: bool = False
 
 
 @dataclass
@@ -746,10 +736,12 @@ class SimAgent:
     """One simulated host: OS tables plus schedule execution.
 
     The fleet driver applies `SimAction`s; audit events and query results
-    leave through `emit` (normally the proxy's `route_result`).
+    leave through `emit(topic, record)` (normally the proxy's
+    `route_result`).
     """
 
-    def __init__(self, init: HostInit, scheduler, emit: Callable = lambda r: None,
+    def __init__(self, init: HostInit, scheduler,
+                 emit: Callable = lambda topic, record: None,
                  home_topic: str = "node/engine"):
         self.init = init
         self.host = init.name
@@ -791,7 +783,7 @@ class SimAgent:
 
     def _emit_stream(self, ev: HostEvent) -> None:
         for topic in self._stream_topics.get(ev.table, ()):
-            self.emit(replace(ev, response_topic=topic))
+            self.emit(topic, ev)
             self.counters["events_emitted"] += 1
 
     # -- connection lifecycle ----------------------------------------------------
@@ -802,7 +794,7 @@ class SimAgent:
         self.connected = True
         now = self.scheduler.now() if self.scheduler else 0.0
         for batch in self.initial_batches(now):
-            self.emit(batch)
+            self.emit(self.home_topic, batch)
         proxy.connect_agent(self.host, groups, self.on_delta)
 
     def disconnect(self, proxy=None) -> None:
@@ -820,7 +812,7 @@ class SimAgent:
         out = []
         for table in STATE_TABLE_ORDER:
             rows = self._snapshot_rows(table.value, None, now)
-            out.append(self._batch(table, rows, now, self.home_topic))
+            out.append(self._batch(table, rows, now))
         return out
 
     # -- schedule execution ---------------------------------------------------------
@@ -902,25 +894,21 @@ class SimAgent:
             self._emit_error(query, f"unknown table {parsed.table!r}", topics)
             return
         rows = self._snapshot_rows(parsed.table, parsed, now)
-        verification = parsed.table == TableKind.VERIFICATION.value
         table = TableKind(parsed.table)
         for topic in sorted(topics):
-            self.emit(self._batch(table, rows, now, topic,
-                                  verification=verification))
+            self.emit(topic, self._batch(table, rows, now))
 
     def _emit_error(self, query: str, error: str, topics) -> None:
         self.counters["query_errors"] += 1
         now = self.scheduler.now() if self.scheduler else 0.0
         for topic in sorted(topics):
-            self.emit(QueryErrorResult(host=self.host, query=query, error=error,
-                                       response_topic=topic, event_time=now))
+            self.emit(topic, QueryErrorResult(host=self.host, query=query,
+                                              error=error, event_time=now))
 
-    def _batch(self, table: TableKind, rows, now: float, topic: str,
-               verification: bool = False) -> SnapshotBatch:
+    def _batch(self, table: TableKind, rows, now: float) -> SnapshotBatch:
         self._batch_id += 1
         return SnapshotBatch(host=self.host, table=table, batch_id=self._batch_id,
-                             rows=tuple(rows), event_time=now,
-                             response_topic=topic, verification=verification)
+                             rows=tuple(rows), event_time=now)
 
     # -- table queries -----------------------------------------------------------------
 

@@ -115,7 +115,7 @@ class AttributionResult:
 
 
 def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
-                           flow_end: float, ambiguity_window: float) -> list[Candidate]:
+                           ambiguity_window: float) -> list[Candidate]:
     """Build candidates for one matching socket, including the pre-exec image
     when the socket was created close enough to an exec transition that the
     owning image is ambiguous."""
@@ -169,7 +169,7 @@ def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
                     if quality is MatchQuality.NONE:
                         continue
                     cands = _candidate_from_socket(state, sock, quality,
-                                                   flow_end, ambiguity_window)
+                                                   ambiguity_window)
                     bucket = exact if quality is MatchQuality.EXACT else partial
                     bucket.extend((sock.first_seen, c) for c in cands)
         chosen = exact if exact else partial

@@ -259,7 +259,7 @@ class Engine:
             self.counters["unroutable_results"] += 1
 
     def _dispatch_batch(self, batch: SnapshotBatch, now: float) -> None:
-        if batch.verification or batch.table is TableKind.VERIFICATION:
+        if batch.table is TableKind.VERIFICATION:
             try:
                 self.store.verify(batch)
             except StateError:

@@ -73,17 +73,7 @@ class FlowRecord:
     @classmethod
     def from_fields(cls, values: dict[str, str]) -> "FlowRecord":
         try:
-            return cls(
-                ts=float(values["ts"]), uid=values["uid"],
-                orig_h=values["orig_h"], orig_p=int(values["orig_p"]),
-                resp_h=values["resp_h"], resp_p=int(values["resp_p"]),
-                proto=Proto(values["proto"]),
-                duration=float(values.get("duration", "0") or 0),
-                orig_bytes=int(values.get("orig_bytes", "0") or 0),
-                resp_bytes=int(values.get("resp_bytes", "0") or 0),
-                orig_pkts=int(values.get("orig_pkts", "0") or 0),
-                resp_pkts=int(values.get("resp_pkts", "0") or 0),
-            )
+            return cls.from_dict(values)
         except (KeyError, ValueError) as exc:
             raise LogFormatError(f"bad flow row {values!r}: {exc}") from exc
 
@@ -97,9 +87,18 @@ class FlowRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowRecord":
-        d = dict(d)
-        d["proto"] = Proto(d["proto"])
-        return cls(**d)
+        """Convert every field; an absent or empty optional one reads as 0."""
+        return cls(
+            ts=float(d["ts"]), uid=str(d["uid"]),
+            orig_h=d["orig_h"], orig_p=int(d["orig_p"]),
+            resp_h=d["resp_h"], resp_p=int(d["resp_p"]),
+            proto=Proto(d["proto"]),
+            duration=float(d.get("duration") or 0),
+            orig_bytes=int(d.get("orig_bytes") or 0),
+            resp_bytes=int(d.get("resp_bytes") or 0),
+            orig_pkts=int(d.get("orig_pkts") or 0),
+            resp_pkts=int(d.get("resp_pkts") or 0),
+        )
 
 
 # --- header handling --------------------------------------------------------------

@@ -311,8 +311,6 @@ class HostEvent:
     action: Action
     payload: Any
     event_time: float
-    response_topic: str = ""
-    batch_id: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -320,8 +318,6 @@ class HostEvent:
             "action": self.action.value,
             "payload": payload_to_dict(self.payload),
             "event_time": self.event_time,
-            "response_topic": self.response_topic,
-            "batch_id": self.batch_id,
         }
 
     @classmethod
@@ -331,8 +327,6 @@ class HostEvent:
             action=Action(d["action"]),
             payload=payload_from_dict(d["payload"]),
             event_time=float(d["event_time"]),
-            response_topic=d.get("response_topic", ""),
-            batch_id=d.get("batch_id"),
         )
 
 
@@ -340,8 +334,8 @@ class HostEvent:
 class SnapshotBatch:
     """A complete table snapshot from one probe of a host.
 
-    verification=True marks the atomic process+socket probe used to purge
-    entries that vanished without a removal event.
+    A batch of the `verification` table is the atomic process+socket probe
+    used to purge entries that vanished without a removal event.
     """
 
     host: str
@@ -349,8 +343,6 @@ class SnapshotBatch:
     batch_id: int
     rows: tuple = ()
     event_time: float = 0.0
-    response_topic: str = ""
-    verification: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -358,8 +350,6 @@ class SnapshotBatch:
             "batch_id": self.batch_id,
             "rows": [payload_to_dict(r) for r in self.rows],
             "event_time": self.event_time,
-            "response_topic": self.response_topic,
-            "verification": self.verification,
         }
 
     @classmethod
@@ -369,8 +359,6 @@ class SnapshotBatch:
             batch_id=int(d["batch_id"]),
             rows=tuple(payload_from_dict(r) for r in d["rows"]),
             event_time=float(d["event_time"]),
-            response_topic=d.get("response_topic", ""),
-            verification=bool(d.get("verification", False)),
         )
 
 
@@ -381,18 +369,15 @@ class QueryErrorResult:
     host: str
     query: str
     error: str
-    response_topic: str = ""
     event_time: float = 0.0
 
     def to_dict(self) -> dict:
         return {"host": self.host, "query": self.query, "error": self.error,
-                "response_topic": self.response_topic,
                 "event_time": self.event_time}
 
     @classmethod
     def from_dict(cls, d: dict) -> "QueryErrorResult":
         return cls(host=d["host"], query=d["query"], error=d["error"],
-                   response_topic=d.get("response_topic", ""),
                    event_time=float(d.get("event_time", 0.0)))
 
 

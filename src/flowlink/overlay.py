@@ -146,7 +146,6 @@ class Interest:
     one_time: bool = False
     period: float = 0.0
     response_topic: str = ""
-    origin: str = ""
 
     def __post_init__(self):
         if not self.one_time and self.period <= 0:
@@ -155,16 +154,6 @@ class Interest:
     @property
     def mode_key(self) -> tuple:
         return (self.query, self.one_time, self.period)
-
-    def to_dict(self) -> dict:
-        return {"interest_id": self.interest_id, "query": self.query,
-                "group": self.group, "one_time": self.one_time,
-                "period": self.period, "response_topic": self.response_topic,
-                "origin": self.origin}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Interest":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -206,8 +195,6 @@ class InProcessBus:
         self.scheduler = scheduler
         self.latency = latency
         self._subs: dict[str, dict[str, Callable]] = {}
-        self.published = 0
-        self.delivered = 0
 
     def subscribe(self, topic: str, subscriber_id: str, callback: Callable) -> None:
         self._subs.setdefault(topic, {})[subscriber_id] = callback
@@ -220,11 +207,9 @@ class InProcessBus:
                 del self._subs[topic]
 
     def publish(self, topic: str, payload) -> int:
-        self.published += 1
         subs = list(self._subs.get(topic, {}).values())
         for cb in subs:
             self.scheduler.call_later(self.latency, cb, topic, payload)
-        self.delivered += len(subs)
         return len(subs)
 
 
@@ -277,8 +262,6 @@ class OverlayNode:
         self._require(Role.AUTHORITATIVE)
         if not interest.response_topic:
             interest = replace(interest, response_topic=self.topic)
-        if not interest.origin:
-            interest = replace(interest, origin=self.node_id)
         self.bus.publish(TOPIC_INTERESTS, ("publish", interest))
         return interest
 
@@ -420,13 +403,14 @@ class OverlayNode:
 
     # ---- proxy: result routing ----------------------------------------------------
 
-    def route_result(self, ev) -> int:
+    def route_result(self, topic: str, record) -> int:
+        """Publish an agent's `record` on its response `topic`; an empty or
+        unsubscribed topic is a dead letter."""
         self._require(Role.PROXY)
-        topic = getattr(ev, "response_topic", "")
         if not topic:
             self.counters["dead_letter"] += 1
             return 0
-        n = self.bus.publish(topic, ev)
+        n = self.bus.publish(topic, record)
         if n == 0:
             self.counters["dead_letter"] += 1
         else:

@@ -213,7 +213,7 @@ class HostStateStore:
     def merge_snapshot(self, batch: SnapshotBatch) -> None:
         """Upsert a probe's rows; absence from a plain snapshot removes
         nothing (that is verification's job)."""
-        if batch.verification:
+        if batch.table is TableKind.VERIFICATION:
             raise StateError("verification batches must go through verify()")
         st = self._live(batch.host)
         if st is None:

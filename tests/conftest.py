@@ -60,9 +60,9 @@ def user_ev(payload, action=Action.ADDED, t=1.0) -> HostEvent:
     return ev(payload, TableKind.USERS, action, t)
 
 
-def snapshot(host, table, rows, batch_id=1, t=1.0, verification=False) -> SnapshotBatch:
+def snapshot(host, table, rows, batch_id=1, t=1.0) -> SnapshotBatch:
     return SnapshotBatch(host=host, table=table, batch_id=batch_id,
-                         rows=tuple(rows), event_time=t, verification=verification)
+                         rows=tuple(rows), event_time=t)
 
 
 def hash_row(host, path, sha) -> FileHashRecord:

@@ -2,7 +2,9 @@
 agent-side query surface."""
 
 import collections
+import dataclasses
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +210,8 @@ def test_audit_local_censoring_strips_endpoint_from_events_only():
 def test_spec_roundtrip_and_unknown_field():
     s = spec(hosts=2, scenarios=[ScenarioHook(ScenarioKind.SHORT_SOCKET, 5.0,
                                               host="h001")])
-    again = WorkloadSpec.from_dict(s.to_dict())
+    # a workload section as read from a JSON config file
+    again = WorkloadSpec.from_dict(json.loads(json.dumps(dataclasses.asdict(s))))
     assert again == s
     with pytest.raises(ValueError, match="bogus"):
         WorkloadSpec.from_dict({"bogus": 1})
@@ -502,7 +505,7 @@ def test_verification_snapshot_is_flagged_and_atomic():
     connect(loop, node, agent)
     loop.run_until(1.0)
     got = batches(inbox, topic="collect")
-    assert len(got) == 1 and got[0].verification
+    assert len(got) == 1 and got[0].table is TableKind.VERIFICATION
     kinds = {type(r) for r in got[0].rows}
     assert kinds == {ProcessInfo, SocketInfo}
 

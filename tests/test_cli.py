@@ -107,6 +107,11 @@ def test_replay_refuses_garbage_inputs(tmp_path, capsys):
     ("[1, 2]", "TypeError"),
     ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
      '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2}}', "proto"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": "abc", "uid": "F1", "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, "proto": "tcp"}}', "ValueError"),
+    ('{"t": 1.0, "kind": "flow", "data": {"duration": [0.5], "ts": 1.0, "uid": "F1", '
+     '"orig_h": "10.0.0.1", "orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, '
+     '"proto": "tcp"}}', "TypeError"),
 ])
 def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
     bad = tmp_path / "inputs.log"
@@ -117,6 +122,19 @@ def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
                  "--log-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "entry 2" in err and cause in err
+
+
+def test_replay_converts_numeric_text_in_a_flow_entry(tmp_path):
+    inputs = tmp_path / "inputs.log"
+    inputs.write_text(
+        "#flowlink inputs v1\n"
+        '{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
+        '"orig_p": "1", "resp_h": "10.0.0.2", "resp_p": 2, "proto": "tcp", '
+        '"duration": "0.5"}}\n')
+    out = tmp_path / "out"
+    assert main(["replay", "--inputs", str(inputs), "--log-dir", str(out)]) == 0
+    (row,) = _enriched_rows(out / "conn.log")
+    assert row["duration"] == "0.500000" and row["orig_p"] == "1"
 
 
 def test_refused_replay_leaves_earlier_logs_untouched(tmp_path, capsys):

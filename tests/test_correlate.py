@@ -660,7 +660,7 @@ def run_retry_world(correlator_cls, ops, max_parked):
             host, rows = arg
             try:
                 store.verify(snapshot(host, TableKind.VERIFICATION, rows, batch_id=i,
-                                      t=now, verification=True))
+                                      t=now))
             except StateError:
                 pass
         elif name == "flow":

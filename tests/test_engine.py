@@ -1,6 +1,7 @@
 """End-to-end engine behaviour over the simulated fleet."""
 
 import io
+import json
 import threading
 
 import pytest
@@ -10,12 +11,12 @@ from flowlink import correlate
 from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_workload
 from flowlink.config import EngineConfig
 from flowlink.detect import ATTACHMENT_EXECUTED, STEPPING_STONE
-from flowlink.engine import (Engine, EngineOutputs, open_outputs, run_simulation,
-                             schedule_replay)
+from flowlink.engine import (ENGINE_NODE_ID, Engine, EngineOutputs, open_outputs,
+                             run_simulation, schedule_replay)
 from flowlink.flowlog import (DownloadEvent, FlowRecord, LogFormatError, read_alerts,
                               read_enriched, read_inputs)
-from flowlink.model import FlowTuple, Proto
-from flowlink.overlay import parse_query
+from flowlink.model import FlowTuple, Proto, TableKind
+from flowlink.overlay import Interest, node_topic, parse_query
 from flowlink.runtime import EventLoop, WallScheduler
 
 
@@ -123,6 +124,7 @@ def test_crash_purged_within_one_verification_interval():
 def _live_fleet(w, engine, loop):
     from flowlink.agents import FleetSimulator
     fleet = FleetSimulator(w, loop, engine.node, flow_sink=engine.submit_flow,
+                           download_sink=engine.submit_download,
                            register_host=engine.register_host,
                            deregister_host=engine.deregister_host)
     engine.start()
@@ -136,7 +138,7 @@ def test_verification_is_one_standing_interest_for_the_fleet(hosts):
     passes = []
 
     def on_result(_topic, payload):
-        if getattr(payload, "verification", False):
+        if getattr(payload, "table", None) is TableKind.VERIFICATION:
             passes.append(payload.host)
     engine.node.add_result_handler(on_result)
     _live_fleet(build_workload(spec(hosts=hosts, duration=20.0, event_rate=0.0)),
@@ -368,6 +370,74 @@ def test_record_then_replay_reproduces_logs_byte_identical():
     assert out2.flows.getvalue() == out1.flows.getvalue()
     assert out2.alerts.getvalue() == out1.alerts.getvalue()
     assert engine2.counters["flows_out"] == engine1.counters["flows_out"]
+
+
+RETIRED_KEYS = {"host_event": ("response_topic", "batch_id"),
+                "snapshot": ("response_topic", "verification"),
+                "query_error": ("response_topic",)}
+
+
+def _recorded_fleet_run():
+    """A recorded fleet run whose inputs hold every agent result kind: the
+    hosts also answer a one-time query for a table no agent has."""
+    w = build_workload(spec(
+        hosts=2, duration=20.0, event_rate=2.0, flow_coupling=0.7, seed=31,
+        scenarios=[ScenarioHook(ScenarioKind.ATTACHMENT_EXEC, 6.0)]))
+    loop = EventLoop()
+    out = outputs()
+    engine = Engine(config(verification_interval=10.0), loop, outputs=out)
+    _live_fleet(w, engine, loop)
+    loop.call_at(5.0, engine.node.publish_interest, Interest(
+        interest_id="bad", query="no_such_table", group="all", one_time=True))
+    loop.run_until(25.0)
+    engine.shutdown()
+    return out
+
+
+def _replay(recorded: list[dict]) -> EngineOutputs:
+    loop = EventLoop()
+    out = EngineOutputs(flows=io.StringIO(), alerts=io.StringIO())
+    engine = Engine(config(verification_interval=10.0), loop, outputs=out)
+    engine.start()
+    schedule_replay(engine, recorded)
+    loop.run_until(25.0)
+    engine.shutdown()
+    return out
+
+
+def test_recorded_results_name_their_topic_once():
+    out = _recorded_fleet_run()
+    entries = list(read_inputs(iter(out.inputs.getvalue().splitlines())))
+    results = [e for e in entries if e["kind"] in RETIRED_KEYS]
+    assert {e["kind"] for e in results} == set(RETIRED_KEYS)
+    for entry in results:
+        assert entry["topic"] == node_topic(ENGINE_NODE_ID)
+        assert not set(RETIRED_KEYS[entry["kind"]]) & set(entry["data"])
+
+
+def test_recordings_with_retired_result_keys_still_replay():
+    """A recording written when agent results carried their response topic,
+    a batch id on events and a verification flag on snapshots replays to
+    the same logs as one without them."""
+    out = _recorded_fleet_run()
+    entries = list(read_inputs(iter(out.inputs.getvalue().splitlines())))
+    older = []
+    for entry in entries:
+        entry = json.loads(json.dumps(entry))
+        data = entry["data"]
+        if entry["kind"] in RETIRED_KEYS:
+            data["response_topic"] = entry["topic"]
+        if entry["kind"] == "host_event":
+            data["batch_id"] = None
+        elif entry["kind"] == "snapshot":
+            data["verification"] = data["table"] == "verification"
+        older.append(entry)
+    assert any(e["data"].get("verification") for e in older)
+    new, old = _replay(entries), _replay(older)
+    assert enriched_rows(out) and alert_rows(out)
+    for replayed in (new, old):
+        assert replayed.flows.getvalue() == out.flows.getvalue()
+        assert replayed.alerts.getvalue() == out.alerts.getvalue()
 
 
 def test_calls_after_shutdown_are_refused_and_counted(tmp_path):

@@ -134,10 +134,9 @@ def mesh(n_auth=1, n_proxy=1):
 
 
 def interest(iid, query="processes", group=DEFAULT_GROUP, one_time=False,
-             period=30.0, topic="", origin=""):
+             period=30.0, topic=""):
     return Interest(interest_id=iid, query=query, group=group, one_time=one_time,
-                    period=0.0 if one_time else period,
-                    response_topic=topic, origin=origin)
+                    period=0.0 if one_time else period, response_topic=topic)
 
 
 def oracle_schedule(interests, groups) -> frozenset[ScheduleEntry]:
@@ -192,10 +191,7 @@ def test_shared_response_topic_consolidates_and_fans_out():
     (entry,) = stub.entries.values()
     assert entry.response_topics == {"results/shared"}
 
-    class Result:
-        response_topic = "results/shared"
-
-    proxy.route_result(Result())
+    proxy.route_result("results/shared", object())
     loop.run_until_idle()
     assert a1.counters["results_received"] == 1
     assert a2.counters["results_received"] == 1
@@ -282,17 +278,13 @@ def test_retract_unknown_interest_is_warned_noop():
 def test_route_result_delivery_and_dead_letter():
     loop, bus, (auth,), (proxy,) = mesh()
     got = []
-    auth.add_result_handler(lambda topic, ev: got.append(ev))
-
-    class Result:
-        def __init__(self, topic):
-            self.response_topic = topic
-
-    assert proxy.route_result(Result(auth.topic)) == 1
+    auth.add_result_handler(lambda topic, ev: got.append((topic, ev)))
+    record = object()
+    assert proxy.route_result(auth.topic, record) == 1
     loop.run_until_idle()
-    assert len(got) == 1
-    assert proxy.route_result(Result("nobody/listens")) == 0
-    assert proxy.route_result(Result("")) == 0
+    assert got == [(auth.topic, record)]
+    assert proxy.route_result("nobody/listens", object()) == 0
+    assert proxy.route_result("", object()) == 0
     assert proxy.counters["dead_letter"] == 2
 
 
@@ -315,7 +307,6 @@ def test_default_response_topic_is_origin_topic():
     loop, bus, (auth,), (proxy,) = mesh()
     published = auth.publish_interest(interest("i1"))
     assert published.response_topic == auth.topic
-    assert published.origin == "auth0"
 
 
 def test_host_group_targets_single_agent():

@@ -233,7 +233,7 @@ def test_crashed_process_purged_by_verification():
     s.apply_event(proc_ev(make_proc(pid=200, start=2.0), t=2.0))
     report = s.verify(snapshot("h1", TableKind.VERIFICATION,
                                [make_proc(pid=200, start=2.0, source=Source.STATUS)],
-                               t=30.0, verification=True))
+                               t=30.0))
     assert report.removed_processes == [100]
     assert set(s.view("h1").processes) == {200}
 
@@ -246,7 +246,7 @@ def test_verify_fixed_point_refreshes_last_verified():
         make_proc(pid=100, source=Source.STATUS),
         make_sock(pid=100, fd=5, source=Source.STATUS,
                   local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
-    ], t=30.0, verification=True))
+    ], t=30.0))
     assert report.removed_processes == [] and report.removed_sockets == []
     view = s.view("h1")
     assert view.processes[100].last_verified == 30.0
@@ -259,7 +259,7 @@ def test_broken_socket_purged_process_kept():
     s.apply_event(sock_ev(make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))))
     report = s.verify(snapshot("h1", TableKind.VERIFICATION,
                                [make_proc(pid=100, source=Source.STATUS)],
-                               t=30.0, verification=True))
+                               t=30.0))
     assert report.removed_sockets == [(100, 5)]
     assert report.removed_processes == []
     assert 100 in s.view("h1").processes
@@ -292,7 +292,7 @@ def test_verify_keeps_records_already_verified_at_its_time():
     held = s.view("h1")
     procs, socks = dict(held.processes), dict(held.sockets)   # view() is live state
     s.verify(snapshot("h1", TableKind.VERIFICATION, [proc, sock, make_proc(pid=200, start=2.0)],
-                      t=30.0, verification=True))
+                      t=30.0))
     view = s.view("h1")
     assert view.processes[100] is procs[100]
     assert view.sockets[(100, 5)] is socks[(100, 5)]
@@ -313,7 +313,7 @@ def test_verify_disconnected_host_raises():
     s, _ = store()
     s.handle_disconnect("h1")
     with pytest.raises(StateError):
-        s.verify(snapshot("h1", TableKind.VERIFICATION, [], verification=True))
+        s.verify(snapshot("h1", TableKind.VERIFICATION, []))
 
 
 # --- lifecycle ---------------------------------------------------------------------
@@ -473,9 +473,9 @@ def test_audit_and_status_builds_converge():
         seen_by_status.update(p.pid for p in live)
         status_store.merge_snapshot(snapshot("h1", TableKind.PROCESSES, live, batch_id=bid, t=tp))
         status_store.verify(snapshot("h1", TableKind.VERIFICATION, live,
-                                     batch_id=bid, t=tp, verification=True))
+                                     batch_id=bid, t=tp))
         audit_store.verify(snapshot("h1", TableKind.VERIFICATION, live,
-                                    batch_id=bid, t=tp, verification=True))
+                                    batch_id=bid, t=tp))
         # at probe instants both builds hold exactly the processes alive now
         assert set(audit_store.view("h1").processes) == set(status_store.view("h1").processes)
 
@@ -566,7 +566,7 @@ class RebuildingStore(HostStateStore):
         return []
 
     def merge_snapshot(self, batch):
-        if batch.verification:
+        if batch.table is TableKind.VERIFICATION:
             raise StateError("verification batches must go through verify()")
         st = self._hosts.get(batch.host)
         if st is None or not st.connected:
@@ -760,7 +760,7 @@ def fold_ops(draw):
         elif which == 5:
             rows = draw(st.lists(st.one_of(proc_rows(t), sock_rows(t)), max_size=6))
             ops.append(snapshot("h1", TableKind.VERIFICATION, rows, batch_id=bid,
-                                t=t, verification=True))
+                                t=t))
         elif which == 6:
             ops.append(user_ev(draw(users_), action=draw(actions), t=t))
         elif which == 7:
@@ -797,7 +797,7 @@ def run_fold(s, clock, ops):
                 results.append(s.expire_disconnected())
         elif not hasattr(op, "rows"):
             s.apply_event(op)
-        elif op.verification:
+        elif op.table is TableKind.VERIFICATION:
             try:
                 results.append(s.verify(op))
             except StateError as exc:
