@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import json
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -80,8 +80,38 @@ class ScenarioHook:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioHook":
+        if not isinstance(d, dict):
+            raise ValueError(f"scenarios: expected an object, got {d!r}")
+        for name in ("kind", "at"):
+            if name not in d:
+                raise ValueError(f"scenarios: missing field {name!r}")
+        _check_field("scenario at", d["at"], float)
+        host, params = d.get("host", ""), d.get("params", {})
+        if not isinstance(host, str):
+            raise ValueError(f"scenario host: expected a string, got {host!r}")
+        if not isinstance(params, dict):
+            raise ValueError(f"scenario params: expected an object, got {params!r}")
         return cls(kind=ScenarioKind(d["kind"]), at=float(d["at"]),
-                   host=d.get("host", ""), params=dict(d.get("params", {})))
+                   host=host, params=dict(params))
+
+
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _check_field(name: str, value, kind: type) -> None:
+    """Reject a value that is not of `kind`: an int field takes integers, a
+    float field finite numbers, a bool field true or false.  JSON booleans
+    load as Python bools, which count as no number here."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif isinstance(value, int):
+        ok = kind is not bool
+    elif isinstance(value, float):
+        ok = kind is float and math.isfinite(value)
+    else:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
 
 
 @dataclass
@@ -101,6 +131,9 @@ class WorkloadSpec:
     scenarios: list[ScenarioHook] = field(default_factory=list)
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.name != "scenarios":   # the default's type is the field's type
+                _check_field(f.name, getattr(self, f.name), type(f.default))
         if self.hosts < 0:
             raise ValueError(f"hosts: must be >= 0, got {self.hosts}")
         if self.duration <= 0:
@@ -122,8 +155,10 @@ class WorkloadSpec:
         if unknown:
             raise ValueError(f"unknown workload field {unknown[0]!r}")
         d = dict(d)
-        d["scenarios"] = [ScenarioHook.from_dict(s) if isinstance(s, dict) else s
-                          for s in d.get("scenarios", [])]
+        scenarios = d.get("scenarios", [])
+        if not isinstance(scenarios, list):
+            raise ValueError(f"scenarios: expected a list, got {scenarios!r}")
+        d["scenarios"] = [ScenarioHook.from_dict(s) for s in scenarios]
         spec = cls(**d)
         spec.validate()
         return spec
@@ -181,17 +216,6 @@ class SimAction:
                              dict(self.payload or {}), self.time)
         return None
 
-    def serial(self) -> str:
-        d = {"time": round(self.time, 6), "host": self.host, "kind": self.kind.value,
-             "audit": self.audit, "censor_local": self.censor_local}
-        if self.proc is not None:
-            d["proc"] = self.proc.to_dict()
-        if self.sock is not None:
-            d["sock"] = self.sock.to_dict()
-        if self.payload is not None:
-            d["payload"] = self.payload
-        return json.dumps(d, sort_keys=True)
-
 
 @dataclass
 class HostInit:
@@ -204,15 +228,6 @@ class HostInit:
     processes: list[ProcessInfo]
     sockets: list[SocketInfo]
     files: dict[str, str]           # path -> sha256
-
-    def serial(self) -> str:
-        return json.dumps({
-            "name": self.name, "addr": self.addr,
-            "users": [u.to_dict() for u in self.users],
-            "processes": [p.to_dict() for p in self.processes],
-            "sockets": [s.to_dict() for s in self.sockets],
-            "files": self.files,
-        }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -256,25 +271,6 @@ class Workload:
         init = next(h for h in self.hosts if h.name == host)
         agent = SimAgent(init, scheduler=None)
         return agent.initial_batches(t)
-
-    def stream_lines(self) -> list[str]:
-        """Canonical serialization of everything generated, for byte-level
-        determinism checks."""
-        lines = [h.serial() for h in self.hosts]
-        lines += [a.serial() for a in self.actions]
-        lines += ["\t".join(f.to_row()) for f in self.flows]
-        lines += ["\t".join(d.to_row()) for d in self.downloads]
-        lines += sorted(f"{k}={v}" for k, v in vars_truth(self.truth))
-        return lines
-
-
-def vars_truth(truth: GroundTruth) -> list[tuple[str, str]]:
-    items = [(uid, json.dumps(vars(ft), sort_keys=True))
-             for uid, ft in truth.flows.items()]
-    items += [("alert", json.dumps(a, sort_keys=True))
-              for a in truth.expected_alerts]
-    items += [("crash", json.dumps(c)) for c in truth.crashes]
-    return items
 
 
 def shift_workload(workload: Workload, base: float) -> Workload:
@@ -811,7 +807,7 @@ class SimAgent:
     def initial_batches(self, now: float) -> list[SnapshotBatch]:
         out = []
         for table in STATE_TABLE_ORDER:
-            rows = self._snapshot_rows(table.value, None, now)
+            rows = self._snapshot_rows(table.value, None)
             out.append(self._batch(table, rows, now))
         return out
 
@@ -893,7 +889,7 @@ class SimAgent:
         if self._table_kind(parsed.table) is None:
             self._emit_error(query, f"unknown table {parsed.table!r}", topics)
             return
-        rows = self._snapshot_rows(parsed.table, parsed, now)
+        rows = self._snapshot_rows(parsed.table, parsed)
         table = TableKind(parsed.table)
         for topic in sorted(topics):
             self.emit(topic, self._batch(table, rows, now))
@@ -912,16 +908,16 @@ class SimAgent:
 
     # -- table queries -----------------------------------------------------------------
 
-    def _snapshot_rows(self, table: str, parsed, now: float) -> list:
+    def _snapshot_rows(self, table: str, parsed) -> list:
         if table == TableKind.PROCESSES.value:
-            rows = [replace(p, source=Source.STATUS, last_verified=now)
+            rows = [replace(p, source=Source.STATUS)
                     for _, p in sorted(self.processes.items())]
         elif table == TableKind.PROCESS_OPEN_SOCKETS.value:
-            rows = [replace(s, source=Source.STATUS, last_verified=now)
+            rows = [replace(s, source=Source.STATUS)
                     for _, s in sorted(self.sockets.items())
                     if s.direction is not Direction.LISTENING]
         elif table == TableKind.LISTENING_PORTS.value:
-            rows = [replace(s, source=Source.STATUS, last_verified=now)
+            rows = [replace(s, source=Source.STATUS)
                     for _, s in sorted(self.sockets.items())
                     if s.direction is Direction.LISTENING]
         elif table == TableKind.USERS.value:
@@ -940,9 +936,9 @@ class SimAgent:
             rows = [{"root": root, "pid": pid} for pid in self._descendants(root)]
             return rows or [{"root": root}]
         elif table == TableKind.VERIFICATION.value:
-            rows = ([replace(p, source=Source.STATUS, last_verified=now)
+            rows = ([replace(p, source=Source.STATUS)
                      for _, p in sorted(self.processes.items())]
-                    + [replace(s, source=Source.STATUS, last_verified=now)
+                    + [replace(s, source=Source.STATUS)
                        for _, s in sorted(self.sockets.items())])
             return rows  # atomic snapshot: no predicate filtering
         else:

@@ -102,7 +102,9 @@ def load_config_sections(path: str) -> tuple[EngineConfig, dict]:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     if "engine" in raw or "workload" in raw:
-        return (EngineConfig.from_dict(raw.get("engine", {})),
-                raw.get("workload", {}))
+        workload = raw.get("workload", {})
+        if not isinstance(workload, dict):
+            raise ConfigError(f"workload: expected an object, got {workload!r}")
+        return EngineConfig.from_dict(raw.get("engine", {})), workload
     return EngineConfig.from_dict(raw), {}
 

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
-from .model import Action, FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
+from .model import FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
 from .state import HostState, HostStateStore, StateChange
 
 log = logging.getLogger(__name__)
@@ -266,17 +266,13 @@ class Correlator:
     # -- retry paths -------------------------------------------------------
 
     def on_state_change(self, change: StateChange) -> None:
-        # Only three kinds of change can decide a parked flow: a socket added
-        # or updated (a side gains a candidate), a host change (a side loses
-        # its last connected host), and an address added or removed (a
-        # side's host set changes).  Process, user and socket-removal changes
-        # never turn an empty side into a decided one.
+        # The store announces only the changes that can decide a parked
+        # flow: a socket upsert (a side gains a candidate), a host change (a
+        # side loses its last connected host) and an address added or
+        # removed (a side's host set changes).
         if not self._parked:
             return
         kind = change.kind
-        if not (kind in ("address", "host")
-                or (kind == "socket" and change.action is not Action.REMOVED)):
-            return
         host, addr = change.host, change.key
         for pid in list(self._parked):
             entry = self._parked.get(pid)

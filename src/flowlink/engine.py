@@ -154,7 +154,7 @@ class Engine:
         self._started = False
         self._shut_down = False
 
-        self.node.add_result_handler(self._on_result)
+        self.node.add_result_handler(self.ingest_result)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -232,12 +232,11 @@ class Engine:
         self.counters["downloads_in"] += 1
         self.attachments.on_download(ev)
 
-    def ingest_result(self, topic: str, payload) -> None:
-        """Entry point for replay and transports that bypass the bus."""
-        self._on_result(topic, payload)
-
     @_entry_point
-    def _on_result(self, topic: str, payload) -> None:
+    def ingest_result(self, topic: str, payload) -> None:
+        """Fold one agent result that arrived on `topic`: the node's result
+        handler, and the entry point for replay and transports that bypass
+        the bus."""
         now = self.scheduler.now()
         if isinstance(payload, HostEvent):
             if self._recorder is not None:

@@ -134,7 +134,6 @@ class SocketInfo:
     remote_addr: str | None = None
     remote_port: int | None = None
     first_seen: float = 0.0
-    last_verified: float = 0.0
 
     def __post_init__(self):
         if self.local_addr is not None:
@@ -159,7 +158,7 @@ class SocketInfo:
             "source": self.source.value,
             "local_addr": self.local_addr, "local_port": self.local_port,
             "remote_addr": self.remote_addr, "remote_port": self.remote_port,
-            "first_seen": self.first_seen, "last_verified": self.last_verified,
+            "first_seen": self.first_seen,
         }
 
     @classmethod
@@ -171,7 +170,6 @@ class SocketInfo:
             local_addr=d.get("local_addr"), local_port=d.get("local_port"),
             remote_addr=d.get("remote_addr"), remote_port=d.get("remote_port"),
             first_seen=float(d.get("first_seen", 0.0)),
-            last_verified=float(d.get("last_verified", 0.0)),
         )
 
 
@@ -187,7 +185,6 @@ class ProcessInfo:
     start_time: float
     source: Source
     binary_hash: str | None = None
-    last_verified: float = 0.0
 
     @property
     def key(self) -> int:
@@ -198,7 +195,7 @@ class ProcessInfo:
             "host": self.host, "pid": self.pid, "parent_pid": self.parent_pid,
             "binary_path": self.binary_path, "uid": self.uid,
             "start_time": self.start_time, "source": self.source.value,
-            "binary_hash": self.binary_hash, "last_verified": self.last_verified,
+            "binary_hash": self.binary_hash,
         }
 
     @classmethod
@@ -208,7 +205,6 @@ class ProcessInfo:
             binary_path=d["binary_path"], uid=int(d["uid"]),
             start_time=float(d["start_time"]), source=Source(d["source"]),
             binary_hash=d.get("binary_hash"),
-            last_verified=float(d.get("last_verified", 0.0)),
         )
 
 

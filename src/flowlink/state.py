@@ -38,14 +38,19 @@ class StateError(Exception):
 
 @dataclass(frozen=True)
 class StateChange:
-    """Derived notification emitted after each state mutation."""
+    """A mutation that can alter an attribution, announced to listeners.
+
+    Exactly three kinds are announced: `socket` (every socket upsert, key
+    `(pid, fd)`, action ADDED), `address` (an interface address added to or
+    removed from the host, key the address) and `host` (the host connected,
+    disconnected or dropped, key the host name).  Process and user rows,
+    socket removals and verification purges announce nothing: none of them
+    can give a flow side a candidate or change its host set."""
 
     host: str
-    kind: str              # process | socket | user | address | host
+    kind: str              # socket | address | host
     action: Action
     key: Any
-    payload: Any = None
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,16 @@ class HostStateStore:
 
     `view(host)` hands out the held `HostState` itself, not a copy.  Readers
     call it under the same lock and never mutate what it returns; a reader
-    that keeps it past its call sees later folds.  Listeners hear of each
-    change once the call that made it has finished.
+    that keeps it past its call sees later folds.  Listeners hear each
+    `StateChange` (see there for what is announced) once the call that made
+    it has finished.
 
     Every row enters through `_upsert`, streamed or from a snapshot, and
     processes and sockets leave only through `_remove_process` and
     `_remove_socket`.  Held records are frozen and shared: folding a row
-    stores the incoming record itself unless consolidation or a fresh
-    `last_verified` changes a field, and then builds one new record.  Agents
-    stamp status rows with their batch time, so most snapshot rows are
-    stored as they arrive, and verification rebuilds only the records it
-    verifies at a new time."""
+    stores the incoming record itself unless consolidation changes a field,
+    and then builds one new record.  Verification only purges; survivors
+    stay the records they were."""
 
     def __init__(self, clock: Callable[[], float], grace_period: float = 60.0):
         self._clock = clock
@@ -126,10 +130,9 @@ class HostStateStore:
         """(Re-)connect a host: prior state is discarded and a fresh, empty
         connected state is created. Initial snapshot requests are the
         caller's responsibility."""
-        now = self._clock()
-        changes = self._drop(host, now)
+        changes = self._drop(host)
         self._hosts[host] = HostState(host=host)
-        changes.append(StateChange(host, "host", Action.ADDED, host, time=now))
+        changes.append(StateChange(host, "host", Action.ADDED, host))
         self._emit(changes)
 
     def handle_disconnect(self, host: str) -> None:
@@ -142,8 +145,8 @@ class HostStateStore:
         if not st.connected:
             self.counters["disconnect_noop"] += 1
             return
-        st.disconnected_at = now = self._clock()
-        self._emit([StateChange(host, "host", Action.REMOVED, "connected", time=now)])
+        st.disconnected_at = self._clock()
+        self._emit([StateChange(host, "host", Action.REMOVED, host)])
 
     def expire_disconnected(self, now: float | None = None) -> list[str]:
         """Discard frozen state whose grace period has run out; their
@@ -153,18 +156,18 @@ class HostStateStore:
                    if not st.connected and now - st.disconnected_at >= self.grace_period]
         changes: list[StateChange] = []
         for host in expired:
-            changes += self._drop(host, now)
+            changes += self._drop(host)
         self._emit(changes)
         return expired
 
-    def _drop(self, host: str, now: float) -> list[StateChange]:
+    def _drop(self, host: str) -> list[StateChange]:
         """Discard a host's state; its addresses leave before the host."""
         st = self._hosts.pop(host, None)
         if st is None:
             return []
-        changes = [StateChange(host, "address", Action.REMOVED, addr, time=now)
+        changes = [StateChange(host, "address", Action.REMOVED, addr)
                    for addr in sorted(st.addresses)]
-        changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+        changes.append(StateChange(host, "host", Action.REMOVED, host))
         return changes
 
     def _live(self, host: str) -> HostState | None:
@@ -182,33 +185,34 @@ class HostStateStore:
         """Fold one streamed add/remove row into the host's state."""
         st = self._live(ev.host)
         if st is not None:
-            self._emit(self._apply(st, ev))
+            change = self._apply(st, ev)
+            if change is not None:
+                self._emit([change])
 
-    def _apply(self, st: HostState, ev: HostEvent) -> list[StateChange]:
-        now, row = ev.event_time, ev.payload
+    def _apply(self, st: HostState, ev: HostEvent) -> StateChange | None:
+        row = ev.payload
         if ev.table == TableKind.TLS_KEYS:
             # Reserved message kind: counted, carried, never interpreted.
             self.counters["tls_keys_received"] += 1
-            return []
+            return None
         if ev.action != Action.REMOVED:
-            return self._upsert(st, ev.table, row, now)
+            return self._upsert(st, ev.table, row, ev.event_time)
         if ev.table in PROCESS_TABLES:
-            return self._remove_process(st, row.pid, now)
-        if ev.table in SOCKET_TABLES:
-            return self._remove_socket(st, row.key, now)
-        if ev.table == TableKind.USERS:
+            self._remove_process(st, row.pid)
+        elif ev.table in SOCKET_TABLES:
+            self._remove_socket(st, row.key)
+        elif ev.table == TableKind.USERS:
             if st.users.pop(row.uid, None) is None:
                 self.counters["late_removal_noop"] += 1
-                return []
-            return [StateChange(st.host, "user", Action.REMOVED, row.uid, time=now)]
-        if ev.table == TableKind.INTERFACES:
+        elif ev.table == TableKind.INTERFACES:
             if row.addr not in st.addresses:
                 self.counters["late_removal_noop"] += 1
-                return []
+                return None
             st.addresses.remove(row.addr)
-            return [StateChange(st.host, "address", Action.REMOVED, row.addr, time=now)]
-        self.counters["unroutable_table"] += 1
-        return []
+            return StateChange(st.host, "address", Action.REMOVED, row.addr)
+        else:
+            self.counters["unroutable_table"] += 1
+        return None
 
     def merge_snapshot(self, batch: SnapshotBatch) -> None:
         """Upsert a probe's rows; absence from a plain snapshot removes
@@ -224,30 +228,31 @@ class HostStateStore:
         st.last_batch_id[batch.table] = batch.batch_id
         changes: list[StateChange] = []
         for row in batch.rows:
-            changes += self._upsert(st, batch.table, row, batch.event_time)
+            change = self._upsert(st, batch.table, row, batch.event_time)
+            if change is not None:
+                changes.append(change)
         self._emit(changes)
 
-    def _upsert(self, st: HostState, table: TableKind, row, now: float) -> list[StateChange]:
+    def _upsert(self, st: HostState, table: TableKind, row, now: float) -> StateChange | None:
         """Fold one added or sighted row of `table`."""
-        if table in PROCESS_TABLES:
-            return self._upsert_process(st, row, now)
         if table in SOCKET_TABLES:
-            return self._upsert_socket(st, row, now)
-        if table == TableKind.USERS:
+            st.sockets[row.key] = _merge_socket(st.sockets.get(row.key), row, now)
+            return StateChange(st.host, "socket", Action.ADDED, row.key)
+        if table in PROCESS_TABLES:
+            self._upsert_process(st, row, now)
+        elif table == TableKind.USERS:
             st.users[row.uid] = row
-            return [StateChange(st.host, "user", Action.ADDED, row.uid, row, now)]
-        if table == TableKind.INTERFACES:
+        elif table == TableKind.INTERFACES:
             if row.addr in st.addresses:
-                return []
+                return None
             st.addresses.add(row.addr)
-            return [StateChange(st.host, "address", Action.ADDED, row.addr, row, now)]
-        self.counters["unroutable_table"] += 1
-        return []
+            return StateChange(st.host, "address", Action.ADDED, row.addr)
+        else:
+            self.counters["unroutable_table"] += 1
+        return None
 
-    def _upsert_process(self, st: HostState, proc: ProcessInfo, now: float) -> list[StateChange]:
-        changes: list[StateChange] = []
+    def _upsert_process(self, st: HostState, proc: ProcessInfo, now: float) -> None:
         old = st.processes.get(proc.pid)
-        last_verified = max(proc.last_verified, now)
         binary_hash, source = proc.binary_hash, proc.source
         if old is not None and old.start_time == proc.start_time:
             if old.binary_path == proc.binary_path:
@@ -266,59 +271,39 @@ class HostStateStore:
             # sockets cannot explain new flows and are closed here, and its
             # images are no attribution candidates for the new one.
             for key in [k for k in st.sockets if k[0] == proc.pid]:
-                changes += self._remove_socket(st, key, now)
+                self._remove_socket(st, key)
             st.exec_history.pop(proc.pid, None)
-        if (last_verified != proc.last_verified or binary_hash != proc.binary_hash
-                or source != proc.source):
-            proc = replace(proc, last_verified=last_verified,
-                           binary_hash=binary_hash, source=source)
+        if binary_hash != proc.binary_hash or source != proc.source:
+            proc = replace(proc, binary_hash=binary_hash, source=source)
         st.processes[proc.pid] = proc
-        changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, proc, now))
-        return changes
 
-    def _remove_process(self, st: HostState, pid: int, now: float) -> list[StateChange]:
+    def _remove_process(self, st: HostState, pid: int) -> None:
         if st.processes.pop(pid, None) is None:
             self.counters["late_removal_noop"] += 1
-            return []
+            return
         st.exec_history.pop(pid, None)
-        return [StateChange(st.host, "process", Action.REMOVED, pid, time=now)]
 
-    def _upsert_socket(self, st: HostState, sock: SocketInfo, now: float) -> list[StateChange]:
-        merged = _merge_socket(st.sockets.get(sock.key), sock, now)
-        st.sockets[sock.key] = merged
-        return [StateChange(st.host, "socket", Action.ADDED, sock.key, merged, now)]
-
-    def _remove_socket(self, st: HostState, key: tuple[int, int], now: float) -> list[StateChange]:
+    def _remove_socket(self, st: HostState, key: tuple[int, int]) -> None:
         if st.sockets.pop(key, None) is None:
             self.counters["late_removal_noop"] += 1
-            return []
-        return [StateChange(st.host, "socket", Action.REMOVED, key, time=now)]
 
     def verify(self, batch: SnapshotBatch) -> VerificationReport:
         """Reconcile held processes and sockets against one atomic probe of
         the kernel status: anything we hold that the probe did not see is
-        purged, survivors get a fresh last_verified."""
+        purged; survivors are left as they are."""
         st = self._hosts.get(batch.host)
         if st is None or not st.connected:
             raise StateError(f"cannot verify disconnected host {batch.host!r}")
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
-        now = batch.event_time
         removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
         removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
-        changes: list[StateChange] = []
         for pid in removed_procs:
-            changes += self._remove_process(st, pid, now)
+            self._remove_process(st, pid)
         for key in removed_socks:
-            changes += self._remove_socket(st, key, now)
-        for pid, proc in st.processes.items():
-            if proc.last_verified != now:
-                st.processes[pid] = replace(proc, last_verified=now)
-        for key, sock in st.sockets.items():
-            if sock.last_verified != now:
-                st.sockets[key] = replace(sock, last_verified=now)
-        self._emit(changes)
-        return VerificationReport(batch.host, removed_procs, removed_socks, now)
+            self._remove_socket(st, key)
+        return VerificationReport(batch.host, removed_procs, removed_socks,
+                                  batch.event_time)
 
     # -- reads ------------------------------------------------------------
 
@@ -360,7 +345,7 @@ def _merge_socket(old: SocketInfo | None, new: SocketInfo, now: float) -> Socket
     way around.  Returns `new` itself when consolidation changes none of its
     fields, and otherwise builds exactly one record."""
     la, lp, ra, rp = new.local_addr, new.local_port, new.remote_addr, new.remote_port
-    source, first_seen, last_verified = new.source, new.first_seen, new.last_verified
+    source, first_seen = new.source, new.first_seen
     if old is not None:
         if la is None or lp is None:
             la, lp = old.local_addr, old.local_port
@@ -372,17 +357,15 @@ def _merge_socket(old: SocketInfo | None, new: SocketInfo, now: float) -> Socket
             first_seen = max(old.first_seen, 0.0)
         elif 0.0 < old.first_seen < first_seen:
             first_seen = old.first_seen
-        last_verified = max(old.last_verified, last_verified)
-    last_verified = max(last_verified, now)
     if first_seen == 0.0:
         first_seen = now
     if (la == new.local_addr and lp == new.local_port and ra == new.remote_addr
             and rp == new.remote_port and source == new.source
-            and first_seen == new.first_seen and last_verified == new.last_verified):
+            and first_seen == new.first_seen):
         return new
     return SocketInfo(
         host=new.host, pid=new.pid, fd=new.fd, proto=new.proto,
         direction=new.direction, source=source,
         local_addr=la, local_port=lp, remote_addr=ra, remote_port=rp,
-        first_seen=first_seen, last_verified=last_verified,
+        first_seen=first_seen,
     )

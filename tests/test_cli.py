@@ -78,6 +78,36 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
     assert "hostz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sim", "run"])
+@pytest.mark.parametrize("workload, field", [
+    ({"hosts": "8"}, "hosts"),
+    ({"hosts": 2.5}, "hosts"),
+    ({"hosts": True}, "hosts"),
+    ({"duration": None}, "duration"),
+    ({"duration": float("nan")}, "duration"),
+    ({"seed": [1]}, "seed"),
+    ({"full_visibility": 1}, "full_visibility"),
+    ({"scenarios": {"kind": "process_crash", "at": 5}}, "scenarios"),
+    ({"scenarios": [{"kind": "process_crash"}]}, "'at'"),
+    ({"scenarios": [{"kind": "process_crash", "at": "5"}]}, "at"),
+    ({"scenarios": [{"kind": "process_crash", "at": 5, "host": 3}]}, "host"),
+    ({"scenarios": ["process_crash"]}, "scenarios"),
+    ([{"hosts": 8}], "workload"),
+])
+def test_malformed_workload_exits_2_before_opening_logs(tmp_path, capsys, command,
+                                                        workload, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"engine": {}, "workload": workload}))
+    log_dir = tmp_path / "logs"
+    argv = [command, "--config", str(cfg), "--log-dir", str(log_dir)]
+    if command == "run":
+        argv += ["--duration", "1"]
+    assert _main_in_thread(argv, 20) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0]
+    assert not log_dir.exists()
+
+
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"engine": {"dns_servers": 5}}))

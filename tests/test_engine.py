@@ -440,6 +440,42 @@ def test_recordings_with_retired_result_keys_still_replay():
         assert replayed.alerts.getvalue() == out.alerts.getvalue()
 
 
+def _held_rows(entry: dict) -> list[dict]:
+    """The process and socket records an `inputs.log` entry carries."""
+    data = entry["data"]
+    rows = [data["payload"]] if entry["kind"] == "host_event" else data.get("rows", [])
+    return [r for r in rows if r.get("_kind") in ("process", "socket")]
+
+
+def test_recorded_rows_carry_no_last_verified():
+    out = _recorded_fleet_run()
+    entries = list(read_inputs(iter(out.inputs.getvalue().splitlines())))
+    rows = [r for e in entries if e["kind"] in ("host_event", "snapshot")
+            for r in _held_rows(e)]
+    assert {r["_kind"] for r in rows} == {"process", "socket"}
+    assert not any("last_verified" in r for r in rows)
+
+
+def test_recordings_with_last_verified_still_replay():
+    """A recording written when process and socket rows carried a
+    `last_verified` stamp replays to the same logs as one without."""
+    out = _recorded_fleet_run()
+    entries = list(read_inputs(iter(out.inputs.getvalue().splitlines())))
+    older = []
+    for entry in entries:
+        entry = json.loads(json.dumps(entry))
+        if entry["kind"] in ("host_event", "snapshot"):
+            for row in _held_rows(entry):
+                row["last_verified"] = entry["data"]["event_time"]
+        older.append(entry)
+    assert older != entries
+    new, old = _replay(entries), _replay(older)
+    assert enriched_rows(out) and alert_rows(out)
+    for replayed in (new, old):
+        assert replayed.flows.getvalue() == out.flows.getvalue()
+        assert replayed.alerts.getvalue() == out.alerts.getvalue()
+
+
 def test_calls_after_shutdown_are_refused_and_counted(tmp_path):
     engine = Engine(config(), EventLoop(),
                     outputs=open_outputs(str(tmp_path), record_inputs=True))

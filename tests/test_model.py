@@ -200,7 +200,7 @@ def peer_view(s: SocketInfo) -> SocketInfo:
         direction=flipped, source=s.source,
         local_addr=s.remote_addr, local_port=s.remote_port,
         remote_addr=s.local_addr, remote_port=s.local_port,
-        first_seen=s.first_seen, last_verified=s.last_verified,
+        first_seen=s.first_seen,
     )
 
 

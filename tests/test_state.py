@@ -238,21 +238,6 @@ def test_crashed_process_purged_by_verification():
     assert set(s.view("h1").processes) == {200}
 
 
-def test_verify_fixed_point_refreshes_last_verified():
-    s, _ = store()
-    s.apply_event(proc_ev(make_proc(pid=100)))
-    s.apply_event(sock_ev(make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))))
-    report = s.verify(snapshot("h1", TableKind.VERIFICATION, [
-        make_proc(pid=100, source=Source.STATUS),
-        make_sock(pid=100, fd=5, source=Source.STATUS,
-                  local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
-    ], t=30.0))
-    assert report.removed_processes == [] and report.removed_sockets == []
-    view = s.view("h1")
-    assert view.processes[100].last_verified == 30.0
-    assert view.sockets[(100, 5)].last_verified == 30.0
-
-
 def test_broken_socket_purged_process_kept():
     s, _ = store()
     s.apply_event(proc_ev(make_proc(pid=100)))
@@ -265,13 +250,12 @@ def test_broken_socket_purged_process_kept():
     assert 100 in s.view("h1").processes
 
 
-def test_status_rows_stamped_with_batch_time_are_stored_as_is():
+def test_status_rows_are_stored_as_is():
     s, _ = store()
     for t in (5.0, 10.0):   # first sighting, then over the held records
-        proc = replace(make_proc(pid=100, source=Source.STATUS), last_verified=t)
-        sock = replace(make_sock(pid=100, fd=5, source=Source.STATUS,
-                                 local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
-                       last_verified=t)
+        proc = make_proc(pid=100, source=Source.STATUS)
+        sock = make_sock(pid=100, fd=5, source=Source.STATUS,
+                         local=("10.0.0.1", 4000), remote=("10.0.0.2", 443))
         s.merge_snapshot(snapshot("h1", TableKind.PROCESSES, [proc], batch_id=int(t), t=t))
         s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [sock],
                                   batch_id=int(t), t=t))
@@ -280,24 +264,98 @@ def test_status_rows_stamped_with_batch_time_are_stored_as_is():
         assert view.sockets[(100, 5)] is sock
 
 
-def test_verify_keeps_records_already_verified_at_its_time():
+def test_audit_rows_needing_no_consolidation_are_stored_as_is():
     s, _ = store()
-    proc = replace(make_proc(pid=100, source=Source.STATUS), last_verified=30.0)
-    sock = replace(make_sock(pid=100, fd=5, source=Source.STATUS,
-                             local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
-                   last_verified=30.0)
-    s.merge_snapshot(snapshot("h1", TableKind.PROCESSES, [proc], t=30.0))
-    s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [sock], t=30.0))
+    for t in (5.0, 10.0):   # first sighting, then over the held records
+        proc = make_proc(pid=100)
+        sock = make_sock(pid=100, fd=5, local=("10.0.0.1", 4000),
+                         remote=("10.0.0.2", 443), first_seen=1.0)
+        s.apply_event(proc_ev(proc, t=t))
+        s.apply_event(sock_ev(sock, t=t))
+        view = s.view("h1")
+        assert view.processes[100] is proc
+        assert view.sockets[(100, 5)] is sock
+
+
+def test_verify_keeps_every_survivor_as_the_same_record():
+    s, _ = store()
+    s.merge_snapshot(snapshot("h1", TableKind.PROCESSES, [
+        make_proc(pid=100, source=Source.STATUS)], t=5.0))
     s.apply_event(proc_ev(make_proc(pid=200, start=2.0), t=2.0))
+    s.apply_event(sock_ev(make_sock(pid=200, fd=5, remote=("10.0.0.2", 443)), t=2.0))
+    s.apply_event(sock_ev(make_sock(pid=200, fd=6, remote=("10.0.0.3", 443)), t=3.0))
     held = s.view("h1")
     procs, socks = dict(held.processes), dict(held.sockets)   # view() is live state
-    s.verify(snapshot("h1", TableKind.VERIFICATION, [proc, sock, make_proc(pid=200, start=2.0)],
-                      t=30.0))
+    report = s.verify(snapshot("h1", TableKind.VERIFICATION, [
+        make_proc(pid=100, source=Source.STATUS),
+        make_proc(pid=200, start=2.0, source=Source.STATUS),
+        make_sock(pid=200, fd=5, source=Source.STATUS,
+                  local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
+    ], t=30.0))
+    assert report.removed_sockets == [(200, 6)]
     view = s.view("h1")
-    assert view.processes[100] is procs[100]
-    assert view.sockets[(100, 5)] is socks[(100, 5)]
-    assert view.processes[200] is not procs[200]
-    assert view.processes[200].last_verified == 30.0
+    assert set(view.processes) == {100, 200} and set(view.sockets) == {(200, 5)}
+    assert all(view.processes[pid] is procs[pid] for pid in view.processes)
+    assert view.sockets[(200, 5)] is socks[(200, 5)]
+
+
+# --- the change stream ----------------------------------------------------------------
+
+def test_rows_that_cannot_alter_an_attribution_announce_nothing():
+    s, _ = store()
+    s.apply_event(sock_ev(make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))))
+    s.apply_event(sock_ev(make_sock(pid=300, fd=7, remote=("10.0.0.3", 443))))
+    s.apply_event(user_ev(make_user(uid=1000)))
+    s.apply_event(proc_ev(make_proc(pid=400)))
+    s.apply_event(sock_ev(make_sock(pid=400, fd=3, remote=("10.0.0.4", 443))))
+    heard = []
+    s.add_listener(heard.append)
+    s.apply_event(proc_ev(make_proc(pid=100)))
+    s.apply_event(proc_ev(make_proc(pid=100, start=4.0), t=4.0))   # pid reuse closes (100, 5)
+    s.merge_snapshot(snapshot("h1", TableKind.PROCESSES,
+                              [make_proc(pid=200, source=Source.STATUS)]))
+    s.apply_event(proc_ev(make_proc(pid=200), action=Action.REMOVED))
+    s.apply_event(user_ev(make_user(uid=1001)))
+    s.merge_snapshot(snapshot("h1", TableKind.USERS, [make_user(uid=1002)]))
+    s.apply_event(user_ev(make_user(uid=1000), action=Action.REMOVED))
+    s.apply_event(sock_ev(make_sock(pid=300, fd=7), action=Action.REMOVED))
+    report = s.verify(snapshot("h1", TableKind.VERIFICATION,
+                               [make_proc(pid=100, start=4.0)], t=30.0))
+    assert report.removed_processes == [400] and report.removed_sockets == [(400, 3)]
+    assert heard == []
+
+
+def test_each_change_that_can_alter_an_attribution_is_announced_once():
+    s, clock = store(grace=5.0)
+    sock = make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))
+    status_sock = make_sock(pid=100, fd=5, source=Source.STATUS,
+                            local=("10.0.0.1", 4000), remote=("10.0.0.2", 443))
+    upsert = StateChange("h1", "socket", Action.ADDED, (100, 5))
+    added, removed = (StateChange("h1", "address", a, "10.0.0.1")
+                      for a in (Action.ADDED, Action.REMOVED))
+    up, down = (StateChange("h1", "host", a, "h1") for a in (Action.ADDED, Action.REMOVED))
+    steps = [
+        (lambda: s.apply_event(sock_ev(sock)), [upsert]),
+        (lambda: s.apply_event(sock_ev(sock)), [upsert]),   # unchanged, still announced
+        (lambda: s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS,
+                                           [status_sock])), [upsert]),
+        (lambda: s.apply_event(iface_ev("h1", "10.0.0.1")), [added]),
+        (lambda: s.apply_event(iface_ev("h1", "10.0.0.1", action=Action.REMOVED)), [removed]),
+        (lambda: s.merge_snapshot(snapshot("h1", TableKind.INTERFACES,
+                                           [InterfaceRecord("h1", "10.0.0.1")],
+                                           batch_id=2)), [added]),
+        (lambda: s.handle_disconnect("h1"), [down]),
+        (lambda: s.expire_disconnected(now=clock.t + 5.0), [removed, down]),
+        (lambda: s.handle_reconnect("h1"), [up]),
+        (lambda: s.apply_event(iface_ev("h1", "10.0.0.1")), [added]),
+        (lambda: s.handle_reconnect("h1"), [removed, down, up]),   # drops the held state
+    ]
+    heard = []
+    s.add_listener(heard.append)
+    for step, want in steps:
+        heard.clear()
+        step()
+        assert heard == want
 
 
 def test_is_connected_follows_lifecycle():
@@ -497,10 +555,12 @@ _SOCKET_TABLES = (TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS,
 
 class RebuildingStore(HostStateStore):
     """The oracle for the differential test below: the store's fold as it
-    was before records were shared (every upserted row and every held
-    record at verification is rebuilt, even when no field changes) and
-    before its paths were merged (events and snapshots dispatch separately,
-    and removals, reconnect and expiry each spell out their own steps)."""
+    was before records were shared (every upserted row is rebuilt, even when
+    no field changes), before its paths were merged (events and snapshots
+    dispatch separately, and removals, reconnect and expiry each spell out
+    their own steps) and before its change stream was narrowed (every
+    mutation is announced, and the test keeps the kinds the store
+    announces)."""
 
     def handle_reconnect(self, host):
         now = self._clock()
@@ -508,10 +568,10 @@ class RebuildingStore(HostStateStore):
         old = self._hosts.pop(host, None)
         if old is not None:
             for addr in sorted(old.addresses):
-                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
-            changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+                changes.append(StateChange(host, "address", Action.REMOVED, addr))
+            changes.append(StateChange(host, "host", Action.REMOVED, host))
         self._hosts[host] = HostState(host=host)
-        changes.append(StateChange(host, "host", Action.ADDED, host, time=now))
+        changes.append(StateChange(host, "host", Action.ADDED, host))
         self._emit(changes)
         return changes
 
@@ -524,10 +584,17 @@ class RebuildingStore(HostStateStore):
         for host in expired:
             st = self._hosts.pop(host)
             for addr in sorted(st.addresses):
-                changes.append(StateChange(host, "address", Action.REMOVED, addr, time=now))
-            changes.append(StateChange(host, "host", Action.REMOVED, host, time=now))
+                changes.append(StateChange(host, "address", Action.REMOVED, addr))
+            changes.append(StateChange(host, "host", Action.REMOVED, host))
         self._emit(changes)
         return expired
+
+    def apply_event(self, ev):
+        st = self._hosts.get(ev.host)
+        if st is None or not st.connected:
+            self.counters["events_while_down"] += 1
+            return
+        self._emit(self._apply(st, ev))
 
     def _apply(self, st, ev):
         now = ev.event_time
@@ -544,9 +611,9 @@ class RebuildingStore(HostStateStore):
                 if st.users.pop(ev.payload.uid, None) is None:
                     self.counters["late_removal_noop"] += 1
                     return []
-                return [StateChange(st.host, "user", Action.REMOVED, ev.payload.uid, time=now)]
+                return [StateChange(st.host, "user", Action.REMOVED, ev.payload.uid)]
             st.users[ev.payload.uid] = ev.payload
-            return [StateChange(st.host, "user", Action.ADDED, ev.payload.uid, ev.payload, now)]
+            return [StateChange(st.host, "user", Action.ADDED, ev.payload.uid)]
         if ev.table == TableKind.INTERFACES:
             addr = ev.payload.addr
             if ev.action == Action.REMOVED:
@@ -554,11 +621,11 @@ class RebuildingStore(HostStateStore):
                     self.counters["late_removal_noop"] += 1
                     return []
                 st.addresses.discard(addr)
-                return [StateChange(st.host, "address", Action.REMOVED, addr, time=now)]
+                return [StateChange(st.host, "address", Action.REMOVED, addr)]
             if addr in st.addresses:
                 return []
             st.addresses.add(addr)
-            return [StateChange(st.host, "address", Action.ADDED, addr, ev.payload, now)]
+            return [StateChange(st.host, "address", Action.ADDED, addr)]
         if ev.table == TableKind.TLS_KEYS:
             self.counters["tls_keys_received"] += 1
             return []
@@ -586,11 +653,11 @@ class RebuildingStore(HostStateStore):
                 changes += self._upsert_socket(st, row, now)
             elif batch.table == TableKind.USERS:
                 st.users[row.uid] = row
-                changes.append(StateChange(st.host, "user", Action.ADDED, row.uid, row, now))
+                changes.append(StateChange(st.host, "user", Action.ADDED, row.uid))
             elif batch.table == TableKind.INTERFACES:
                 if row.addr not in st.addresses:
                     st.addresses.add(row.addr)
-                    changes.append(StateChange(st.host, "address", Action.ADDED, row.addr, row, now))
+                    changes.append(StateChange(st.host, "address", Action.ADDED, row.addr))
             else:
                 self.counters["unroutable_table"] += 1
         self._emit(changes)
@@ -601,18 +668,18 @@ class RebuildingStore(HostStateStore):
             self.counters["late_removal_noop"] += 1
             return []
         st.exec_history.pop(pid, None)
-        return [StateChange(st.host, "process", Action.REMOVED, pid, time=now)]
+        return [StateChange(st.host, "process", Action.REMOVED, pid)]
 
     def _remove_socket(self, st, key, now):
         if st.sockets.pop(key, None) is None:
             self.counters["late_removal_noop"] += 1
             return []
-        return [StateChange(st.host, "socket", Action.REMOVED, key, time=now)]
+        return [StateChange(st.host, "socket", Action.REMOVED, key)]
 
     def _upsert_process(self, st, proc, now):
         changes = []
         old = st.processes.get(proc.pid)
-        proc = replace(proc, last_verified=max(proc.last_verified, now))
+        proc = replace(proc)   # a new record even when nothing changes
         if old is not None and old.start_time == proc.start_time:
             same_image = old.binary_path == proc.binary_path
             if not same_image:
@@ -627,15 +694,15 @@ class RebuildingStore(HostStateStore):
                 if same_image and Source.STATUS in (proc.source, old.source) else proc.source,
             )
             st.processes[proc.pid] = merged
-            changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, merged, now))
+            changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid))
             return changes
         if old is not None:
             for key in [k for k in st.sockets if k[0] == proc.pid]:
                 del st.sockets[key]
-                changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
+                changes.append(StateChange(st.host, "socket", Action.REMOVED, key))
             st.exec_history.pop(proc.pid, None)
         st.processes[proc.pid] = proc
-        changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid, proc, now))
+        changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid))
         return changes
 
     def _upsert_socket(self, st, sock, now):
@@ -643,11 +710,9 @@ class RebuildingStore(HostStateStore):
         merged = sock
         if old is not None:
             merged = _rebuild_merge_socket(old, sock)
-        merged = replace(merged, last_verified=max(merged.last_verified, now))
-        if merged.first_seen == 0.0:
-            merged = replace(merged, first_seen=now)
+        merged = replace(merged, first_seen=merged.first_seen or now)
         st.sockets[sock.key] = merged
-        return [StateChange(st.host, "socket", Action.ADDED, sock.key, merged, now)]
+        return [StateChange(st.host, "socket", Action.ADDED, sock.key)]
 
     def verify(self, batch):
         st = self._hosts.get(batch.host)
@@ -662,14 +727,10 @@ class RebuildingStore(HostStateStore):
         for pid in removed_procs:
             del st.processes[pid]
             st.exec_history.pop(pid, None)
-            changes.append(StateChange(st.host, "process", Action.REMOVED, pid, time=now))
+            changes.append(StateChange(st.host, "process", Action.REMOVED, pid))
         for key in removed_socks:
             del st.sockets[key]
-            changes.append(StateChange(st.host, "socket", Action.REMOVED, key, time=now))
-        for pid, proc in st.processes.items():
-            st.processes[pid] = replace(proc, last_verified=now)
-        for key, sock in st.sockets.items():
-            st.sockets[key] = replace(sock, last_verified=now)
+            changes.append(StateChange(st.host, "socket", Action.REMOVED, key))
         self._emit(changes)
         return VerificationReport(batch.host, removed_procs, removed_socks, now)
 
@@ -690,33 +751,24 @@ def _rebuild_merge_socket(old, new):
         direction=new.direction, source=source,
         local_addr=la, local_port=lp, remote_addr=ra, remote_port=rp,
         first_seen=first_seen,
-        last_verified=max(old.last_verified, new.last_verified),
     )
 
 
 sources = st.sampled_from(list(Source))
 
 
-def stamps(t):
-    # unstamped, stamped with the batch time, or stamped earlier / later
-    return st.sampled_from([0.0, t, t - 0.5, t + 0.5])
-
-
 @st.composite
 def proc_rows(draw, t):
-    return replace(make_proc(pid=draw(pids), start=draw(starts),
-                             binary=draw(st.sampled_from(["/bin/a", "/bin/b"])),
-                             source=draw(sources),
-                             sha=draw(st.sampled_from([None, "aa", "bb"]))),
-                   last_verified=draw(stamps(t)))
+    return make_proc(pid=draw(pids), start=draw(starts),
+                     binary=draw(st.sampled_from(["/bin/a", "/bin/b"])),
+                     source=draw(sources), sha=draw(st.sampled_from([None, "aa", "bb"])))
 
 
 @st.composite
 def sock_rows(draw, t):
-    return replace(make_sock(pid=draw(pids), fd=draw(fds), local=draw(locals_),
-                             remote=draw(remotes), source=draw(sources),
-                             first_seen=draw(st.sampled_from([0.0, -1.0, 0.5, t]))),
-                   last_verified=draw(stamps(t)))
+    return make_sock(pid=draw(pids), fd=draw(fds), local=draw(locals_),
+                     remote=draw(remotes), source=draw(sources),
+                     first_seen=draw(st.sampled_from([0.0, -1.0, 0.5, t])))
 
 
 users_ = st.builds(lambda uid, name: make_user(uid=uid, name=name),
@@ -816,8 +868,13 @@ def test_shared_records_fold_equals_rebuilding_fold(ops):
         s = cls(clock, grace_period=5.0)
         s.handle_reconnect("h1")
         runs.append((s, run_fold(s, clock, ops)))
-    (shared, got), (oracle, want) = runs
+    (shared, (changes, got)), (oracle, (every_change, want)) = runs
     assert list(shared.dump_records()) == list(oracle.dump_records())
     assert got == want
+    # the store announces socket upserts, address changes and host changes
+    announced = [c for c in every_change if c.kind in ("address", "host")
+                 or (c.kind == "socket" and c.action is Action.ADDED)]
+    assert ([(c.host, c.kind, c.action, c.key) for c in changes]
+            == [(c.host, c.kind, c.action, c.key) for c in announced])
     assert shared.view("h1") == oracle.view("h1")
     assert shared.counters == oracle.counters
