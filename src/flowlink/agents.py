@@ -94,6 +94,57 @@ class ScenarioHook:
         return cls(kind=ScenarioKind(d["kind"]), at=float(d["at"]),
                    host=host, params=dict(params))
 
+    def validate(self, hosts: int) -> None:
+        """Reject a hook whose host is not in a fleet of `hosts`, a param its
+        kind does not read or of the wrong type, and an ssh chain that is not
+        three distinct hosts of the fleet."""
+        host = self.host or host_name(0)
+        if not _in_fleet(host, hosts):
+            raise ValueError(f"scenario host: {host!r} is not in the fleet "
+                             f"of {hosts} hosts")
+        takes = _SCENARIO_PARAMS[self.kind]
+        for name, value in self.params.items():
+            if name not in takes:
+                raise ValueError(f"scenario params: {self.kind.value} takes "
+                                 f"no param {name!r}")
+            if takes[name] in (str, list):
+                if not isinstance(value, takes[name]):
+                    raise ValueError(f"scenario param {name}: expected a "
+                                     f"{takes[name].__name__}, got {value!r}")
+            else:
+                _check_field(f"scenario param {name}", value, takes[name])
+        if "chain" in takes:
+            chain = self.params.get("chain") or [
+                host_name(i) for i in range(min(hosts, 3))]
+            if not (len(chain) == 3
+                    and all(isinstance(h, str) and _in_fleet(h, hosts)
+                            for h in chain)
+                    and len(set(chain)) == 3):
+                raise ValueError(f"scenario param chain: {self.kind.value} "
+                                 f"needs three distinct hosts of the fleet, "
+                                 f"got {chain!r}")
+
+
+# the params each scenario kind reads, and the type of each
+_SCENARIO_PARAMS: dict[ScenarioKind, dict[str, type]] = {
+    ScenarioKind.PROCESS_CRASH: {"after": float},
+    ScenarioKind.SHORT_SOCKET: {"flow": bool},
+    ScenarioKind.PID_REUSE: {"pid": int},
+    ScenarioKind.HOST_RECONNECT: {"down": float},
+    ScenarioKind.SSH_CHAIN: {"chain": list},
+    ScenarioKind.SSH_UNRELATED: {"chain": list},
+    ScenarioKind.ATTACHMENT_EXEC: {"path": str, "origin_kind": str, "execs": int},
+    ScenarioKind.ATTACHMENT_NOEXEC: {"path": str, "origin_kind": str},
+    ScenarioKind.TLS_KEYS: {"session": str},
+}
+
+
+def _in_fleet(name: str, hosts: int) -> bool:
+    """Whether `name` is `host_name(i)` for some i < hosts."""
+    digits = name[1:]
+    return (name[:1] == "h" and digits.isascii() and digits.isdigit()
+            and int(digits) < hosts and host_name(int(digits)) == name)
+
 
 _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false"}
 
@@ -147,6 +198,8 @@ class WorkloadSpec:
         if self.udp_sockets_per_host and self.duration < 3 * self.probe_interval:
             raise ValueError("duration: need >= 3 probe intervals for "
                              "probe-visibility sockets")
+        for hook in self.scenarios:
+            hook.validate(self.hosts)
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":

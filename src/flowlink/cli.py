@@ -20,6 +20,8 @@ is logged exactly once; later calls are refused and counted.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import signal
@@ -28,13 +30,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from typing import Iterator
 
 from .agents import (FleetSimulator, WorkloadSpec, build_workload,
                      shift_workload)
 from .bench import run_bench
 from .config import ConfigError, EngineConfig, load_config_sections
-from .engine import (Engine, decode_inputs, open_outputs, run_simulation,
-                     schedule_decoded, FLOWS_LOG, ALERTS_LOG, INPUTS_LOG)
+from .engine import (Engine, EngineOutputs, decode_inputs, open_outputs,
+                     replay, run_simulation, FLOWS_LOG, ALERTS_LOG, INPUTS_LOG)
 from .flowlog import LogFormatError, read_flows, read_inputs
 from .runtime import EventLoop, WallScheduler
 from .service import FlowFeedServer, MetricsServer, write_metrics_snapshot
@@ -234,28 +237,49 @@ def _cmd_sim(args) -> int:
 # --- replay -------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _staged_logs(log_dir: str) -> Iterator[EngineOutputs]:
+    """Outputs that write conn.log and alerts.log under temporary names in
+    `log_dir`.  They replace the logs of those names when the block ends
+    normally, and are deleted when it raises."""
+    os.makedirs(log_dir, exist_ok=True)
+    staged = {name: os.path.join(log_dir, f".{name}.{os.getpid()}.tmp")
+              for name in (FLOWS_LOG, ALERTS_LOG)}
+    outputs = EngineOutputs(owns=True)
+    try:
+        outputs.flows = open(staged[FLOWS_LOG], "w")
+        outputs.alerts = open(staged[ALERTS_LOG], "w")
+        yield outputs
+        outputs.close()
+        for name, path in staged.items():
+            os.replace(path, os.path.join(log_dir, name))
+    except BaseException:
+        outputs.close()
+        for path in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+
+
 def _cmd_replay(args) -> int:
     config, _ = _load_sections(args.config)
     if args.log_dir:
         config.log_dir = args.log_dir
-    # decode the whole recording before any log is opened, so a refused
-    # recording leaves earlier logs in place
     try:
         with open(args.inputs, encoding="utf-8") as fh:
-            decoded = list(decode_inputs(read_inputs(fh)))
-    except (OSError, LogFormatError) as exc:
+            entries = read_inputs(fh)
+            head = list(itertools.islice(entries, 1))
+            # the clock starts at the first entry: a live recording is
+            # stamped in epoch seconds
+            start = next(decode_inputs(head))[0] if head else 0.0
+            with _staged_logs(config.log_dir) as outputs:
+                engine = Engine(config, EventLoop(start), outputs=outputs)
+                engine.start()
+                n, until = replay(engine, itertools.chain(head, entries))
+                engine.shutdown()
+    except (OSError, LogFormatError, UnicodeDecodeError) as exc:
         print(f"error: cannot replay inputs: {exc}", file=sys.stderr)
         return 2
-    loop = EventLoop()
-    engine = Engine(config, loop,
-                    outputs=open_outputs(config.log_dir, record_inputs=False))
-    engine.start()
-    n = schedule_decoded(engine, decoded)
-    until = (max((t for t, _, _ in decoded), default=0.0)
-             + config.retry_window + 1.0)
-    del decoded
-    loop.run_until(until)
-    engine.shutdown()
     print(f"replayed {n} inputs to t={until:g}", file=sys.stderr)
     _print_summary(engine, config.log_dir)
     return 0

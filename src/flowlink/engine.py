@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional
@@ -41,6 +42,7 @@ from .flowlog import (
 )
 from .model import Action, HostEvent, QueryErrorResult, SnapshotBatch, TableKind
 from .overlay import InProcessBus, Interest, OverlayNode, host_group
+from .runtime import EventLoop, ReservedOrder
 from .state import HostStateStore, StateError
 
 ENGINE_NODE_ID = "engine"
@@ -328,7 +330,6 @@ def run_simulation(config: EngineConfig, workload,
     """Run a workload against a fresh engine on virtual time and shut down
     cleanly; returns the engine for inspection (its scheduler is the loop)."""
     from .agents import FleetSimulator
-    from .runtime import EventLoop
 
     loop = EventLoop()
     engine = Engine(config, loop, outputs=outputs)
@@ -353,55 +354,123 @@ def run_simulation(config: EngineConfig, workload,
 
 # --- replay -------------------------------------------------------------------------
 
+# Virtual seconds of recorded inputs queued ahead of the replay clock.  A
+# window of the 870-host fleet holds about two thousand timers; scheduling
+# a whole recording up front held one per input.
+REPLAY_WINDOW = 0.5
+
+# recorded kind -> the `Engine` entry point that replays it, and the
+# decoder of its arguments from the entry's data and topic
+_REPLAYED = {
+    "flow": ("submit_flow", lambda data, topic: (FlowRecord.from_dict(data),)),
+    "download": ("submit_download",
+                 lambda data, topic: (DownloadEvent.from_dict(data),)),
+    "host_up": ("register_host", lambda data, topic: (data["host"],)),
+    "host_down": ("deregister_host", lambda data, topic: (data["host"],)),
+    "host_event": ("ingest_result",
+                   lambda data, topic: (topic, HostEvent.from_dict(data))),
+    "snapshot": ("ingest_result",
+                 lambda data, topic: (topic, SnapshotBatch.from_dict(data))),
+    "query_error": ("ingest_result",
+                    lambda data, topic: (topic, QueryErrorResult.from_dict(data))),
+}
+
 
 def decode_inputs(entries: Iterable[dict]) -> Iterator[tuple]:
     """Decode recorded inputs, in order, into `(t, entry point, args)`: the
     time and the `Engine` method name and arguments that replay each one;
-    an unknown kind yields a `None` entry point.  A malformed entry raises
-    `LogFormatError` naming its position (from 1) and the cause."""
+    an unknown kind yields a `None` entry point.  A malformed entry, or one
+    whose time is not finite, raises `LogFormatError` naming its position
+    (from 1) and the cause."""
     for pos, entry in enumerate(entries, 1):
         try:
             t = float(entry["t"])
             kind = entry["kind"]
             data = entry["data"]
             topic = entry.get("topic", "")
-            if kind == "flow":
-                yield t, "submit_flow", (FlowRecord.from_dict(data),)
-            elif kind == "download":
-                yield t, "submit_download", (DownloadEvent.from_dict(data),)
-            elif kind == "host_up":
-                yield t, "register_host", (data["host"],)
-            elif kind == "host_down":
-                yield t, "deregister_host", (data["host"],)
-            elif kind == "host_event":
-                yield t, "ingest_result", (topic, HostEvent.from_dict(data))
-            elif kind == "snapshot":
-                yield t, "ingest_result", (topic, SnapshotBatch.from_dict(data))
-            elif kind == "query_error":
-                yield t, "ingest_result", (topic, QueryErrorResult.from_dict(data))
-            else:
-                yield t, None, ()
+            if not math.isfinite(t):
+                raise ValueError(f"t: expected a finite time, got {t!r}")
+            method, decode = _REPLAYED.get(kind, (None, None))
+            yield t, method, (decode(data, topic) if decode else ())
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise LogFormatError(
                 f"inputs entry {pos}: {type(exc).__name__}: {exc}") from exc
 
 
-def schedule_decoded(engine: Engine, decoded: Iterable[tuple]) -> int:
-    """Schedule `decode_inputs` output onto the engine's scheduler at the
-    original times; the caller then drives the scheduler.  Returns the
-    count scheduled; unknown kinds are counted in `replay_unknown_kind`."""
-    n = 0
-    for t, method, args in decoded:
-        if method is None:
-            engine.counters["replay_unknown_kind"] += 1
-        else:
-            engine.scheduler.call_at(t, getattr(engine, method), *args)
-            n += 1
-    return n
+class _ReplayFeeder:
+    """Feeds recorded inputs to the engine's `EventLoop` a window at a time.
+
+    A tick at time T decodes entries in file order and schedules, through
+    `call_at`, each one due before T + `REPLAY_WINDOW` at its own time; the
+    first entry beyond the window arms the next tick at its time.  Entries
+    and ticks take numbers of one `ReservedOrder`, made after
+    `Engine.start()`, so at equal times an entry runs after `start()`'s
+    timers, in file order, and before every timer the engine schedules at
+    run time: the order that scheduling every entry up front would give.
+    An entry whose time lies behind the clock runs at the clock's time.
+    """
+
+    def __init__(self, engine: Engine, entries: Iterable[dict]):
+        self._engine = engine
+        self._loop = engine.scheduler
+        self._order = ReservedOrder(self._loop)
+        self._decoded = decode_inputs(entries)
+        self._ahead: Optional[tuple] = None  # decoded, due after the window
+        self.fed = 0                # entries of a known kind scheduled
+        self.latest = self._loop.now()   # the latest time fed, or the start
+        self.next_tick: Optional[float] = self._loop.now()  # None once all fed
+        with self._order:
+            self._loop.call_at(self.next_tick, self._tick)
+
+    def _tick(self) -> None:
+        engine, loop = self._engine, self._loop
+        now = loop.now()
+        end = now + REPLAY_WINDOW
+        ahead, self._ahead = self._ahead, None
+        with self._order:
+            for entry in itertools.chain([ahead] if ahead else [], self._decoded):
+                t, method, args = entry
+                if t >= end and t > now:
+                    self._ahead, self.next_tick = entry, t
+                    loop.call_at(t, self._tick)
+                    return
+                self.latest = max(self.latest, t)
+                if method is None:
+                    engine.counters["replay_unknown_kind"] += 1
+                else:
+                    loop.call_at(t, getattr(engine, method), *args)
+                    self.fed += 1
+        self.next_tick = None
 
 
 def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
-    """Decode and schedule recorded inputs; returns the entry count.  A
-    malformed entry raises `LogFormatError`; the entries before it stay
-    scheduled."""
-    return schedule_decoded(engine, decode_inputs(entries))
+    """Queue recorded inputs on the engine's `EventLoop` at their original
+    times; call it after `Engine.start()`, then run the loop.  `entries` is
+    read to a list now (a list is kept as it is), and the count of entries
+    of a known kind is returned; the loop then decodes them a window at a
+    time as its clock reaches them (`_ReplayFeeder`).  A malformed entry
+    therefore raises `LogFormatError` from `run_until`, when the loop
+    decodes it: at its own time at the latest, and possibly before the
+    entries just before it in file order have run.  Entries whose `t` goes
+    backwards run at the clock's time, in file order; unknown kinds are
+    counted in `replay_unknown_kind` as they are reached."""
+    if not isinstance(entries, list):
+        entries = list(entries)
+    _ReplayFeeder(engine, entries)
+    return sum(1 for e in entries if isinstance(e, dict)
+               and isinstance(e.get("kind"), str) and e["kind"] in _REPLAYED)
+
+
+def replay(engine: Engine, entries: Iterable[dict]) -> tuple[int, float]:
+    """Replay recorded inputs on the engine's `EventLoop`, reading `entries`
+    only as the clock reaches them, and run to `retry_window + 1` past the
+    latest entry; call it after `Engine.start()`.  Returns the count of
+    entries of a known kind and the time run to.  Decoding fails as in
+    `schedule_replay`."""
+    feeder = _ReplayFeeder(engine, entries)
+    loop = engine.scheduler
+    while feeder.next_tick is not None:
+        loop.run_until(feeder.next_tick)
+    until = feeder.latest + engine.config.retry_window + 1.0
+    loop.run_until(until)
+    return feeder.fed, until

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .model import FlowTuple, Proto
+from .model import PROTOS, FlowTuple, Proto
 from .correlate import AttributionResult
 
 FORMAT_PREFIX = "#flowlink"
@@ -92,7 +92,7 @@ class FlowRecord:
             ts=float(d["ts"]), uid=str(d["uid"]),
             orig_h=d["orig_h"], orig_p=int(d["orig_p"]),
             resp_h=d["resp_h"], resp_p=int(d["resp_p"]),
-            proto=Proto(d["proto"]),
+            proto=PROTOS[d["proto"]],
             duration=float(d.get("duration") or 0),
             orig_bytes=int(d.get("orig_bytes") or 0),
             resp_bytes=int(d.get("resp_bytes") or 0),
@@ -239,7 +239,7 @@ class DownloadEvent:
     def from_dict(cls, d: dict) -> "DownloadEvent":
         return cls(ts=float(d["ts"]), sha256=d["sha256"],
                    flow=FlowTuple(d["orig_h"], int(d["orig_p"]), d["resp_h"],
-                                  int(d["resp_p"]), Proto(d["proto"])),
+                                  int(d["resp_p"]), PROTOS[d["proto"]]),
                    flow_uid=d.get("flow_uid", ""),
                    origin_kind=d.get("origin_kind", "http_download"))
 
@@ -261,17 +261,45 @@ class InputRecorder:
         self.out.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+# Lines parsed per `json.loads` call: one document parses a batch's
+# repeated keys into shared strings, where a call per line gives every key
+# of every entry its own.
+INPUTS_BATCH = 1000
+
+
 def read_inputs(lines: Iterator[str]) -> Iterator[dict]:
+    """The entries of an `inputs v1` log, in order.  Lines are parsed a
+    batch at a time as one JSON array; a batch that fails to parse, or
+    parses to another count of values than it has non-blank lines, is
+    parsed again line by line, so a bad line raises `LogFormatError`
+    naming it after the entries before it."""
     try:
         first = next(lines)
     except StopIteration:
         raise LogFormatError("empty inputs file") from None
     if first.strip() != f"{FORMAT_PREFIX} {INPUTS_FORMAT}":
         raise LogFormatError(f"bad inputs header: {first!r}")
+    batch: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, 2):
         if line.strip():
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"inputs line {lineno}: {exc}") from exc
-            yield entry
+            batch.append((lineno, line))
+            if len(batch) == INPUTS_BATCH:
+                yield from _parse_batch(batch)
+                batch = []
+    yield from _parse_batch(batch)
+
+
+def _parse_batch(batch: list[tuple[int, str]]) -> Iterator:
+    try:
+        entries = json.loads("[" + ",".join(line for _, line in batch) + "]")
+    except json.JSONDecodeError:
+        entries = None
+    if entries is not None and len(entries) == len(batch):
+        yield from entries
+        return
+    for lineno, line in batch:
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogFormatError(f"inputs line {lineno}: {exc}") from exc
+        yield entry

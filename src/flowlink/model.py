@@ -64,6 +64,26 @@ class MatchQuality(str, Enum):
     NONE = "none"
 
 
+class _Members(dict):
+    """Value -> member of one `Enum`, for decoding records: a lookup is one
+    dict probe where `Enum(value)` goes through the metaclass.  An unknown
+    value raises `ValueError`, as `Enum(value)` does."""
+
+    def __init__(self, enum: type[Enum]):
+        super().__init__((m.value, m) for m in enum)
+        self._enum = enum
+
+    def __missing__(self, value):
+        raise ValueError(f"{value!r} is not a valid {self._enum.__name__}")
+
+
+PROTOS = _Members(Proto)
+DIRECTIONS = _Members(Direction)
+SOURCES = _Members(Source)
+TABLE_KINDS = _Members(TableKind)
+ACTIONS = _Members(Action)
+
+
 @lru_cache(maxsize=8192)
 def canonical_addr(addr: str) -> str:
     """Normalize an IP address string; IPv4-mapped IPv6 collapses to IPv4.
@@ -110,7 +130,7 @@ class FlowTuple:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FlowTuple":
         return cls(d["orig_addr"], int(d["orig_port"]), d["resp_addr"],
-                   int(d["resp_port"]), Proto(d["proto"]))
+                   int(d["resp_port"]), PROTOS[d["proto"]])
 
 
 def invert(flow: FlowTuple) -> FlowTuple:
@@ -165,8 +185,8 @@ class SocketInfo:
     def from_dict(cls, d: dict[str, Any]) -> "SocketInfo":
         return cls(
             host=d["host"], pid=int(d["pid"]), fd=int(d["fd"]),
-            proto=Proto(d["proto"]), direction=Direction(d["direction"]),
-            source=Source(d["source"]),
+            proto=PROTOS[d["proto"]], direction=DIRECTIONS[d["direction"]],
+            source=SOURCES[d["source"]],
             local_addr=d.get("local_addr"), local_port=d.get("local_port"),
             remote_addr=d.get("remote_addr"), remote_port=d.get("remote_port"),
             first_seen=float(d.get("first_seen", 0.0)),
@@ -203,7 +223,7 @@ class ProcessInfo:
         return cls(
             host=d["host"], pid=int(d["pid"]), parent_pid=int(d["parent_pid"]),
             binary_path=d["binary_path"], uid=int(d["uid"]),
-            start_time=float(d["start_time"]), source=Source(d["source"]),
+            start_time=float(d["start_time"]), source=SOURCES[d["source"]],
             binary_hash=d.get("binary_hash"),
         )
 
@@ -319,8 +339,8 @@ class HostEvent:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "HostEvent":
         return cls(
-            host=d["host"], table=TableKind(d["table"]),
-            action=Action(d["action"]),
+            host=d["host"], table=TABLE_KINDS[d["table"]],
+            action=ACTIONS[d["action"]],
             payload=payload_from_dict(d["payload"]),
             event_time=float(d["event_time"]),
         )
@@ -351,7 +371,7 @@ class SnapshotBatch:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SnapshotBatch":
         return cls(
-            host=d["host"], table=TableKind(d["table"]),
+            host=d["host"], table=TABLE_KINDS[d["table"]],
             batch_id=int(d["batch_id"]),
             rows=tuple(payload_from_dict(r) for r in d["rows"]),
             event_time=float(d["event_time"]),

@@ -34,11 +34,17 @@ class TimerHandle:
         return (self.when, self.seq) < (other.when, other.seq)
 
 
+# Sequence numbers one `ReservedOrder` holds back: more timers than any run
+# schedules, so the loop's own numbers stay above the whole block.
+_RESERVED_SEQS = 1 << 62
+
+
 class EventLoop:
     """Single-threaded discrete-event scheduler over virtual time.
 
     Ties at the same timestamp fire in scheduling order, which makes every
-    run under a fixed schedule byte-reproducible.
+    run under a fixed schedule byte-reproducible.  A `ReservedOrder` lets
+    timers scheduled later take their place in that order earlier.
     """
 
     def __init__(self, start: float = 0.0):
@@ -87,6 +93,26 @@ class EventLoop:
             h.fn(*h.args)
         if max_time is not None and max_time > self._now:
             self._now = max_time
+
+
+class ReservedOrder:
+    """A block of an `EventLoop`'s tie-break numbers, held back when the
+    block is made.  Timers scheduled inside `with order:` take numbers from
+    the block, so at equal times they fire after every timer scheduled
+    before the block was made, before every timer scheduled outside it at
+    any time, and among themselves in the order they were scheduled."""
+
+    def __init__(self, loop: EventLoop):
+        self._loop = loop
+        first = next(loop._seq)
+        self._seq = itertools.count(first)
+        loop._seq = itertools.count(first + _RESERVED_SEQS)
+
+    def __enter__(self) -> None:
+        self._outer, self._loop._seq = self._loop._seq, self._seq
+
+    def __exit__(self, *exc) -> None:
+        self._loop._seq = self._outer
 
 
 class WallScheduler:

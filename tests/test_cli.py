@@ -93,6 +93,20 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
     ({"scenarios": [{"kind": "process_crash", "at": 5, "host": 3}]}, "host"),
     ({"scenarios": ["process_crash"]}, "scenarios"),
     ([{"hosts": 8}], "workload"),
+    ({"scenarios": [{"kind": "process_crash", "at": 5, "host": "nope"}]}, "host"),
+    ({"hosts": 0, "scenarios": [{"kind": "tls_keys", "at": 5}]}, "host"),
+    ({"scenarios": [{"kind": "process_crash", "at": 5, "params": {"after": [1]}}]},
+     "after"),
+    ({"scenarios": [{"kind": "short_socket", "at": 5, "params": {"flow": 1}}]},
+     "flow"),
+    ({"scenarios": [{"kind": "tls_keys", "at": 5, "params": {"sesion": "x"}}]},
+     "sesion"),
+    ({"hosts": 4, "scenarios": [{"kind": "ssh_chain", "at": 5,
+                                 "params": {"chain": ["h000", "h001"]}}]}, "chain"),
+    ({"hosts": 2, "scenarios": [{"kind": "ssh_chain", "at": 5}]}, "chain"),
+    ({"hosts": 4, "scenarios": [{"kind": "ssh_unrelated", "at": 5,
+                                 "params": {"chain": ["h000", "h001", "h001"]}}]},
+     "chain"),
 ])
 def test_malformed_workload_exits_2_before_opening_logs(tmp_path, capsys, command,
                                                         workload, field):
@@ -142,6 +156,13 @@ def test_replay_refuses_garbage_inputs(tmp_path, capsys):
     ('{"t": 1.0, "kind": "flow", "data": {"duration": [0.5], "ts": 1.0, "uid": "F1", '
      '"orig_h": "10.0.0.1", "orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, '
      '"proto": "tcp"}}', "TypeError"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, "proto": "sctp"}}',
+     "ValueError: 'sctp' is not a valid Proto"),
+    ('{"t": 1.0, "kind": "host_event", "data": {"host": "h1", "table": "interfaces", '
+     '"action": "changed", "payload": {"_kind": "interface", "host": "h1", '
+     '"addr": "10.0.0.1"}, "event_time": 1.0}}', "ValueError"),
+    ('{"t": Infinity, "kind": "host_up", "data": {"host": "h1"}}', "finite"),
 ])
 def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
     bad = tmp_path / "inputs.log"
@@ -180,6 +201,58 @@ def test_refused_replay_leaves_earlier_logs_untouched(tmp_path, capsys):
     assert main(["replay", "--inputs", str(bad), "--log-dir", str(out)]) == 2
     assert "entry 2" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+def _recording(path, hosts: int, duration: int) -> list[str]:
+    assert main(["sim", "--hosts", str(hosts), "--duration", str(duration),
+                 "--rate", "4", "--seed", "3", "--log-dir", str(path),
+                 "--record"]) == 0
+    return _read(path / "inputs.log").splitlines(True)
+
+
+def test_replay_refused_halfway_leaves_earlier_logs_untouched(tmp_path, capsys):
+    lines = _recording(tmp_path / "rec", 10, 80)
+    # the first flow from entry 3000 on gets a bad start time; entry i is
+    # lines[i], after the header
+    bad = next(i for i in range(3000, len(lines))
+               if json.loads(lines[i])["kind"] == "flow")
+    assert sum(json.loads(line)["kind"] == "flow" for line in lines[1:bad]) > 50
+    entry = json.loads(lines[bad])
+    entry["data"]["ts"] = "abc"
+    lines[bad] = json.dumps(entry) + "\n"
+    inputs = tmp_path / "inputs.log"
+    inputs.write_text("".join(lines))
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = {"conn.log": b"earlier flows\n", "alerts.log": b"earlier alerts\n"}
+    for name, data in earlier.items():
+        (out / name).write_bytes(data)
+    capsys.readouterr()
+    assert main(["replay", "--inputs", str(inputs), "--log-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"inputs entry {bad}: ValueError" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+def test_replay_starts_the_clock_at_the_first_entry(tmp_path):
+    """A recording stamped in epoch seconds replays at once, not after the
+    loop has ticked from 0 up to its first entry."""
+    lines = _recording(tmp_path / "rec", 2, 8)
+    shifted = [lines[0]]
+    for line in lines[1:]:
+        entry = json.loads(line)
+        entry["t"] += 1.79e9
+        shifted.append(json.dumps(entry) + "\n")
+    inputs = tmp_path / "inputs.log"
+    inputs.write_text("".join(shifted))
+    flows = [json.loads(line)["data"]["uid"] for line in lines[1:]
+             if json.loads(line)["kind"] == "flow"]
+    started = time.monotonic()
+    assert _main_in_thread(["replay", "--inputs", str(inputs),
+                            "--log-dir", str(tmp_path / "out")], 30) == 0
+    assert time.monotonic() - started < 30
+    rows = _enriched_rows(tmp_path / "out" / "conn.log")
+    assert flows and sorted(r["uid"] for r in rows) == sorted(flows)
 
 
 def test_replay_names_the_line_of_bad_json(tmp_path, capsys):

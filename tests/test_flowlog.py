@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from flowlink.flowlog import (
     ENRICH_FIELDS,
     FLOW_FIELDS,
     FLOW_FORMAT,
+    INPUTS_BATCH,
     AlertWriter,
     DownloadEvent,
     EnrichedFlowWriter,
@@ -164,3 +166,50 @@ def test_input_recorder_roundtrip():
     assert entries == [{"t": 1.5, "kind": "flow", "data": {"uid": "F1"}},
                        {"t": 2.0, "kind": "event", "data": {"x": 1},
                         "topic": "node/engine"}]
+
+
+def _inputs_lines(n: int, blank_every: int = 0) -> list[str]:
+    """An `inputs v1` log of `n` entries, a blank line after every
+    `blank_every`-th one if that is set."""
+    lines = ["#flowlink inputs v1\n"]
+    for i in range(n):
+        lines.append(f'{{"t": {i * 0.5}, "kind": "flow", "data": {{"uid": "F{i}", '
+                     f'"vals": [{i}, "x", null, {{"k": true}}]}}}}\n')
+        if blank_every and i % blank_every == blank_every - 1:
+            lines.append("   \n")
+    return lines
+
+
+def test_batched_inputs_equal_per_line_parsing():
+    lines = _inputs_lines(2 * INPUTS_BATCH + 17, blank_every=7)
+    per_line = [json.loads(line) for line in lines[1:] if line.strip()]
+    assert list(read_inputs(iter(lines))) == per_line
+    # lines without their newline, as `splitlines()` gives them
+    bare = [line.rstrip("\n") for line in lines]
+    assert list(read_inputs(iter(bare))) == per_line
+
+
+@pytest.mark.parametrize("bad, cause", [
+    ("{bad json\n", "Expecting property name"),
+    ('{"t": 1.0}, {"t": 2.0}\n', "Extra data"),
+    ('{"t": 1.0, "kind": "flow", "data": [1,\n', "Expecting value"),
+    ('2]\n', "Extra data"),
+])
+def test_inputs_name_the_bad_line_inside_a_batch(bad, cause):
+    lines = _inputs_lines(INPUTS_BATCH + 500, blank_every=10)
+    pos = INPUTS_BATCH + 300           # inside the second batch
+    lines[pos] = bad
+    got = []
+    with pytest.raises(LogFormatError, match=f"inputs line {pos + 1}: {cause}"):
+        for entry in read_inputs(iter(lines)):
+            got.append(entry)
+    assert got == [json.loads(line) for line in lines[1:pos] if line.strip()]
+
+
+def test_a_value_split_over_two_lines_is_refused():
+    """Each line must parse on its own: a value opened on one line and
+    closed on the next is no entry, although the batch parses."""
+    lines = _inputs_lines(10)
+    lines[4:6] = ["[1\n", "2]\n"]
+    with pytest.raises(LogFormatError, match="inputs line 5"):
+        list(read_inputs(iter(lines)))
