@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import collections
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .model import FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
@@ -143,7 +143,8 @@ def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
 def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
               index: AddressIndex, store: HostStateStore,
               decided_at: float = 0.0,
-              ambiguity_window: float = 0.1) -> AttributionResult:
+              ambiguity_window: float = 0.1,
+              tag: object = None) -> AttributionResult:
     """One-shot attribution of a flow against current state.
 
     Per side: find the hosts owning the side's address, match every socket
@@ -180,7 +181,7 @@ def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
         flow=flow, flow_start=flow_start, flow_end=flow_end,
         originator=picked[Side.ORIGINATOR], responder=picked[Side.RESPONDER],
         originator_hosts=sides[Side.ORIGINATOR], responder_hosts=sides[Side.RESPONDER],
-        decided_at=decided_at,
+        decided_at=decided_at, tag=tag,
     )
 
 
@@ -189,8 +190,8 @@ class _Parked:
     flow: FlowTuple
     flow_start: float
     flow_end: float
+    deadline: float
     tag: object = None
-    timer: object = None
 
 
 class Correlator:
@@ -201,10 +202,16 @@ class Correlator:
     decide it: a socket added or updated on a host that claims one of its
     addresses, any host change (connect, disconnect, grace expiry) on such a
     host, and one of its addresses being added to or removed from any host.
-    At the deadline the flow is finalized as-is.  Every submitted flow
-    produces exactly one emitted result; `counters["retry_attempts"]` counts
-    the re-attributions and `counters["retry_resolved"]` those that decided
-    the flow.
+    At the deadline the flow is finalized as-is.
+
+    Every entry waits the same `retry_window` on a clock that never goes
+    back, so the park's insertion order is its deadline order.  While the
+    park holds entries, one timer is pending at or before the oldest
+    deadline; it releases what is due and re-arms for the next.  Resolved,
+    expired, evicted and flushed entries all leave through `_release`, so
+    each submitted flow is emitted exactly once.  `counters["retry_attempts"]`
+    counts the re-attributions and `counters["retry_resolved"]` those that
+    decided the flow.
     """
 
     def __init__(self, store: HostStateStore, index: AddressIndex,
@@ -220,7 +227,8 @@ class Correlator:
         self.retry_window = retry_window
         self.max_parked = max_parked
         self.ambiguity_window = ambiguity_window
-        self._parked: collections.OrderedDict[int, _Parked] = collections.OrderedDict()
+        self._parked: dict[int, _Parked] = {}
+        self._timer = None
         self._next_id = 0
         self.counters: collections.Counter = collections.Counter()
 
@@ -228,13 +236,11 @@ class Correlator:
 
     def submit(self, flow: FlowTuple, flow_start: float, flow_end: float,
                tag: object = None) -> None:
-        now = self._now()
-        result = attribute(flow, flow_start, flow_end, self.index, self.store,
-                           decided_at=now, ambiguity_window=self.ambiguity_window)
+        result = self._attribute(flow, flow_start, flow_end, tag)
         if self.retry_window > 0 and self._should_park(result):
             self._park(flow, flow_start, flow_end, tag)
             return
-        self._finish(replace(result, tag=tag))
+        self._finish(result)
 
     def _should_park(self, result: AttributionResult) -> bool:
         # Parking only helps when some monitored host could still produce
@@ -249,19 +255,15 @@ class Correlator:
         return False
 
     def _park(self, flow: FlowTuple, flow_start: float, flow_end: float,
-              tag: object = None) -> None:
+              tag: object) -> None:
         while len(self._parked) >= self.max_parked:
-            _, oldest = self._parked.popitem(last=False)
-            self._cancel_timer(oldest)
-            self.counters["parked_evicted"] += 1
-            self._finalize(oldest)
-        pid = self._next_id
+            self._release(next(iter(self._parked)), "parked_evicted")
+        deadline = self.scheduler.now() + self.retry_window
+        self._parked[self._next_id] = _Parked(flow, flow_start, flow_end, deadline, tag)
         self._next_id += 1
-        entry = _Parked(flow=flow, flow_start=flow_start, flow_end=flow_end, tag=tag)
-        entry.timer = self.scheduler.call_later(
-            self.retry_window, self._on_deadline, pid)
-        self._parked[pid] = entry
         self.counters["parked"] += 1
+        if self._timer is None:
+            self._timer = self.scheduler.call_at(deadline, self._on_deadline)
 
     # -- retry paths -------------------------------------------------------
 
@@ -289,28 +291,24 @@ class Correlator:
             if not relevant:
                 continue
             self.counters["retry_attempts"] += 1
-            result = attribute(flow, entry.flow_start, entry.flow_end,
-                               self.index, self.store, decided_at=self._now(),
-                               ambiguity_window=self.ambiguity_window)
+            result = self._attribute(flow, entry.flow_start, entry.flow_end, entry.tag)
             if not self._should_park(result):
-                self._unpark(pid)
-                self.counters["retry_resolved"] += 1
-                self._finish(replace(result, tag=entry.tag))
+                self._release(pid, "retry_resolved", result)
 
-    def _on_deadline(self, pid: int) -> None:
-        entry = self._parked.pop(pid, None)
-        if entry is None:
-            return
-        self.counters["retry_expired"] += 1
-        self._finalize(entry)
+    def _on_deadline(self) -> None:
+        self._timer = None
+        now = self.scheduler.now()
+        while self._parked:
+            pid, entry = next(iter(self._parked.items()))
+            if entry.deadline > now:
+                self._timer = self.scheduler.call_at(entry.deadline, self._on_deadline)
+                return
+            self._release(pid, "retry_expired")
 
     def flush(self) -> None:
         """Finalize everything still parked (shutdown path)."""
         for pid in list(self._parked):
-            entry = self._parked.pop(pid)
-            self._cancel_timer(entry)
-            self.counters["flushed"] += 1
-            self._finalize(entry)
+            self._release(pid, "flushed")
 
     @property
     def parked_count(self) -> int:
@@ -318,28 +316,26 @@ class Correlator:
 
     # -- internals ----------------------------------------------------------
 
-    def _finalize(self, entry: _Parked) -> None:
-        result = attribute(entry.flow, entry.flow_start, entry.flow_end,
-                           self.index, self.store, decided_at=self._now(),
-                           ambiguity_window=self.ambiguity_window)
-        self._finish(replace(result, tag=entry.tag))
+    def _release(self, pid: int, outcome: str,
+                 result: Optional[AttributionResult] = None) -> None:
+        """The one way out of the park: count `outcome`, attribute the flow
+        now unless `result` already decided it, and emit."""
+        entry = self._parked.pop(pid)
+        self.counters[outcome] += 1
+        if result is None:
+            result = self._attribute(entry.flow, entry.flow_start, entry.flow_end,
+                                     entry.tag)
+        self._finish(result)
+
+    def _attribute(self, flow: FlowTuple, flow_start: float, flow_end: float,
+                   tag: object) -> AttributionResult:
+        return attribute(flow, flow_start, flow_end, self.index, self.store,
+                         decided_at=self.scheduler.now(),
+                         ambiguity_window=self.ambiguity_window, tag=tag)
 
     def _finish(self, result: AttributionResult) -> None:
         self.counters["emitted"] += 1
         self.emit(result)
-
-    def _unpark(self, pid: int) -> None:
-        entry = self._parked.pop(pid, None)
-        if entry is not None:
-            self._cancel_timer(entry)
-
-    def _cancel_timer(self, entry: _Parked) -> None:
-        if entry.timer is not None:
-            self.scheduler.cancel(entry.timer)
-            entry.timer = None
-
-    def _now(self) -> float:
-        return self.scheduler.now()
 
 
 @dataclass

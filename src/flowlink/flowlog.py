@@ -270,9 +270,11 @@ INPUTS_BATCH = 1000
 def read_inputs(lines: Iterator[str]) -> Iterator[dict]:
     """The entries of an `inputs v1` log, in order.  Lines are parsed a
     batch at a time as one JSON array; a batch that fails to parse, or
-    parses to another count of values than it has non-blank lines, is
-    parsed again line by line, so a bad line raises `LogFormatError`
-    naming it after the entries before it."""
+    parses to a non-object or another count of values than it has lines,
+    is parsed again line by line, so a bad line raises `LogFormatError`
+    naming it after the entries before it.  A pair of faults still passes:
+    an entry whose nested list spans two lines, in the batch of a line that
+    holds two entries."""
     try:
         first = next(lines)
     except StopIteration:
@@ -294,7 +296,8 @@ def _parse_batch(batch: list[tuple[int, str]]) -> Iterator:
         entries = json.loads("[" + ",".join(line for _, line in batch) + "]")
     except json.JSONDecodeError:
         entries = None
-    if entries is not None and len(entries) == len(batch):
+    if entries is not None and len(entries) == len(batch) and all(
+            type(e) is dict for e in entries):
         yield from entries
         return
     for lineno, line in batch:

@@ -2,7 +2,8 @@
 replay, plus a wall-clock scheduler for the live service and load tests.
 
 Both expose the same now()/call_at()/call_later()/cancel() surface so engine
-components are agnostic to which mode they run under.  Each also carries the
+components are agnostic to which mode they run under.  Neither clock goes
+back, which the correlator's one park timer relies on.  Each also carries the
 `lock` that owns engine state: the engine takes it on every entry point, and
 the wall-clock scheduler runs every callback while holding it.
 """
@@ -118,6 +119,8 @@ class ReservedOrder:
 class WallScheduler:
     """Wall-clock timer thread with the EventLoop call surface.
 
+    `now()` is epoch seconds that advance with `time.monotonic()`, so a step
+    of the system clock neither fires timers early nor stalls them.
     Callbacks run on the scheduler thread while holding `lock`, so they
     never interleave with ingestion threads that hold it.  A handle
     cancelled while its callback waited for the lock does not run.  Do not
@@ -130,11 +133,12 @@ class WallScheduler:
         self.lock = threading.RLock()
         self._cond = threading.Condition()
         self._stopped = False
+        self._wall0, self._mono0 = time.time(), time.monotonic()
         self._thread = threading.Thread(target=self._run, name="flowlink-timer", daemon=True)
         self._thread.start()
 
     def now(self) -> float:
-        return time.time()
+        return self._wall0 + (time.monotonic() - self._mono0)
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> TimerHandle:
         h = TimerHandle(when, next(self._seq), fn, args)
@@ -144,7 +148,7 @@ class WallScheduler:
         return h
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
-        return self.call_at(time.time() + delay, fn, *args)
+        return self.call_at(self.now() + delay, fn, *args)
 
     def cancel(self, handle: TimerHandle):
         handle.cancel()
@@ -158,11 +162,8 @@ class WallScheduler:
     def _run(self):
         while True:
             with self._cond:
-                while not self._stopped and (not self._heap or self._heap[0].when > time.time()):
-                    if self._heap:
-                        self._cond.wait(timeout=max(0.0, self._heap[0].when - time.time()))
-                    else:
-                        self._cond.wait()
+                while not self._stopped and (not self._heap or self._heap[0].when > self.now()):
+                    self._cond.wait(self._heap[0].when - self.now() if self._heap else None)
                 if self._stopped:
                     return
                 h = heapq.heappop(self._heap)

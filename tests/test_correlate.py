@@ -3,6 +3,7 @@ every socket on every host with no indexing or pruning shortcuts."""
 
 from __future__ import annotations
 
+import collections
 import random
 from dataclasses import replace
 
@@ -392,7 +393,7 @@ def test_parked_flow_resolves_on_late_telemetry():
     assert corr.counters["retry_attempts"] == 1
     assert corr.counters["retry_resolved"] == 1
     loop.run_until_idle()
-    assert len(results) == 1  # deadline timer was cancelled; no double emit
+    assert len(results) == 1  # the park's timer finds nothing due; no double emit
 
 
 def test_parked_flow_expires_at_deadline():
@@ -527,12 +528,119 @@ class RetryEverythingCorrelator(Correlator):
             entry = self._parked.get(pid)
             if entry is None:
                 continue
-            result = attribute(entry.flow, entry.flow_start, entry.flow_end,
+            result = self._attribute(entry.flow, entry.flow_start, entry.flow_end,
+                                     entry.tag)
+            if not self._should_park(result):
+                self._release(pid, "retry_resolved", result)
+
+
+class PerFlowTimerCorrelator:
+    """The park before it kept its own deadlines, kept as the reference: one
+    heap timer per parked flow, cancelled when the flow leaves early, and
+    one exit path per way out."""
+
+    _should_park = Correlator._should_park
+    parked_count = Correlator.parked_count
+
+    def __init__(self, store, index, emit, scheduler, retry_window=2.0,
+                 max_parked=10_000, ambiguity_window=0.1):
+        self.store = store
+        self.index = index
+        self.emit = emit
+        self.scheduler = scheduler
+        self.retry_window = retry_window
+        self.max_parked = max_parked
+        self.ambiguity_window = ambiguity_window
+        self._parked = collections.OrderedDict()
+        self._next_id = 0
+        self.counters = collections.Counter()
+
+    def submit(self, flow, flow_start, flow_end, tag=None):
+        now = self._now()
+        result = attribute(flow, flow_start, flow_end, self.index, self.store,
+                           decided_at=now, ambiguity_window=self.ambiguity_window)
+        if self.retry_window > 0 and self._should_park(result):
+            self._park(flow, flow_start, flow_end, tag)
+            return
+        self._finish(replace(result, tag=tag))
+
+    def _park(self, flow, flow_start, flow_end, tag=None):
+        while len(self._parked) >= self.max_parked:
+            _, oldest = self._parked.popitem(last=False)
+            self._cancel_timer(oldest)
+            self.counters["parked_evicted"] += 1
+            self._finalize(oldest)
+        pid = self._next_id
+        self._next_id += 1
+        entry = {"flow": flow, "flow_start": flow_start, "flow_end": flow_end,
+                 "tag": tag}
+        entry["timer"] = self.scheduler.call_later(
+            self.retry_window, self._on_deadline, pid)
+        self._parked[pid] = entry
+        self.counters["parked"] += 1
+
+    def on_state_change(self, change):
+        if not self._parked:
+            return
+        kind = change.kind
+        host, addr = change.host, change.key
+        for pid in list(self._parked):
+            entry = self._parked.get(pid)
+            if entry is None:
+                continue
+            flow = entry["flow"]
+            if kind == "address":
+                relevant = addr == flow.orig_addr or addr == flow.resp_addr
+            else:
+                relevant = (host in self.index.hosts_for(flow.orig_addr)
+                            or host in self.index.hosts_for(flow.resp_addr))
+            if not relevant:
+                continue
+            self.counters["retry_attempts"] += 1
+            result = attribute(flow, entry["flow_start"], entry["flow_end"],
                                self.index, self.store, decided_at=self._now(),
                                ambiguity_window=self.ambiguity_window)
             if not self._should_park(result):
                 self._unpark(pid)
-                self._finish(replace(result, tag=entry.tag))
+                self.counters["retry_resolved"] += 1
+                self._finish(replace(result, tag=entry["tag"]))
+
+    def _on_deadline(self, pid):
+        entry = self._parked.pop(pid, None)
+        if entry is None:
+            return
+        self.counters["retry_expired"] += 1
+        self._finalize(entry)
+
+    def flush(self):
+        for pid in list(self._parked):
+            entry = self._parked.pop(pid)
+            self._cancel_timer(entry)
+            self.counters["flushed"] += 1
+            self._finalize(entry)
+
+    def _finalize(self, entry):
+        result = attribute(entry["flow"], entry["flow_start"], entry["flow_end"],
+                           self.index, self.store, decided_at=self._now(),
+                           ambiguity_window=self.ambiguity_window)
+        self._finish(replace(result, tag=entry["tag"]))
+
+    def _finish(self, result):
+        self.counters["emitted"] += 1
+        self.emit(result)
+
+    def _unpark(self, pid):
+        entry = self._parked.pop(pid, None)
+        if entry is not None:
+            self._cancel_timer(entry)
+
+    def _cancel_timer(self, entry):
+        if entry["timer"] is not None:
+            self.scheduler.cancel(entry["timer"])
+            entry["timer"] = None
+
+    def _now(self):
+        return self.scheduler.now()
 
 
 D_HOSTS = ("h1", "h2", "h3")
@@ -630,8 +738,30 @@ def retry_ops(draw):
     return ops
 
 
+class WatchedLoop(EventLoop):
+    """An `EventLoop` that counts cancels and the most park deadline timers
+    ever pending at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.cancels = 0
+        self.most_park_timers = 0
+
+    def call_at(self, when, fn, *args):
+        handle = super().call_at(when, fn, *args)
+        pending = sum(1 for h in self._heap
+                      if not h.cancelled and h.fn.__name__ == "_on_deadline")
+        self.most_park_timers = max(self.most_park_timers, pending)
+        return handle
+
+    def cancel(self, handle):
+        self.cancels += 1
+        super().cancel(handle)
+
+
 def run_retry_world(correlator_cls, ops, max_parked):
-    loop = EventLoop()
+    """Results in emission order, the correlator and its loop."""
+    loop = WatchedLoop()
     store = HostStateStore(loop.now, grace_period=3.0)
     index = AddressIndex()
     store.add_listener(index.apply_change)
@@ -669,17 +799,34 @@ def run_retry_world(correlator_cls, ops, max_parked):
             loop.run_until(now + arg)
     loop.run_until(loop.now() + 0.5)
     corr.flush()
-    return results
+    return results, corr, loop
 
 
 @given(retry_ops(), st.sampled_from([2, 10_000]))
 @settings(max_examples=300, deadline=None)
 def test_filtered_retry_equals_retry_everything(ops, max_parked):
-    got = run_retry_world(Correlator, ops, max_parked)
-    want = run_retry_world(RetryEverythingCorrelator, ops, max_parked)
+    got, _, _ = run_retry_world(Correlator, ops, max_parked)
+    want, _, _ = run_retry_world(RetryEverythingCorrelator, ops, max_parked)
     assert got == want
     tags = [r.tag for r in got]
     assert sorted(tags) == [i for i, (name, _) in enumerate(ops) if name == "flow"]
+
+
+@given(retry_ops(), st.sampled_from([2, 10_000]))
+@settings(max_examples=300, deadline=None)
+def test_one_timer_park_equals_per_flow_timers(ops, max_parked):
+    """The `advance` steps add up to exact deadline ties: flows parked at one
+    instant fall due together, and a flow can fall due at the instant
+    another one parks."""
+    got, corr, loop = run_retry_world(Correlator, ops, max_parked)
+    want, _, _ = run_retry_world(PerFlowTimerCorrelator, ops, max_parked)
+    assert got == want          # same results in the same order, decided_at too
+    c = corr.counters
+    assert c["parked"] == (c["retry_resolved"] + c["retry_expired"]
+                           + c["parked_evicted"] + c["flushed"])
+    assert corr.parked_count == 0
+    assert loop.most_park_timers <= 1
+    assert loop.cancels == 0
 
 
 # --- metrics ---------------------------------------------------------------------

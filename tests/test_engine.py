@@ -1,8 +1,11 @@
 """End-to-end engine behaviour over the simulated fleet."""
 
+import collections
 import io
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -584,4 +587,76 @@ def test_wall_scheduler_callbacks_run_under_engine_lock():
         assert not ran.is_set()
     finally:
         release.set()
+        sched.stop()
+
+
+@pytest.mark.parametrize("step", [3600.0, -3600.0])
+def test_wall_scheduler_timers_ignore_wall_clock_steps(monkeypatch, step):
+    sched = WallScheduler()
+    fired_at: list[float] = []
+    ran = threading.Event()
+
+    def fire():
+        fired_at.append(time.monotonic())
+        ran.set()
+    try:
+        start = time.monotonic()
+        sched.call_later(0.5, fire)
+        real = time.time
+        monkeypatch.setattr(time, "time", lambda: real() + step)
+        # wake the timer thread so that it looks at its heap after the step
+        sched.call_later(60.0, fire)
+        assert not ran.wait(timeout=0.3)
+        assert ran.wait(timeout=1.0)
+        assert fired_at[0] - start >= 0.5
+    finally:
+        sched.stop()
+
+
+def test_wall_clock_park_emits_every_flow_once():
+    """Two ingest threads park flows and resolve every other one with a late
+    socket while the timer thread expires the rest."""
+    n, lag = 300, 5
+    sched = WallScheduler()
+    engine = Engine(config(retry_window=0.2), sched)
+    counts: collections.Counter = collections.Counter()
+    engine.result_sinks.append(lambda result: counts.update([result.tag.uid]))
+
+    def ingest(ids):
+        for step, i in enumerate(ids + [None] * lag):
+            if i is not None:
+                engine.submit_flow(FlowRecord(
+                    ts=0.0, uid=f"F{i}", orig_h="10.0.0.1", orig_p=4000 + i,
+                    resp_h="203.0.113.9", resp_p=443, proto=Proto.TCP))
+            if step >= lag and (step - lag) % 2 == 0:
+                late = ids[step - lag]
+                engine.ingest_result("t", sock_ev(make_sock(
+                    pid=100, fd=1000 + late, local=("10.0.0.1", 4000 + late),
+                    remote=("203.0.113.9", 443))))
+            time.sleep(0.001)
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        engine.register_host("h1")
+        engine.ingest_result("t", iface_ev("h1", "10.0.0.1"))
+        engine.ingest_result("t", proc_ev(make_proc(pid=100)))
+        ingesters = [threading.Thread(target=ingest, args=(list(range(k, n, 2)),))
+                     for k in (0, 1)]
+        for t in ingesters:
+            t.start()
+        for t in ingesters:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        quiet = time.monotonic() + 2.0
+        while engine.correlator.parked_count and time.monotonic() < quiet:
+            time.sleep(0.01)
+        with engine.lock:
+            assert engine.correlator.parked_count == 0
+            assert counts == {f"F{i}": 1 for i in range(n)}
+            c = engine.correlator.counters
+            assert c["parked"] == n == c["retry_resolved"] + c["retry_expired"]
+            assert c["retry_resolved"] > 0 and c["retry_expired"] > 0
+    finally:
+        sys.setswitchinterval(switch)
+        engine.shutdown()
         sched.stop()

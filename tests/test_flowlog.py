@@ -213,3 +213,12 @@ def test_a_value_split_over_two_lines_is_refused():
     lines[4:6] = ["[1\n", "2]\n"]
     with pytest.raises(LogFormatError, match="inputs line 5"):
         list(read_inputs(iter(lines)))
+
+
+def test_a_split_value_is_refused_when_another_line_makes_up_the_count():
+    """`[1`, `2]` and `3, 4` parse as a batch to as many values as lines,
+    but not every value is an entry object."""
+    lines = _inputs_lines(10)
+    lines[4:7] = ["[1\n", "2]\n", "3, 4\n"]
+    with pytest.raises(LogFormatError, match="inputs line 5"):
+        list(read_inputs(iter(lines)))
