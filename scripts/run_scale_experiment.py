@@ -2,9 +2,9 @@
 """Scaling sweep: drive the live engine at increasing fleet sizes and report
 sustained throughput, attribution latency, and per-host memory cost.
 
-Each sweep point runs the wall-clock load harness (paced producers feeding the
-bounded ingest queue) at `--rate` events per second per host, so the sustained
-column reads directly against the target column.  The memory series is
+Each sweep point runs the wall-clock load harness (one paced producer feeding
+the bounded ingest queue) at `--rate` events per second per host, so the
+sustained column reads directly against the target column.  The memory series is
 measured separately on idle engines and fitted by least squares.
 
     python3 scripts/run_scale_experiment.py --hosts 100,200,400 --seconds 20
@@ -37,8 +37,6 @@ def main(argv=None) -> int:
                         help="measurement window per sweep point")
     parser.add_argument("--memory-hosts", default="100,200,400",
                         help="fleet sizes for the memory regression")
-    parser.add_argument("--queue-capacity", type=int, default=4096)
-    parser.add_argument("--producers", type=int, default=4)
     parser.add_argument("--out", help="also write the raw reports as JSON")
     args = parser.parse_args(argv)
 
@@ -48,9 +46,7 @@ def main(argv=None) -> int:
     print("-" * len(header))
     reports = []
     for hosts in parse_counts(args.hosts):
-        rep = run_throughput(hosts, args.rate, args.seconds,
-                             queue_capacity=args.queue_capacity,
-                             producers=args.producers)
+        rep = run_throughput(hosts, args.rate, args.seconds)
         reports.append(rep)
         print(f"{rep.hosts:>6} {hosts * args.rate:>9.0f} "
               f"{rep.events_per_sec:>11.0f} "

@@ -1,13 +1,13 @@
 """Load and memory benchmarks for the correlation engine.
 
-Throughput: paced producer threads synthesize per-host telemetry cycles
-(process start, socket open, flow report, socket close, process exit) into a
-bounded queue; a single dispatch thread drains it into the engine's locked
-entry points under wall-clock timers.  The queue models the producers and
-measures how far they run ahead; it is not the live service's path, where
-sources call the engine directly.  Producers block rather than drop, so a
-consumer that cannot keep up shows as a lower sustained rate and higher
-latency, never as silent loss.
+Throughput: one paced producer thread synthesizes every host's telemetry
+cycles (process start, socket open, flow report, socket close, process exit)
+in time order into a bounded queue; a single dispatch thread drains it into
+the engine's locked entry points under wall-clock timers.  The queue models
+the fleet's sources and measures how far they run ahead; it is not the live
+service's path, where sources call the engine directly.  The producer blocks
+rather than drops, so a consumer that cannot keep up shows as a lower
+sustained rate and higher latency, never as silent loss.
 
 Memory: engine state is built from serialized telemetry for increasing fleet
 sizes on a virtual clock and the retained footprint is measured with
@@ -50,9 +50,16 @@ STEPS_PER_CYCLE = 4
 _STEP_OFFSETS = (0.0, 0.25, 0.45, 0.50, 0.75)
 _STEP_FLOW = 2
 
-# Run the producers ~1% hot so the floor check measures engine capacity, not
+# Run the producer ~1% hot so the floor check measures engine capacity, not
 # scheduling rounding at exactly the target rate.
 _PACE = 0.99
+
+# Bound of the ingest queue between the producer and the dispatch loop.
+QUEUE_CAPACITY = 4096
+
+# Rows each memory-scaling host holds beyond its baseline snapshot.
+_EXTRA_PROCS = 4
+_EXTRA_SOCKETS = 8
 
 
 # --- reports ---------------------------------------------------------------------
@@ -92,11 +99,6 @@ class MemoryReport:
     slope_bytes_per_host: float
     intercept_bytes: float
     max_slope_deviation: float  # worst pairwise increment vs fitted slope
-
-    def is_linear(self, tolerance: float = 0.20) -> bool:
-        return (self.slope_bytes_per_host > 0
-                and math.isfinite(self.slope_bytes_per_host)
-                and self.max_slope_deviation <= tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -171,18 +173,16 @@ class _HostLoad:
 
 def _produce(loads: list[_HostLoad], n_cycles: int, cycle_period: float,
              t0_mono: float, wall_t0: float, out: queue.Queue,
-             stop: threading.Event, counts: list[int], slot: int) -> None:
+             stop: threading.Event) -> None:
     scaled_cp = cycle_period * _PACE
     template = sorted(
         ((load.stagger + off * cycle_period, step, load)
          for load in loads for step, off in enumerate(_STEP_OFFSETS)),
         key=lambda entry: (entry[0], entry[1]))
-    produced = 0
     for cycle in range(n_cycles):
         base = cycle * cycle_period
         for rel, step, load in template:
             if stop.is_set():
-                counts[slot] = produced
                 return
             due = t0_mono + (base + rel) * _PACE
             wait = due - time.monotonic()
@@ -194,24 +194,21 @@ def _produce(loads: list[_HostLoad], n_cycles: int, cycle_period: float,
             while not stop.is_set():
                 try:
                     out.put(item, timeout=0.5)
-                    produced += 1
                     break
                 except queue.Full:
                     continue
-    counts[slot] = produced
 
 
-def run_throughput(hosts: int, rate: float = 4.0, duration: float = 300.0, *,
-                   queue_capacity: int = 4096, producers: int = 4,
-                   config: EngineConfig | None = None) -> ThroughputReport:
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+def run_throughput(hosts: int, rate: float = 4.0,
+                   duration: float = 300.0) -> ThroughputReport:
+    if not (0 < rate < math.inf and 0 <= duration < math.inf):
+        raise ValueError("rate must be positive and duration non-negative, "
+                         "both finite")
     cycle_period = STEPS_PER_CYCLE / rate
     n_cycles = int(duration / cycle_period)
 
-    cfg = config or EngineConfig()
     scheduler = WallScheduler()
-    engine = Engine(cfg, scheduler)
+    engine = Engine(EngineConfig(), scheduler)
     engine.start()
 
     loads = []
@@ -239,27 +236,17 @@ def run_throughput(hosts: int, rate: float = 4.0, duration: float = 300.0, *,
 
     engine.result_sinks.append(_sink)
 
-    inbox: queue.Queue = queue.Queue(maxsize=queue_capacity)
+    inbox: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
     stop = threading.Event()
-    done = threading.Event()
-    n_shards = max(1, min(producers, hosts)) if hosts else 1
-    counts = [0] * n_shards
-    # All producers share one clock origin, set slightly ahead so thread
-    # startup cost is not counted against the paced timeline.
+    # The clock origin is set slightly ahead so thread startup cost is not
+    # counted against the paced timeline.
     t0_mono = time.monotonic() + 0.1
     wall_t0 = time.time() + 0.1
-    threads = [
-        threading.Thread(
-            target=_produce,
-            args=(loads[s::n_shards], n_cycles, cycle_period, t0_mono,
-                  wall_t0, inbox, stop, counts, s),
-            name=f"bench-producer-{s}", daemon=True)
-        for s in range(n_shards)
-    ]
-    for th in threads:
-        th.start()
-    threading.Thread(target=lambda: ([t.join() for t in threads], done.set()),
-                     daemon=True).start()
+    producer = threading.Thread(
+        target=_produce,
+        args=(loads, n_cycles, cycle_period, t0_mono, wall_t0, inbox, stop),
+        name="bench-producer", daemon=True)
+    producer.start()
 
     events_done = 0
     flows_in = 0
@@ -270,9 +257,11 @@ def run_throughput(hosts: int, rate: float = 4.0, duration: float = 300.0, *,
             try:
                 enq, step, payload = inbox.get(timeout=0.1)
             except queue.Empty:
-                if done.is_set():
-                    break
-                continue
+                # the producer's last put happens before it ends, so a dead
+                # producer and an empty queue mean every item was taken
+                if producer.is_alive() or not inbox.empty():
+                    continue
+                break
             depth = inbox.qsize()
             if depth > queue_peak:
                 queue_peak = depth
@@ -296,20 +285,21 @@ def run_throughput(hosts: int, rate: float = 4.0, duration: float = 300.0, *,
     return ThroughputReport(
         hosts=hosts, rate_per_host=rate, requested_duration=duration,
         elapsed=elapsed,
-        events_in=sum(counts) - flows_in, events_processed=events_done,
+        # the planned load, so a producer that ends early shows as a shortfall
+        events_in=len(loads) * STEPS_PER_CYCLE * n_cycles,
+        events_processed=events_done,
         flows_in=flows_in, flows_attributed=attributed[0],
         events_per_sec=events_done / elapsed if elapsed > 0 else 0.0,
         event_latency_p99=ep99,
         attrib_latency_p50=fp50, attrib_latency_p95=fp95,
         attrib_latency_p99=fp99,
-        queue_capacity=queue_capacity, queue_peak=queue_peak)
+        queue_capacity=QUEUE_CAPACITY, queue_peak=queue_peak)
 
 
 # --- memory scaling ----------------------------------------------------------------
 
 
-def _measure_state_bytes(n_hosts: int, extra_procs: int = 4,
-                         extra_sockets: int = 8) -> int:
+def _measure_state_bytes(n_hosts: int) -> int:
     """Retained engine bytes after ingesting one fleet's worth of telemetry.
 
     Payloads are staged as JSON strings before tracing starts, so only what
@@ -320,15 +310,15 @@ def _measure_state_bytes(n_hosts: int, extra_procs: int = 4,
         init = _baseline(i, False)
         agent = SimAgent(init, scheduler=None)
         msgs = [json.dumps(b.to_dict()) for b in agent.initial_batches(0.0)]
-        for k in range(extra_procs):
+        for k in range(_EXTRA_PROCS):
             proc = ProcessInfo(init.name, 3000 + k, 1,
                                f"/usr/local/bin/svc{k}", 1000, 0.0,
                                Source.AUDIT)
             msgs.append(json.dumps(HostEvent(
                 init.name, TableKind.PROCESS_EVENTS, Action.ADDED, proc,
                 0.0).to_dict()))
-        for k in range(extra_sockets):
-            sock = SocketInfo(init.name, 3000 + k % max(extra_procs, 1),
+        for k in range(_EXTRA_SOCKETS):
+            sock = SocketInfo(init.name, 3000 + k % _EXTRA_PROCS,
                               10 + k, Proto.TCP, Direction.OUTGOING,
                               Source.AUDIT, init.addr, 25000 + k, SINK_ADDR,
                               SINK_PORT)
@@ -375,11 +365,6 @@ def run_memory_scaling(host_counts=(100, 200, 400)) -> MemoryReport:
 
 
 def run_bench(hosts: int = 870, rate: float = 4.0, duration: float = 300.0,
-              memory_hosts=(100, 200, 400), *, queue_capacity: int = 4096,
-              producers: int = 4,
-              config: EngineConfig | None = None) -> BenchReport:
-    throughput = run_throughput(hosts, rate, duration,
-                                queue_capacity=queue_capacity,
-                                producers=producers, config=config)
-    memory = run_memory_scaling(memory_hosts)
-    return BenchReport(throughput, memory)
+              memory_hosts=(100, 200, 400)) -> BenchReport:
+    return BenchReport(run_throughput(hosts, rate, duration),
+                       run_memory_scaling(memory_hosts))

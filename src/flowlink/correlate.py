@@ -14,46 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .model import FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
-from .state import HostState, HostStateStore, StateChange
+from .state import AddressIndex, HostState, HostStateStore, StateChange
 
 log = logging.getLogger(__name__)
-
-
-class AddressIndex:
-    """Mutable map from interface address to the hosts currently claiming it.
-
-    Multiple hosts may claim one address (NAT, address reuse, agents racing
-    during DHCP churn); lookups return all claimants and leave the ambiguity
-    to the attribution layer.
-
-    The index follows the store's address changes only.  A disconnected host
-    keeps its addresses through its grace period, so its frozen state stays
-    reachable for late attribution; reconnect and grace expiry emit the
-    address removals that take them out.
-    """
-
-    def __init__(self):
-        self._hosts_by_addr: dict[str, set[str]] = collections.defaultdict(set)
-
-    def add(self, host: str, addr: str) -> None:
-        addr = canonical_addr(addr)
-        self._hosts_by_addr[addr].add(host)
-
-    def remove(self, host: str, addr: str) -> None:
-        addr = canonical_addr(addr)
-        self._hosts_by_addr.get(addr, set()).discard(host)
-        if not self._hosts_by_addr.get(addr):
-            self._hosts_by_addr.pop(addr, None)
-
-    def hosts_for(self, addr: str) -> frozenset[str]:
-        return frozenset(self._hosts_by_addr.get(canonical_addr(addr), ()))
-
-    def apply_change(self, change: StateChange) -> None:
-        if change.kind == "address":
-            if change.action.value == "added":
-                self.add(change.host, change.key)
-            else:
-                self.remove(change.host, change.key)
 
 
 @dataclass(frozen=True)
@@ -202,7 +165,9 @@ class Correlator:
     decide it: a socket added or updated on a host that claims one of its
     addresses, any host change (connect, disconnect, grace expiry) on such a
     host, and one of its addresses being added to or removed from any host.
-    At the deadline the flow is finalized as-is.
+    At the deadline the flow is finalized as-is.  Hosts are looked up in the
+    store's address index, which already holds each change the correlator
+    hears.
 
     Every entry waits the same `retry_window` on a clock that never goes
     back, so the park's insertion order is its deadline order.  While the
@@ -214,14 +179,14 @@ class Correlator:
     decided the flow.
     """
 
-    def __init__(self, store: HostStateStore, index: AddressIndex,
+    def __init__(self, store: HostStateStore,
                  emit: Callable[[AttributionResult], None],
                  scheduler,
                  retry_window: float = 2.0,
                  max_parked: int = 10_000,
                  ambiguity_window: float = 0.1):
         self.store = store
-        self.index = index
+        self.index = store.index
         self.emit = emit
         self.scheduler = scheduler
         self.retry_window = retry_window

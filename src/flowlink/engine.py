@@ -26,7 +26,6 @@ from typing import IO, Iterable, Iterator, Optional
 
 from .config import EngineConfig
 from .correlate import (
-    AddressIndex,
     AttributionMetrics,
     AttributionResult,
     Correlator,
@@ -120,15 +119,12 @@ class Engine:
 
         self.store = HostStateStore(clock=scheduler.now,
                                     grace_period=config.grace_period)
-        self.index = AddressIndex()
         self.metrics = AttributionMetrics(filtered_responders=config.dns_servers)
         self.correlator = Correlator(
-            self.store, self.index, emit=self._on_attributed,
+            self.store, emit=self._on_attributed,
             scheduler=scheduler, retry_window=config.retry_window,
             max_parked=config.max_parked,
             ambiguity_window=config.exec_ambiguity_window)
-        # the index must see changes before the correlator retries against it
-        self.store.add_listener(self.index.apply_change)
         self.store.add_listener(self.correlator.on_state_change)
 
         self.downloads = DownloadStore(retention=config.download_retention)

@@ -1,5 +1,5 @@
 """Per-host live state assembled from telemetry: processes, sockets, users,
-and interface addresses.
+and interface addresses, with the index of which hosts claim each address.
 
 Audit streams push additions/removals as they happen; status snapshots upsert
 whatever a probe saw. Periodic verification probes reconcile both against the
@@ -9,7 +9,7 @@ kernel's current view, purging entries that vanished without a removal event
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
@@ -23,6 +23,7 @@ from flowlink.model import (
     Source,
     TableKind,
     UserInfo,
+    canonical_addr,
     payload_to_dict,
 )
 
@@ -70,6 +71,43 @@ class ExecTransition:
     prior: ProcessInfo
 
 
+class AddressIndex:
+    """Mutable map from interface address to the hosts currently claiming it.
+
+    Multiple hosts may claim one address (NAT, address reuse, agents racing
+    during DHCP churn); lookups return all claimants and leave the ambiguity
+    to the attribution layer.
+
+    The index follows the store's address changes only.  A disconnected host
+    keeps its addresses through its grace period, so its frozen state stays
+    reachable for late attribution; reconnect and grace expiry emit the
+    address removals that take them out.
+    """
+
+    def __init__(self):
+        self._hosts_by_addr: dict[str, set[str]] = defaultdict(set)
+
+    def add(self, host: str, addr: str) -> None:
+        addr = canonical_addr(addr)
+        self._hosts_by_addr[addr].add(host)
+
+    def remove(self, host: str, addr: str) -> None:
+        addr = canonical_addr(addr)
+        self._hosts_by_addr.get(addr, set()).discard(host)
+        if not self._hosts_by_addr.get(addr):
+            self._hosts_by_addr.pop(addr, None)
+
+    def hosts_for(self, addr: str) -> frozenset[str]:
+        return frozenset(self._hosts_by_addr.get(canonical_addr(addr), ()))
+
+    def apply_change(self, change: StateChange) -> None:
+        if change.kind == "address":
+            if change.action.value == "added":
+                self.add(change.host, change.key)
+            else:
+                self.remove(change.host, change.key)
+
+
 @dataclass
 class HostState:
     """One host's held state.  After a disconnect it stays readable, frozen,
@@ -100,6 +138,11 @@ class HostStateStore:
     `StateChange` (see there for what is announced) once the call that made
     it has finished.
 
+    The store also keeps `index`, the `AddressIndex` of which hosts claim
+    which address.  It applies each change to the index just before the
+    listeners hear that change, so a listener that looks hosts up by
+    address already sees the change.
+
     Every row enters through `_upsert`, streamed or from a snapshot, and
     processes and sockets leave only through `_remove_process` and
     `_remove_socket`.  Held records are frozen and shared: folding a row
@@ -112,6 +155,7 @@ class HostStateStore:
         self.grace_period = grace_period
         self._hosts: dict[str, HostState] = {}
         self.counters: Counter = Counter()
+        self.index = AddressIndex()
         self._listeners: list[Callable[[StateChange], None]] = []
 
     # -- wiring ---------------------------------------------------------
@@ -121,6 +165,7 @@ class HostStateStore:
 
     def _emit(self, changes: list[StateChange]):
         for ch in changes:
+            self.index.apply_change(ch)
             for fn in self._listeners:
                 fn(ch)
 

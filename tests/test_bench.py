@@ -4,8 +4,10 @@ zero-host edge, and the memory regression math."""
 import json
 import math
 
-from flowlink.bench import (BenchReport, MemoryPoint, MemoryReport,
-                            run_memory_scaling, run_throughput, _percentiles)
+import pytest
+
+from flowlink.bench import (BenchReport, run_memory_scaling, run_throughput,
+                            _percentiles)
 
 
 def test_zero_hosts_yields_zero_report_without_crashing():
@@ -17,10 +19,16 @@ def test_zero_hosts_yields_zero_report_without_crashing():
     assert report.attrib_latency_p99 == 0.0
 
 
+@pytest.mark.parametrize("pacing", [{"rate": 0.0}, {"rate": math.inf},
+                                    {"duration": math.inf}], ids=str)
+def test_throughput_refuses_pacing_it_cannot_run(pacing):
+    with pytest.raises(ValueError):
+        run_throughput(hosts=1, **pacing)
+
+
 def test_small_fleet_processes_every_item_exactly_once():
     hosts, rate, duration = 10, 4.0, 2.0
-    report = run_throughput(hosts=hosts, rate=rate, duration=duration,
-                            queue_capacity=512, producers=2)
+    report = run_throughput(hosts=hosts, rate=rate, duration=duration)
     cycles = int(duration / (4.0 / rate))
     assert report.events_in == hosts * 4 * cycles
     assert report.events_processed == report.events_in
@@ -47,22 +55,6 @@ def test_memory_slope_positive_finite_and_near_linear():
     assert [p.hosts for p in report.points] == [50, 100, 200]
     assert all(p.state_bytes > 0 for p in report.points)
     assert report.max_slope_deviation <= 0.25
-
-
-def test_memory_report_linearity_judgement():
-    perfect = MemoryReport(
-        points=(MemoryPoint(100, 1_000_000), MemoryPoint(200, 2_000_000),
-                MemoryPoint(400, 4_000_000)),
-        slope_bytes_per_host=10_000.0, intercept_bytes=0.0,
-        max_slope_deviation=0.0)
-    assert perfect.is_linear()
-    bent = MemoryReport(points=perfect.points, slope_bytes_per_host=10_000.0,
-                        intercept_bytes=0.0, max_slope_deviation=0.5)
-    assert not bent.is_linear()
-    negative = MemoryReport(points=perfect.points,
-                            slope_bytes_per_host=-1.0, intercept_bytes=0.0,
-                            max_slope_deviation=0.0)
-    assert not negative.is_linear()
 
 
 def test_percentile_helper_edges():

@@ -471,8 +471,8 @@ def test_bench_cli_writes_machine_readable_report(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--rate", "0"], ["--memory-hosts", "1,x"], ["--memory-hosts", "100"],
-    ["--memory-hosts", "0,5"], ["--producers", "0"], ["--queue-capacity", "0"],
-    ["--hosts", "-1"], ["--seconds", "0"],
+    ["--memory-hosts", "0,5"], ["--hosts", "-1"], ["--seconds", "0"],
+    ["--seconds", "inf"], ["--rate", "inf"],
 ], ids=" ".join)
 def test_bench_rejects_bad_argument_before_running(monkeypatch, capsys, argv):
     def must_not_run(**_kw):
@@ -481,6 +481,20 @@ def test_bench_rejects_bad_argument_before_running(monkeypatch, capsys, argv):
     assert main(["bench", "--seconds", "1", *argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {argv[0]} ")
+
+
+def test_malformed_bench_seconds_variable_only_stops_bench(monkeypatch, tmp_path,
+                                                            capsys):
+    monkeypatch.setenv("FLOWLINK_BENCH_SECONDS", "ten")
+    assert main(["sim", "--hosts", "2", "--duration", "5",
+                 "--log-dir", str(tmp_path / "logs")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("flowlink.cli.run_bench", lambda **_kw: pytest.fail(
+        "bench ran despite a bad --seconds default"))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "--seconds" in capsys.readouterr().err
 
 
 def test_dump_state_reports_unreachable_endpoint(capsys):

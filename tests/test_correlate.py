@@ -62,11 +62,9 @@ class FakeClock:
 def fixture(hosts=("h1",)):
     clock = FakeClock()
     store = HostStateStore(clock)
-    index = AddressIndex()
-    store.add_listener(index.apply_change)
     for h in hosts:
         store.handle_reconnect(h)
-    return store, index, clock
+    return store, store.index, clock
 
 
 def wire(store, host, addr):
@@ -350,13 +348,11 @@ def test_attribution_matches_brute_force(seed):
 def make_correlator(retry_window=2.0, max_parked=10_000):
     loop = EventLoop()
     store = HostStateStore(loop.now)
-    index = AddressIndex()
-    store.add_listener(index.apply_change)
     results: list[AttributionResult] = []
-    corr = Correlator(store, index, results.append, scheduler=loop,
+    corr = Correlator(store, results.append, scheduler=loop,
                       retry_window=retry_window, max_parked=max_parked)
     store.add_listener(corr.on_state_change)
-    return loop, store, index, corr, results
+    return loop, store, store.index, corr, results
 
 
 def test_immediate_emit_when_candidates_exist():
@@ -542,10 +538,10 @@ class PerFlowTimerCorrelator:
     _should_park = Correlator._should_park
     parked_count = Correlator.parked_count
 
-    def __init__(self, store, index, emit, scheduler, retry_window=2.0,
+    def __init__(self, store, emit, scheduler, retry_window=2.0,
                  max_parked=10_000, ambiguity_window=0.1):
         self.store = store
-        self.index = index
+        self.index = store.index
         self.emit = emit
         self.scheduler = scheduler
         self.retry_window = retry_window
@@ -763,10 +759,8 @@ def run_retry_world(correlator_cls, ops, max_parked):
     """Results in emission order, the correlator and its loop."""
     loop = WatchedLoop()
     store = HostStateStore(loop.now, grace_period=3.0)
-    index = AddressIndex()
-    store.add_listener(index.apply_change)
     results: list[AttributionResult] = []
-    corr = correlator_cls(store, index, results.append, scheduler=loop,
+    corr = correlator_cls(store, results.append, scheduler=loop,
                           retry_window=2.0, max_parked=max_parked)
     store.add_listener(corr.on_state_change)
     for host in D_HOSTS:

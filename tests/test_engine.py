@@ -49,6 +49,12 @@ def alert_rows(out: EngineOutputs) -> list[dict]:
     return list(read_alerts(iter(out.alerts.getvalue().splitlines())))
 
 
+def test_engine_registers_one_store_listener():
+    eng = Engine(config(), EventLoop())
+    assert eng.store._listeners == [eng.correlator.on_state_change]
+    assert eng.correlator.index is eng.store.index
+
+
 def test_full_audit_visibility_attributes_every_tcp_flow():
     w = build_workload(spec(flow_coupling=1.0))
     out = outputs()

@@ -417,6 +417,52 @@ def test_events_while_disconnected_are_dropped():
     assert s.view("h1").processes == {}
 
 
+# --- the store's address index ----------------------------------------------------
+
+INDEX_HOSTS = ("h1", "h2", "h3")
+INDEX_ADDRS = ("10.0.0.1", "10.0.0.2", "::ffff:10.0.0.1")  # the last is 10.0.0.1
+index_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["reconnect", "disconnect"]),
+              st.sampled_from(INDEX_HOSTS)),
+    st.tuples(st.just("expire"), st.sampled_from([30.0, 61.0])),
+    st.tuples(st.just("event"), st.sampled_from(INDEX_HOSTS),
+              st.sampled_from(INDEX_ADDRS),
+              st.sampled_from([Action.ADDED, Action.REMOVED])),
+    st.tuples(st.just("snapshot"), st.sampled_from(INDEX_HOSTS),
+              st.lists(st.sampled_from(INDEX_ADDRS), max_size=3)),
+), max_size=40)
+
+
+@given(index_ops)
+@settings(max_examples=300, deadline=None)
+def test_store_index_equals_held_addresses(ops):
+    """After every step, the index names exactly the held hosts (connected
+    or frozen in their grace period) whose addresses include the address."""
+    clock = FakeClock()
+    s = HostStateStore(clock, grace_period=60.0)
+    for i, (name, *args) in enumerate(ops):
+        clock.t += 1.0
+        if name == "reconnect":
+            s.handle_reconnect(args[0])
+        elif name == "disconnect":
+            s.handle_disconnect(args[0])
+        elif name == "expire":
+            clock.t += args[0]
+            s.expire_disconnected()
+        elif name == "event":
+            host, addr, action = args
+            s.apply_event(iface_ev(host, addr, action=action, t=clock.t))
+        else:
+            host, addrs = args
+            s.merge_snapshot(snapshot(host, TableKind.INTERFACES,
+                                      [InterfaceRecord(host, a) for a in addrs],
+                                      batch_id=i, t=clock.t))
+        for addr in INDEX_ADDRS:
+            canonical = InterfaceRecord("", addr).addr
+            held = {h for h in s.hosts() if canonical in s.view(h).addresses}
+            assert s.index.hosts_for(addr) == held, (i, addr)
+
+
 # --- scripted-sequence equivalence with the reference interpreter -----------------
 
 def scripted_events():
