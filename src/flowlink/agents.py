@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 from .flowlog import DownloadEvent, FlowRecord
 from .model import (
+    TABLE_KINDS,
     Action,
     Direction,
     FileHashRecord,
@@ -39,7 +40,8 @@ from .model import (
     UserInfo,
     payload_to_dict,
 )
-from .overlay import QueryError, ScheduleDelta, parse_query
+from .overlay import (ParsedQuery, QueryError, ScheduleDelta, ScheduleEntry,
+                      parse_query)
 
 EXTERNAL_NET = "203.0.113."          # unmonitored remote space
 DNS_SERVER = "203.0.113.53"
@@ -781,12 +783,26 @@ def build_workload(spec: WorkloadSpec) -> Workload:
 # --- the runtime agent ------------------------------------------------------------------
 
 
+@dataclass
+class _Job:
+    """One schedule entry as an agent runs it: the proxy's entry, its query
+    parsed once, the table the query reads (None if no such table) and,
+    for a snapshot table on a period, the timer of its next run."""
+
+    entry: ScheduleEntry
+    query: ParsedQuery
+    table: Optional[TableKind]
+    timer: object = None
+
+
 class SimAgent:
     """One simulated host: OS tables plus schedule execution.
 
     The fleet driver applies `SimAction`s; audit events and query results
     leave through `emit(topic, record)` (normally the proxy's
-    `route_result`).
+    `route_result`).  Each delivered schedule entry is parsed once, into a
+    `_Job`: evented tables stream on change, one-time queries run on add,
+    and snapshots run every `ScheduleEntry.period`.
     """
 
     def __init__(self, init: HostInit, scheduler,
@@ -800,8 +816,7 @@ class SimAgent:
         self.connected = False
         self.counters: collections.Counter = collections.Counter()
         self._batch_id = 0
-        self._timers: dict[tuple, object] = {}
-        self._entries: dict[tuple, object] = {}
+        self._jobs: dict[tuple, _Job] = {}
         self._stream_topics: dict[TableKind, tuple[str, ...]] = {}
         # live tables
         self.processes: dict[int, ProcessInfo] = {p.pid: p for p in init.processes}
@@ -850,17 +865,16 @@ class SimAgent:
         self.connected = False
         if proxy is not None:
             proxy.disconnect_agent(self.host)
-        for timer in self._timers.values():
-            if self.scheduler is not None:
-                self.scheduler.cancel(timer)
-        self._timers.clear()
-        self._entries.clear()
+        for job in self._jobs.values():
+            if job.timer is not None:
+                self.scheduler.cancel(job.timer)
+        self._jobs.clear()
         self._stream_topics = {}
 
     def initial_batches(self, now: float) -> list[SnapshotBatch]:
         out = []
         for table in STATE_TABLE_ORDER:
-            rows = self._snapshot_rows(table.value, None)
+            rows = self._snapshot_rows(table, None)
             out.append(self._batch(table, rows, now))
         return out
 
@@ -868,84 +882,64 @@ class SimAgent:
 
     def on_delta(self, delta: ScheduleDelta) -> None:
         entry = delta.entry
-        key = entry.key
         if delta.action == "remove":
-            self._entries.pop(key, None)
-            timer = self._timers.pop(key, None)
-            if timer is not None and self.scheduler is not None:
-                self.scheduler.cancel(timer)
+            job = self._jobs.pop(entry.key, None)
+            if job is not None and job.timer is not None:
+                self.scheduler.cancel(job.timer)
             self._rebuild_streams()
             return
-        self._entries[key] = entry
-        try:
-            parsed = parse_query(entry.query)
-        except QueryError as exc:
-            self._emit_error(entry.query, str(exc), entry.response_topics)
-            return
-        table = self._table_kind(parsed.table)
-        if table in EVENTED_TABLES:
+        job = self._jobs.get(entry.key)
+        if job is None:
+            try:
+                query = parse_query(entry.query)
+            except QueryError as exc:
+                self._emit_error(entry.query, str(exc), entry.response_topics)
+                return
+            job = self._jobs[entry.key] = _Job(entry, query,
+                                               TABLE_KINDS.get(query.table))
+        job.entry = entry
+        if job.table in EVENTED_TABLES:
             if entry.one_time:
                 self._emit_error(entry.query,
-                                 f"{parsed.table} is evented; schedule it",
+                                 f"{job.query.table} is evented; schedule it",
                                  entry.response_topics)
             else:
                 self._rebuild_streams()
             return
         if entry.one_time:
             if delta.action == "add":
-                self._execute(parsed, entry.query, entry.response_topics)
+                self._execute(job)
             return
-        if delta.action == "add" and key not in self._timers:
-            self._schedule_tick(key, entry.period)
+        if (delta.action == "add" and job.timer is None
+                and self.scheduler is not None):
+            job.timer = self.scheduler.call_later(entry.period, self._tick, job)
 
     def _rebuild_streams(self) -> None:
         streams: dict[TableKind, list[str]] = {t: [] for t in EVENTED_TABLES}
-        for entry in self._entries.values():
-            try:
-                parsed = parse_query(entry.query)
-            except QueryError:
-                continue
-            table = self._table_kind(parsed.table)
-            if table in EVENTED_TABLES and not entry.one_time:
-                for topic in sorted(entry.response_topics):
-                    if topic not in streams[table]:
-                        streams[table].append(topic)
+        for job in self._jobs.values():
+            if job.table in EVENTED_TABLES and not job.entry.one_time:
+                for topic in sorted(job.entry.response_topics):
+                    if topic not in streams[job.table]:
+                        streams[job.table].append(topic)
         self._stream_topics = {t: tuple(topics) for t, topics in streams.items()
                                if topics}
 
-    def _schedule_tick(self, key: tuple, period: float) -> None:
-        if self.scheduler is None:
+    def _tick(self, job: _Job) -> None:
+        # a job's timer is cancelled when it leaves the schedule, so a tick
+        # that fires belongs to a job still scheduled on a connected agent
+        self._execute(job)
+        job.timer = self.scheduler.call_later(job.entry.period, self._tick, job)
+
+    def _execute(self, job: _Job) -> None:
+        entry = job.entry
+        if job.table is None:
+            self._emit_error(entry.query, f"unknown table {job.query.table!r}",
+                             entry.response_topics)
             return
-
-        def tick():
-            entry = self._entries.get(key)
-            if entry is None or not self.connected:
-                return
-            try:
-                parsed = parse_query(entry.query)
-                self._execute(parsed, entry.query, entry.response_topics)
-            except QueryError as exc:
-                self._emit_error(entry.query, str(exc), entry.response_topics)
-            self._timers[key] = self.scheduler.call_later(period, tick)
-
-        self._timers[key] = self.scheduler.call_later(period, tick)
-
-    @staticmethod
-    def _table_kind(name: str) -> Optional[TableKind]:
-        try:
-            return TableKind(name)
-        except ValueError:
-            return None
-
-    def _execute(self, parsed, query: str, topics) -> None:
         now = self.scheduler.now() if self.scheduler else 0.0
-        if self._table_kind(parsed.table) is None:
-            self._emit_error(query, f"unknown table {parsed.table!r}", topics)
-            return
-        rows = self._snapshot_rows(parsed.table, parsed)
-        table = TableKind(parsed.table)
-        for topic in sorted(topics):
-            self.emit(topic, self._batch(table, rows, now))
+        rows = self._snapshot_rows(job.table, job.query)
+        for topic in sorted(entry.response_topics):
+            self.emit(topic, self._batch(job.table, rows, now))
 
     def _emit_error(self, query: str, error: str, topics) -> None:
         self.counters["query_errors"] += 1
@@ -961,26 +955,26 @@ class SimAgent:
 
     # -- table queries -----------------------------------------------------------------
 
-    def _snapshot_rows(self, table: str, parsed) -> list:
-        if table == TableKind.PROCESSES.value:
+    def _snapshot_rows(self, table: TableKind, parsed) -> list:
+        if table is TableKind.PROCESSES:
             rows = [replace(p, source=Source.STATUS)
                     for _, p in sorted(self.processes.items())]
-        elif table == TableKind.PROCESS_OPEN_SOCKETS.value:
+        elif table is TableKind.PROCESS_OPEN_SOCKETS:
             rows = [replace(s, source=Source.STATUS)
                     for _, s in sorted(self.sockets.items())
                     if s.direction is not Direction.LISTENING]
-        elif table == TableKind.LISTENING_PORTS.value:
+        elif table is TableKind.LISTENING_PORTS:
             rows = [replace(s, source=Source.STATUS)
                     for _, s in sorted(self.sockets.items())
                     if s.direction is Direction.LISTENING]
-        elif table == TableKind.USERS.value:
+        elif table is TableKind.USERS:
             rows = [u for _, u in sorted(self.users.items())]
-        elif table == TableKind.INTERFACES.value:
+        elif table is TableKind.INTERFACES:
             rows = [InterfaceRecord(self.host, self.addr)]
-        elif table == TableKind.FILE_HASH.value:
+        elif table is TableKind.FILE_HASH:
             rows = [FileHashRecord(self.host, path, sha)
                     for path, sha in sorted(self.files.items())]
-        elif table == TableKind.PROCESS_DESCENDANTS.value:
+        elif table is TableKind.PROCESS_DESCENDANTS:
             root = parsed.literal if parsed and parsed.column == "pid" else None
             if not isinstance(root, int):
                 return []
@@ -988,7 +982,7 @@ class SimAgent:
             # correlatable; an empty tree still answers with the echo row
             rows = [{"root": root, "pid": pid} for pid in self._descendants(root)]
             return rows or [{"root": root}]
-        elif table == TableKind.VERIFICATION.value:
+        elif table is TableKind.VERIFICATION:
             rows = ([replace(p, source=Source.STATUS)
                      for _, p in sorted(self.processes.items())]
                     + [replace(s, source=Source.STATUS)

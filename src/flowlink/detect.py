@@ -164,11 +164,13 @@ class AttachmentDetector:
         if entry is not None:
             entry.procs.append(proc)
             return
-        if "'" in proc.binary_path:
+        # a literal cannot escape its quote: a path holding both is unqueryable
+        quote = "'" if "'" not in proc.binary_path else '"'
+        if quote in proc.binary_path:
             self.counters["unqueryable_paths"] += 1
             return
-        iid = self.publish(f"file_hash WHERE path == '{proc.binary_path}'",
-                           proc.host)
+        iid = self.publish(
+            f"file_hash WHERE path == {quote}{proc.binary_path}{quote}", proc.host)
         self._pending[key] = _PendingHash(interest_id=iid, procs=[proc])
         self.counters["hash_queries"] += 1
         self.scheduler.call_later(self.query_timeout, self._on_timeout, key, iid)

@@ -86,13 +86,6 @@ def open_outputs(log_dir: str, record_inputs: bool = False) -> EngineOutputs:
     )
 
 
-def _every(table: str, period: float) -> str:
-    """`<table> EVERY <period>s`, the period in plain decimals: the query
-    parser takes no exponent, and `1e+06s` would fail on every agent."""
-    text = f"{period:.9f}".rstrip("0").rstrip(".")
-    return f"{table} EVERY {text}s"
-
-
 def _entry_point(method):
     """Run an entry point under the engine lock; after `shutdown()`, count
     the call in `refused_after_shutdown` and do nothing."""
@@ -164,17 +157,15 @@ class Engine:
             self._started = True
             for table in STREAM_TABLES:
                 self.node.publish_interest(Interest(
-                    interest_id=f"stream/{table}", query=f"{table} EVERY 1s",
-                    group="all", period=1.0))
+                    interest_id=f"stream/{table}", query=table, group="all",
+                    period=1.0))
             for table in PROBE_TABLES:
                 self.node.publish_interest(Interest(
-                    interest_id=f"probe/{table}",
-                    query=_every(table, self.config.probe_interval),
-                    group="all", period=self.config.probe_interval))
+                    interest_id=f"probe/{table}", query=table, group="all",
+                    period=self.config.probe_interval))
             self.node.publish_interest(Interest(
-                interest_id="verification",
-                query=_every("verification", self.config.verification_interval),
-                group="all", period=self.config.verification_interval))
+                interest_id="verification", query="verification", group="all",
+                period=self.config.verification_interval))
             self._housekeeping()
 
     def _housekeeping(self) -> None:

@@ -222,12 +222,6 @@ class DownloadEvent:
     flow_uid: str = ""
     origin_kind: str = "http_download"  # or mail_attachment
 
-    def to_row(self) -> list[str]:
-        return [_fmt_float(self.ts), self.sha256, self.flow.orig_addr,
-                str(self.flow.orig_port), self.flow.resp_addr,
-                str(self.flow.resp_port), self.flow.proto.value,
-                self.flow_uid or EMPTY, self.origin_kind]
-
     def to_dict(self) -> dict:
         return {"ts": self.ts, "sha256": self.sha256,
                 "orig_h": self.flow.orig_addr, "orig_p": self.flow.orig_port,

@@ -1,10 +1,16 @@
 """Interest-based publish/subscribe management plane.
 
 Authoritative nodes originate *interests* (a query bound to a group, with a
-response topic for results).  Proxy nodes store every interest, maintain the
-query schedules of their directly connected agents, replay stored interests
-to late joiners, consolidate semantically identical queries, and route
-results back via response topics.  One node may hold both roles.
+response topic for results).  Proxy nodes store every interest, keep the
+consolidated query schedule of each directly connected agent, and route
+results back via response topics.  A publish, a retract, a join and a
+regroup all change a schedule the same way: the proxy recomputes the
+agent's entries from the stored interests of its groups and delivers the
+difference, so a late joiner gets every stored interest that applies and
+identical queries share one entry.  One node may hold both roles.
+
+A query is `table [WHERE column op literal]`.  A scheduled interest carries
+its period in `Interest.period`, never in the query text.
 
 Transport is an in-process message bus, deterministic under a fixed
 scheduler.
@@ -17,7 +23,7 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 log = logging.getLogger(__name__)
 
@@ -49,38 +55,24 @@ class QueryError(ValueError):
     pass
 
 
-_OPS = ("==", "!=", "<=", ">=", "=", "<", ">")
-
 _QUERY_RE = re.compile(
     r"""^\s*(?P<table>\w+)
         (?:\s+WHERE\s+(?P<column>\w+)\s*(?P<op>==|!=|<=|>=|=|<|>)\s*
             (?P<literal>'[^']*'|"[^"]*"|\S+))?
-        (?:\s+EVERY\s+(?P<every>\S+))?
         \s*$""",
     re.IGNORECASE | re.VERBOSE,
 )
 
-_DURATION_RE = re.compile(r"^(\d+(?:\.\d+)?)(ms|s|m|h)?$")
-
-_DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, None: 1.0}
-
-
-def parse_duration(text: str) -> float:
-    m = _DURATION_RE.match(text)
-    if not m:
-        raise QueryError(f"bad duration: {text!r}")
-    return float(m.group(1)) * _DURATION_UNITS[m.group(2)]
-
 
 @dataclass(frozen=True)
 class ParsedQuery:
-    """`table [WHERE column op literal] [EVERY period]`"""
+    """`table [WHERE column op literal]`; the period of a scheduled query
+    is its interest's, not part of the text."""
 
     table: str
     column: str = ""
     op: str = ""
     literal: object = None
-    every: Optional[float] = None
 
     def matches(self, row: dict) -> bool:
         if not self.column:
@@ -122,15 +114,10 @@ def parse_query(text: str) -> ParsedQuery:
     m = _QUERY_RE.match(text)
     if not m:
         raise QueryError(f"unparseable query: {text!r}")
-    every = None
-    if m.group("every") is not None:
-        every = parse_duration(m.group("every"))
-        if every <= 0:
-            raise QueryError(f"period must be positive: {text!r}")
     column = m.group("column") or ""
     literal = _parse_literal(m.group("literal")) if column else None
     return ParsedQuery(table=m.group("table").lower(), column=column,
-                       op=m.group("op") or "", literal=literal, every=every)
+                       op=m.group("op") or "", literal=literal)
 
 
 # --- interests and schedules ----------------------------------------------------
@@ -218,14 +205,7 @@ class _AgentConn:
     agent: str
     groups: set[str]
     deliver: Callable[[ScheduleDelta], None]
-    # schedule entry key -> {interest_id: response_topic}
-    entries: dict[tuple, dict[str, str]] = field(default_factory=dict)
-
-
-def _entry_from(key: tuple, contrib: dict[str, str]) -> ScheduleEntry:
-    query, one_time, period = key
-    return ScheduleEntry(query=query, one_time=one_time, period=period,
-                         response_topics=frozenset(contrib.values()))
+    entries: dict[tuple, ScheduleEntry] = field(default_factory=dict)
 
 
 class OverlayNode:
@@ -296,12 +276,9 @@ class OverlayNode:
         if old == interest:
             self.counters["republish_noop"] += 1
             return
-        if old is not None:
-            self._remove_from_agents(old)
         self._interests[interest.interest_id] = interest
-        for conn in self._agents.values():
-            if interest.group in conn.groups:
-                self._add_to_agent(conn, interest)
+        self._sync_groups({interest.group} if old is None
+                          else {interest.group, old.group})
 
     def _drop_interest(self, interest_id: str) -> None:
         interest = self._interests.pop(interest_id, None)
@@ -309,38 +286,39 @@ class OverlayNode:
             log.warning("retract of unknown interest %s ignored", interest_id)
             self.counters["retract_unknown"] += 1
             return
-        self._remove_from_agents(interest)
+        self._sync_groups({interest.group})
 
-    def _add_to_agent(self, conn: _AgentConn, interest: Interest) -> None:
-        key = interest.mode_key
-        contrib = conn.entries.get(key)
-        if contrib is None:
-            conn.entries[key] = {interest.interest_id: interest.response_topic}
-            conn.deliver(ScheduleDelta("add", _entry_from(key, conn.entries[key])))
-            return
-        old_topics = set(contrib.values())
-        contrib[interest.interest_id] = interest.response_topic
-        if set(contrib.values()) != old_topics:
-            conn.deliver(ScheduleDelta("update", _entry_from(key, contrib)))
-
-    def _remove_from_agents(self, interest: Interest) -> None:
-        key = interest.mode_key
+    def _sync_groups(self, groups: set[str]) -> None:
         for conn in self._agents.values():
-            contrib = conn.entries.get(key)
-            if contrib is None or interest.interest_id not in contrib:
-                continue
-            old_topics = set(contrib.values())
-            del contrib[interest.interest_id]
-            if not contrib:
-                del conn.entries[key]
-                conn.deliver(ScheduleDelta("remove", _entry_from(key, {})))
-            elif set(contrib.values()) != old_topics:
-                conn.deliver(ScheduleDelta("update", _entry_from(key, contrib)))
+            if not conn.groups.isdisjoint(groups):
+                self._sync(conn)
+
+    def _sync(self, conn: _AgentConn) -> list[ScheduleDelta]:
+        """Bring `conn`'s schedule to what the stored interests of its groups
+        make it, and deliver the difference in key order: an add for a new
+        entry, an update for an entry whose response topics changed, a
+        remove for an entry no interest wants any more."""
+        desired = self._entries_for(conn.groups)
+        deltas: list[ScheduleDelta] = []
+        for key in sorted(conn.entries.keys() | desired.keys()):
+            entry, held = desired.get(key), conn.entries.get(key)
+            if entry is None:
+                deltas.append(ScheduleDelta("remove", ScheduleEntry(*key)))
+            elif held is None:
+                deltas.append(ScheduleDelta("add", entry))
+            elif entry != held:
+                deltas.append(ScheduleDelta("update", entry))
+        conn.entries = desired
+        for d in deltas:
+            conn.deliver(d)
+        return deltas
 
     # ---- proxy: agent management ------------------------------------------------
 
     def connect_agent(self, agent: str, groups=(),
                       deliver: Callable[[ScheduleDelta], None] = lambda d: None) -> Schedule:
+        """Register `agent` and deliver, as adds, every stored interest of
+        its groups: a late joiner gets the same schedule as an early one."""
         self._require(Role.PROXY)
         if agent in self._agents:
             self.counters["agent_rejoin"] += 1
@@ -348,10 +326,7 @@ class OverlayNode:
         full = set(groups) | {DEFAULT_GROUP, host_group(agent)}
         conn = _AgentConn(agent=agent, groups=full, deliver=deliver)
         self._agents[agent] = conn
-        conn.entries = self._entry_map(full)
-        # full replay: late joiners receive every stored applicable interest
-        for key in sorted(conn.entries):
-            conn.deliver(ScheduleDelta("add", _entry_from(key, conn.entries[key])))
+        self._sync(conn)
         return self.schedule_for(agent)
 
     def disconnect_agent(self, agent: str) -> None:
@@ -363,36 +338,24 @@ class OverlayNode:
         conn = self._agents.get(agent)
         if conn is None:
             raise OverlayError(f"unknown agent {agent}")
-        full = set(groups) | {DEFAULT_GROUP, host_group(agent)}
-        desired = self._entry_map(full)
-        deltas: list[ScheduleDelta] = []
-        for key in sorted(set(conn.entries) | set(desired)):
-            if key not in desired:
-                deltas.append(ScheduleDelta("remove", _entry_from(key, {})))
-            elif key not in conn.entries:
-                deltas.append(ScheduleDelta("add", _entry_from(key, desired[key])))
-            elif (set(desired[key].values()) != set(conn.entries[key].values())):
-                deltas.append(ScheduleDelta("update", _entry_from(key, desired[key])))
-        conn.groups = full
-        conn.entries = desired
-        for d in deltas:
-            conn.deliver(d)
-        return deltas
+        conn.groups = set(groups) | {DEFAULT_GROUP, host_group(agent)}
+        return self._sync(conn)
 
-    def _entry_map(self, groups: set[str]) -> dict[tuple, dict[str, str]]:
-        out: dict[tuple, dict[str, str]] = {}
+    def _entries_for(self, groups: set[str]) -> dict[tuple, ScheduleEntry]:
+        """The consolidated schedule of an agent in `groups`: one entry per
+        (query, mode), answered on the topics of every interest it merges."""
+        topics: dict[tuple, set[str]] = {}
         for interest in self._interests.values():
             if interest.group in groups:
-                out.setdefault(interest.mode_key, {})[interest.interest_id] = \
-                    interest.response_topic
-        return out
+                topics.setdefault(interest.mode_key, set()).add(interest.response_topic)
+        return {key: ScheduleEntry(*key, response_topics=frozenset(t))
+                for key, t in topics.items()}
 
     def schedule_for(self, agent: str) -> Schedule:
         conn = self._agents.get(agent)
         if conn is None:
             return Schedule(agent=agent)
-        return Schedule(agent=agent, entries=frozenset(
-            _entry_from(key, contrib) for key, contrib in conn.entries.items()))
+        return Schedule(agent=agent, entries=frozenset(conn.entries.values()))
 
     def agent_groups(self, agent: str) -> frozenset[str]:
         conn = self._agents.get(agent)

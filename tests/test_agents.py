@@ -245,7 +245,7 @@ def test_short_socket_in_audit_but_not_probe_snapshots():
     for a in w.actions:
         if a.time <= 20.0:
             agent.apply_action(a)
-    socks = agent._snapshot_rows("process_open_sockets", None)
+    socks = agent._snapshot_rows(TableKind.PROCESS_OPEN_SOCKETS, None)
     assert socks == []
 
 
@@ -376,7 +376,7 @@ def test_scheduled_interest_three_batches_in_90s():
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
     node.subscribe_results("collect")
-    node.publish_interest(interest("i1", "processes EVERY 30s", period=30.0,
+    node.publish_interest(interest("i1", "processes", period=30.0,
                                    topic="collect"))
     connect(loop, node, agent)
     loop.run_until(91.0)
@@ -388,12 +388,36 @@ def test_scheduled_interest_three_batches_in_90s():
     assert all(abs(t - k * 30.0) < 1.0 for t, k in zip(times, (1, 2, 3)))
 
 
+def test_agent_parses_each_entry_once(monkeypatch):
+    from flowlink import agents
+    parsed = []
+    real = agents.parse_query
+    monkeypatch.setattr(agents, "parse_query",
+                        lambda text: parsed.append(text) or real(text))
+    loop, node, inbox = wire()
+    agent = make_agent(build_workload(spec(event_rate=0.0)), loop, node)
+    node.subscribe_results("collect")
+    node.subscribe_results("other")
+    node.publish_interest(interest("i1", "users", period=5.0, topic="collect"))
+    node.publish_interest(interest("s1", "socket_events", period=1.0))
+    connect(loop, node, agent)
+    loop.run_until(12.0)
+    # a second topic updates the entry; its timer and parsed query stay
+    node.publish_interest(interest("i2", "users", period=5.0, topic="other"))
+    loop.run_until(21.0)
+    assert sorted(parsed) == ["socket_events", "users"]
+    times = [(b.event_time, t) for t, b in inbox
+             if isinstance(b, SnapshotBatch) and t in ("collect", "other")]
+    assert [round(t) for t, _ in times] == [5, 10, 15, 15, 20, 20]
+    assert [topic for t, topic in times if t > 12.0] == ["collect", "other"] * 2
+
+
 def test_scheduled_interest_stops_after_retract():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
     node.subscribe_results("collect")
-    node.publish_interest(interest("i1", "users EVERY 10s", period=10.0,
+    node.publish_interest(interest("i1", "users", period=10.0,
                                    topic="collect"))
     connect(loop, node, agent)
     loop.run_until(25.0)
@@ -407,8 +431,8 @@ def test_evented_table_streams_on_change_not_on_period():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.publish_interest(interest("s1", "socket_events EVERY 1s", period=1.0))
-    node.publish_interest(interest("s2", "tls_keys EVERY 1s", period=1.0))
+    node.publish_interest(interest("s1", "socket_events", period=1.0))
+    node.publish_interest(interest("s2", "tls_keys", period=1.0))
     connect(loop, node, agent)
     sock = SocketInfo("h000", 500, 9, Proto.TCP, Direction.OUTGOING,
                       Source.AUDIT, "10.1.0.1", 41000, "203.0.113.7", 443,
@@ -514,7 +538,7 @@ def test_batch_ids_increase_monotonically_per_agent():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.publish_interest(interest("i1", "users EVERY 5s", period=5.0))
+    node.publish_interest(interest("i1", "users", period=5.0))
     connect(loop, node, agent)
     loop.run_until(20.0)
     ids = [b.batch_id for b in batches(inbox)]
@@ -547,8 +571,8 @@ def test_fleet_delivers_flows_at_end_time_in_order():
 def test_fleet_streams_audit_events_through_overlay():
     loop, node, inbox = wire()
     w = build_workload(spec(hosts=1, duration=20.0, event_rate=2.0, seed=4))
-    node.publish_interest(interest("p", "process_events EVERY 1s", period=1.0))
-    node.publish_interest(interest("s", "socket_events EVERY 1s", period=1.0))
+    node.publish_interest(interest("p", "process_events", period=1.0))
+    node.publish_interest(interest("s", "socket_events", period=1.0))
     sim, _, _ = fleet(w, loop, node)
     sim.start()
     loop.run_until(25.0)

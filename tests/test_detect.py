@@ -14,6 +14,7 @@ from flowlink.detect import (
 )
 from flowlink.flowlog import DownloadEvent, FlowRecord
 from flowlink.model import FileHashRecord, FlowTuple, Proto, SnapshotBatch, TableKind
+from flowlink.overlay import parse_query
 from flowlink.runtime import EventLoop
 
 from conftest import make_proc
@@ -142,6 +143,18 @@ def test_exec_of_downloaded_binary_alerts():
     assert (ev["host"], ev["pid"], ev["sha256"]) == ("h1", 9000, sha)
     assert ev["flow_uid"] == "D1" and ev["download_ts"] == 100.0
     assert stub.retracted == ["q1"]  # answered queries are withdrawn
+
+
+def test_path_quoting_falls_back_to_double_quotes():
+    loop, stub, alerts, det = attachment_harness()
+    det.on_download(download(ts=100.0))
+    for pid, path in ((9000, "/home/alice/bob's.bin"),
+                      (9001, "/home/alice/\"both\" o'clock.bin")):
+        det.on_process_added(make_proc(host="h1", pid=pid, binary=path), now=101.0)
+    assert stub.published == [
+        ("q1", "file_hash WHERE path == \"/home/alice/bob's.bin\"", "h1")]
+    assert parse_query(stub.published[0][1]).literal == "/home/alice/bob's.bin"
+    assert det.counters["unqueryable_paths"] == 1
 
 
 def test_hash_mismatch_means_no_alert():

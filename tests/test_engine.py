@@ -19,7 +19,7 @@ from flowlink.engine import (ENGINE_NODE_ID, Engine, EngineOutputs, open_outputs
 from flowlink.flowlog import (DownloadEvent, FlowRecord, LogFormatError, read_alerts,
                               read_enriched, read_inputs)
 from flowlink.model import FlowTuple, Proto, TableKind
-from flowlink.overlay import Interest, node_topic, parse_query
+from flowlink.overlay import Interest, node_topic
 from flowlink.runtime import EventLoop, WallScheduler
 
 
@@ -166,15 +166,30 @@ def test_verification_is_one_standing_interest_for_the_fleet(hosts):
 
 @pytest.mark.parametrize("period", [30.0, 2.5, 2e6, 1e-5])
 def test_scheduled_interests_parse_to_their_period(period):
+    # the query text is the table alone; the period rides `Interest.period`
+    from flowlink.agents import SimAgent
     loop = EventLoop()
     engine = Engine(config(verification_interval=period, probe_interval=period), loop)
     engine.start()
     loop.run_until(0.01)  # the proxy stores what start() published
-    scheduled = [i for i in engine.node.stored_interests().values()
-                 if i.period == period]
-    assert len(scheduled) == 6  # five probed tables and verification
-    for interest in scheduled:
-        assert parse_query(interest.query).every == pytest.approx(period)
+    batches = collections.defaultdict(list)
+    agent = SimAgent(build_workload(spec(hosts=1, event_rate=0.0)).hosts[0], loop,
+                     emit=lambda topic, rec: batches[rec.table].append(rec.event_time))
+    agent.connect(engine.node)
+    stored = engine.node.stored_interests()
+    assert len([i for i in stored.values() if i.period == period]) == 6
+    for interest in stored.values():
+        # each query names its own table, which the agent parsed once
+        table = interest.interest_id.rpartition("/")[2]
+        assert interest.query == table
+        assert agent._jobs[interest.mode_key].table is TableKind(table)
+    start = loop.now()
+    batches.clear()  # the connect-time snapshots
+    loop.run_until(start + 3.5 * period)
+    for table in ("processes", "users", "interfaces", "verification"):
+        times = batches[TableKind(table)]
+        assert times == pytest.approx([start + k * period for k in (1, 2, 3)],
+                                      rel=1e-9, abs=1e-12)
     engine.shutdown()
 
 
@@ -223,6 +238,22 @@ def test_attachment_execution_alerts_match_truth():
         {(t["host"], t["pid"], t["sha256"]) for t in w.truth.expected_alerts}
     assert len(alert_rows(out)) == 2
     assert engine.attachments.counters["hash_queries"] >= 1
+
+
+def test_attachment_path_with_a_quote_is_still_checked():
+    # the query quotes with `"` a path that holds `'`
+    w = build_workload(spec(
+        hosts=2, duration=40.0, event_rate=1.0,
+        scenarios=[ScenarioHook(ScenarioKind.ATTACHMENT_EXEC, 10.0, host="h000"),
+                   ScenarioHook(ScenarioKind.ATTACHMENT_EXEC, 15.0, host="h001",
+                                params={"path": "/home/alice/bob's invoice.bin"})]))
+    engine = run_simulation(config(), w)
+    got = [a for a in engine.alerts if a.kind == ATTACHMENT_EXECUTED]
+    assert sorted((a.evidence["host"], a.evidence["pid"]) for a in got) == \
+        sorted((t["host"], t["pid"]) for t in w.truth.expected_alerts)
+    assert {a.evidence["binary_path"] for a in got} == {
+        "/home/alice/attachment-h000.bin", "/home/alice/bob's invoice.bin"}
+    assert engine.attachments.counters["unqueryable_paths"] == 0
 
 
 def test_attachment_download_without_exec_stays_quiet():

@@ -1,5 +1,7 @@
 """Pinned output digests: one small simulated run must keep writing the same
-`conn.log` and `alerts.log` bytes from one change to the next.
+`conn.log`, `alerts.log` and `inputs.log` bytes from one change to the next.
+The inputs recording holds every agent answer, batch id and tick time, so it
+is where a change to schedule delivery or agent timing shows first.
 
 Criterion 9 compares a live run with its replay under the same code, so it
 cannot see drift that both share.  Change a digest only together with a
@@ -18,6 +20,7 @@ from flowlink.flowlog import read_alerts, read_inputs
 
 CONN_LOG_SHA256 = "792ced82dcbe17e327267eec8219282c427dacf00dcb66549c23f7e88aa4068f"
 ALERTS_LOG_SHA256 = "ee22ac46646a0145ea2aac3424cbaaf2287ec08211488b5c916c1328b02c1383"
+INPUTS_LOG_SHA256 = "0071f24c269e3098d3da106d539965e5840e179bdc0c653e99b7868ddb2aaf66"
 
 
 def _sha256(text: str) -> str:
@@ -54,3 +57,4 @@ def test_small_run_writes_the_pinned_logs():
 
     assert _sha256(out.flows.getvalue()) == CONN_LOG_SHA256
     assert _sha256(out.alerts.getvalue()) == ALERTS_LOG_SHA256
+    assert _sha256(out.inputs.getvalue()) == INPUTS_LOG_SHA256

@@ -23,7 +23,6 @@ from flowlink.overlay import (
     ScheduleDelta,
     ScheduleEntry,
     host_group,
-    parse_duration,
     parse_query,
 )
 from flowlink.runtime import EventLoop
@@ -41,21 +40,24 @@ def test_parse_where_string_literal():
     assert (q.table, q.column, q.op, q.literal) == ("file_hash", "path", "=", "/usr/bin/curl")
 
 
-def test_parse_where_numeric_and_every():
-    q = parse_query("process_descendants WHERE pid = 4242 EVERY 30s")
-    assert q.literal == 4242 and q.every == 30.0
+def test_parse_where_numeric():
+    q = parse_query("process_descendants WHERE pid = 4242")
+    assert q.literal == 4242 and isinstance(q.literal, int)
 
 
-def test_parse_every_units():
-    assert parse_query("users EVERY 2m").every == 120.0
-    assert parse_query("users EVERY 45").every == 45.0
-    assert parse_duration("500ms") == 0.5
-    assert parse_duration("1h") == 3600.0
+@pytest.mark.parametrize("text", [
+    "users EVERY 2m", "users EVERY 45", "users EVERY 500ms", "users every 1h",
+    "process_descendants WHERE pid = 4242 EVERY 30s",
+])
+def test_parse_rejects_every_clause(text):
+    # a period is `Interest.period`, never part of the query text
+    with pytest.raises(QueryError):
+        parse_query(text)
 
 
 def test_parse_keywords_case_insensitive():
-    q = parse_query("USERS where uid >= 1000 every 10s")
-    assert (q.table, q.op, q.literal, q.every) == ("users", ">=", 1000, 10.0)
+    q = parse_query("USERS where uid >= 1000")
+    assert (q.table, q.op, q.literal) == ("users", ">=", 1000)
 
 
 @pytest.mark.parametrize("bad", [
@@ -264,6 +266,33 @@ def test_retract_one_of_two_consolidated_interests_keeps_entry():
     assert entry.response_topics == {"results/a", "results/b"}
     auth.retract_interest("i1")
     loop.run_until_idle()
+    (entry,) = stub.entries.values()
+    assert entry.response_topics == {"results/b"}
+
+
+def test_republish_into_another_group_moves_the_entry():
+    loop, bus, (auth,), (proxy,) = mesh()
+    servers, dmz = AgentStub("h0"), AgentStub("h1")
+    proxy.connect_agent("h0", {"servers"}, servers.deliver)
+    proxy.connect_agent("h1", {"dmz"}, dmz.deliver)
+    auth.publish_interest(interest("i1", group="servers"))
+    loop.run_until_idle()
+    auth.publish_interest(interest("i1", group="dmz"))
+    loop.run_until_idle()
+    assert [d.action for d in servers.deltas] == ["add", "remove"]
+    assert [d.action for d in dmz.deltas] == ["add"]
+    assert servers.schedule() == frozenset() and len(dmz.entries) == 1
+
+
+def test_republish_with_a_new_topic_updates_the_entry_in_place():
+    loop, bus, (auth,), (proxy,) = mesh()
+    stub = AgentStub("h1")
+    proxy.connect_agent("h1", set(), stub.deliver)
+    auth.publish_interest(interest("i1", topic="results/a"))
+    loop.run_until_idle()
+    auth.publish_interest(interest("i1", topic="results/b"))
+    loop.run_until_idle()
+    assert [d.action for d in stub.deltas] == ["add", "update"]
     (entry,) = stub.entries.values()
     assert entry.response_topics == {"results/b"}
 

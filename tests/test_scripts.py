@@ -23,3 +23,22 @@ def test_script_runs_and_writes_its_report(tmp_path, script, args):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--rate", "inf"], "--rate"),
+    (["--rate", "0"], "--rate"),
+    (["--seconds", "inf"], "--seconds"),
+    (["--hosts", "10,0"], "--hosts"),
+    (["--hosts", "ten"], "--hosts"),
+    (["--memory-hosts", "5"], "--memory-hosts"),
+    (["--memory-hosts", "5,x"], "--memory-hosts"),
+])
+def test_scale_script_refuses_bad_argument_before_running(tmp_path, args, flag):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "run_scale_experiment.py"), *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {flag} ")
