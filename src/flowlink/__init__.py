@@ -11,7 +11,6 @@ from flowlink.model import (
     Proto,
     SocketInfo,
     UserInfo,
-    invert,
     match_socket,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "Proto",
     "SocketInfo",
     "UserInfo",
-    "invert",
     "match_socket",
 ]

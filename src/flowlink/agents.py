@@ -46,6 +46,10 @@ from .overlay import (ParsedQuery, QueryError, ScheduleDelta, ScheduleEntry,
 EXTERNAL_NET = "203.0.113."          # unmonitored remote space
 DNS_SERVER = "203.0.113.53"
 
+# The engine's own overlay topic, where agents send their connect-time
+# snapshots; equals `node_topic(engine.ENGINE_NODE_ID)`.
+ENGINE_TOPIC = "node/engine"
+
 WORKER_BINARIES = ("/usr/bin/worker-a", "/usr/bin/worker-b", "/usr/bin/curl",
                    "/usr/bin/wget", "/usr/bin/python3")
 
@@ -187,10 +191,12 @@ class WorkloadSpec:
         for f in fields(self):
             if f.name != "scenarios":   # the default's type is the field's type
                 _check_field(f.name, getattr(self, f.name), type(f.default))
-        if self.hosts < 0:
-            raise ValueError(f"hosts: must be >= 0, got {self.hosts}")
-        if self.duration <= 0:
-            raise ValueError(f"duration: must be positive, got {self.duration}")
+        for name in ("hosts", "udp_sockets_per_host", "flows_per_host"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        for name in ("duration", "probe_interval"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.event_rate < 0:
             raise ValueError(f"event_rate: must be >= 0, got {self.event_rate}")
         if not 0 <= self.flow_coupling <= 1:
@@ -309,23 +315,6 @@ class Workload:
     flows: list[FlowRecord]          # ordered by end time (delivery order)
     downloads: list[DownloadEvent]
     truth: GroundTruth
-
-    def host_names(self) -> list[str]:
-        return [h.name for h in self.hosts]
-
-    def audit_events(self) -> list[HostEvent]:
-        out = []
-        for action in self.actions:
-            ev = action.audit_event()
-            if ev is not None:
-                out.append(ev)
-        return out
-
-    def baseline_batches(self, host: str, t: float = 0.0) -> list[SnapshotBatch]:
-        """Initial state-table snapshots, as the agent would emit on connect."""
-        init = next(h for h in self.hosts if h.name == host)
-        agent = SimAgent(init, scheduler=None)
-        return agent.initial_batches(t)
 
 
 def shift_workload(workload: Workload, base: float) -> Workload:
@@ -806,13 +795,11 @@ class SimAgent:
     """
 
     def __init__(self, init: HostInit, scheduler,
-                 emit: Callable = lambda topic, record: None,
-                 home_topic: str = "node/engine"):
+                 emit: Callable = lambda topic, record: None):
         self.init = init
         self.host = init.name
         self.scheduler = scheduler
         self.emit = emit
-        self.home_topic = home_topic
         self.connected = False
         self.counters: collections.Counter = collections.Counter()
         self._batch_id = 0
@@ -858,7 +845,7 @@ class SimAgent:
         self.connected = True
         now = self.scheduler.now() if self.scheduler else 0.0
         for batch in self.initial_batches(now):
-            self.emit(self.home_topic, batch)
+            self.emit(ENGINE_TOPIC, batch)
         proxy.connect_agent(self.host, groups, self.on_delta)
 
     def disconnect(self, proxy=None) -> None:
@@ -1018,7 +1005,6 @@ class FleetSimulator:
                  download_sink: Optional[Callable[[DownloadEvent], None]] = None,
                  register_host: Optional[Callable[[str], None]] = None,
                  deregister_host: Optional[Callable[[str], None]] = None,
-                 home_topic: str = "node/engine",
                  groups: Optional[dict] = None):
         self.workload = workload
         self.loop = loop
@@ -1029,8 +1015,7 @@ class FleetSimulator:
         self.deregister_host = deregister_host or (lambda h: None)
         self.groups = dict(groups or {})
         self.agents = {
-            init.name: SimAgent(init, loop, emit=proxy.route_result,
-                                home_topic=home_topic)
+            init.name: SimAgent(init, loop, emit=proxy.route_result)
             for init in workload.hosts}
 
     def start(self) -> None:

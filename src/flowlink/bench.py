@@ -26,7 +26,7 @@ import time
 import tracemalloc
 from dataclasses import asdict, dataclass
 
-from .agents import SimAgent, _baseline
+from .agents import ENGINE_TOPIC, SimAgent, _baseline
 from .config import EngineConfig
 from .engine import Engine
 from .flowlog import FlowRecord
@@ -35,7 +35,6 @@ from .model import (Action, Direction, HostEvent, ProcessInfo, Proto,
 from .runtime import EventLoop, WallScheduler
 
 REPORT_FORMAT = "bench-report v1"
-HOME_TOPIC = "node/engine"
 
 # Synthetic remote endpoint every benchmark socket talks to; outside the
 # simulated fleet's address plan so the responder side is always external.
@@ -217,7 +216,7 @@ def run_throughput(hosts: int, rate: float = 4.0,
         init = _baseline(i, False)
         engine.register_host(init.name)
         for batch in SimAgent(init, scheduler=None).initial_batches(now):
-            engine.ingest_result(HOME_TOPIC, batch)
+            engine.ingest_result(ENGINE_TOPIC, batch)
         loads.append(_HostLoad(init.name, init.addr,
                                (i / hosts) * 0.2 * cycle_period))
 
@@ -270,7 +269,7 @@ def run_throughput(hosts: int, rate: float = 4.0,
                 flows_in += 1
                 engine.submit_flow(payload)
             else:
-                engine.ingest_result(HOME_TOPIC, payload)
+                engine.ingest_result(ENGINE_TOPIC, payload)
                 events_done += 1
                 event_lat.append(time.monotonic() - enq)
             last_done = time.monotonic()
@@ -338,7 +337,7 @@ def _measure_state_bytes(n_hosts: int) -> int:
             d = json.loads(raw)
             payload = (SnapshotBatch.from_dict(d) if "rows" in d
                        else HostEvent.from_dict(d))
-            engine.ingest_result(HOME_TOPIC, payload)
+            engine.ingest_result(ENGINE_TOPIC, payload)
     gc.collect()
     used = tracemalloc.get_traced_memory()[0] - base
     tracemalloc.stop()

@@ -94,17 +94,20 @@ class EngineConfig:
 def load_config_sections(path: str) -> tuple[EngineConfig, dict]:
     """Split a config file into the engine section and the raw workload
     section (parsed by the simulator)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     if "engine" in raw or "workload" in raw:
-        workload = raw.get("workload", {})
-        if not isinstance(workload, dict):
-            raise ConfigError(f"workload: expected an object, got {workload!r}")
-        return EngineConfig.from_dict(raw.get("engine", {})), workload
+        engine, workload = raw.get("engine", {}), raw.get("workload", {})
+        for name, section in (("engine", engine), ("workload", workload)):
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name}: expected an object, got {section!r}")
+        return EngineConfig.from_dict(engine), workload
     return EngineConfig.from_dict(raw), {}
 

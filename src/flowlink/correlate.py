@@ -29,7 +29,6 @@ class Candidate:
     uid: Optional[int] = None
     user_name: str = ""
     quality: MatchQuality = MatchQuality.EXACT
-    socket_key: tuple[int, int] = (0, 0)
 
     def entity_process(self) -> tuple:
         return (self.host, self.pid, self.binary_path)
@@ -86,20 +85,19 @@ def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
     out = []
     proc = state.processes.get(sock.pid)
     if proc is None:
-        out.append(Candidate(host=host, pid=sock.pid, quality=quality,
-                             socket_key=sock.key))
+        out.append(Candidate(host=host, pid=sock.pid, quality=quality))
         return out
     user = state.users.get(proc.uid)
     out.append(Candidate(host=host, pid=proc.pid, binary_path=proc.binary_path,
                          uid=proc.uid, user_name=user.name if user else "",
-                         quality=quality, socket_key=sock.key))
+                         quality=quality))
     for trans in state.exec_history.get(sock.pid, ()):
         if abs(sock.first_seen - trans.time) <= ambiguity_window:
             prior = trans.prior
             puser = state.users.get(prior.uid)
             out.append(Candidate(host=host, pid=prior.pid, binary_path=prior.binary_path,
                                  uid=prior.uid, user_name=puser.name if puser else "",
-                                 quality=quality, socket_key=sock.key))
+                                 quality=quality))
     return out
 
 

@@ -239,13 +239,12 @@ class SteppingStoneDetector:
                  retract: Callable[[str], None],
                  alert_sink: Callable[[Alert], None],
                  scheduler, pairing_window: float = 600.0,
-                 query_timeout: float = 5.0, ssh_port: int = SSH_PORT):
+                 query_timeout: float = 5.0):
         self.publish = publish
         self.retract = retract
         self.scheduler = scheduler
         self.pairing_window = pairing_window
         self.query_timeout = query_timeout
-        self.ssh_port = ssh_port
         self.counters: collections.Counter = collections.Counter()
         self._dedup = _AlertDedup(alert_sink, self.counters)
         self._incoming: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
@@ -256,7 +255,7 @@ class SteppingStoneDetector:
 
     def on_attributed(self, result: AttributionResult, now: float) -> None:
         flow = result.flow
-        if flow.proto is not Proto.TCP or flow.resp_port != self.ssh_port:
+        if flow.proto is not Proto.TCP or flow.resp_port != SSH_PORT:
             return
         self.counters["ssh_flows"] += 1
         uid = _flow_uid(result)

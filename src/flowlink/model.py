@@ -133,12 +133,6 @@ class FlowTuple:
                    int(d["resp_port"]), PROTOS[d["proto"]])
 
 
-def invert(flow: FlowTuple) -> FlowTuple:
-    """Swap originator and responder endpoint pairs; involutive."""
-    return FlowTuple(flow.resp_addr, flow.resp_port,
-                     flow.orig_addr, flow.orig_port, flow.proto)
-
-
 @dataclass(frozen=True)
 class SocketInfo:
     """One socket as known from host telemetry; identity is (host, pid, fd)."""
@@ -204,7 +198,6 @@ class ProcessInfo:
     uid: int
     start_time: float
     source: Source
-    binary_hash: str | None = None
 
     @property
     def key(self) -> int:
@@ -215,7 +208,6 @@ class ProcessInfo:
             "host": self.host, "pid": self.pid, "parent_pid": self.parent_pid,
             "binary_path": self.binary_path, "uid": self.uid,
             "start_time": self.start_time, "source": self.source.value,
-            "binary_hash": self.binary_hash,
         }
 
     @classmethod
@@ -224,7 +216,6 @@ class ProcessInfo:
             host=d["host"], pid=int(d["pid"]), parent_pid=int(d["parent_pid"]),
             binary_path=d["binary_path"], uid=int(d["uid"]),
             start_time=float(d["start_time"]), source=SOURCES[d["source"]],
-            binary_hash=d.get("binary_hash"),
         )
 
 

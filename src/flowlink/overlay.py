@@ -186,13 +186,6 @@ class InProcessBus:
     def subscribe(self, topic: str, subscriber_id: str, callback: Callable) -> None:
         self._subs.setdefault(topic, {})[subscriber_id] = callback
 
-    def unsubscribe(self, topic: str, subscriber_id: str) -> None:
-        subs = self._subs.get(topic)
-        if subs:
-            subs.pop(subscriber_id, None)
-            if not subs:
-                del self._subs[topic]
-
     def publish(self, topic: str, payload) -> int:
         subs = list(self._subs.get(topic, {}).values())
         for cb in subs:

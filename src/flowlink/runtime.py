@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 import threading
 import time
 from typing import Any, Callable
@@ -71,29 +72,20 @@ class EventLoop:
         handle.cancel()
 
     def run_until(self, deadline: float):
-        """Run all work due up to and including `deadline`, then set the clock there."""
+        """Run all work due up to and including `deadline`, then set the
+        clock there; an infinite deadline leaves it at the last timer run."""
         while self._heap and self._heap[0].when <= deadline:
             h = heapq.heappop(self._heap)
             if h.cancelled:
                 continue
             self._now = h.when
             h.fn(*h.args)
-        if deadline > self._now:
+        if self._now < deadline < math.inf:
             self._now = deadline
 
-    def run_until_idle(self, max_time: float | None = None):
-        """Drain the schedule; stops early at max_time if given."""
-        while self._heap:
-            h = self._heap[0]
-            if max_time is not None and h.when > max_time:
-                break
-            heapq.heappop(self._heap)
-            if h.cancelled:
-                continue
-            self._now = h.when
-            h.fn(*h.args)
-        if max_time is not None and max_time > self._now:
-            self._now = max_time
+    def run_until_idle(self):
+        """Drain the schedule, leaving the clock at the last timer run."""
+        self.run_until(math.inf)
 
 
 class ReservedOrder:

@@ -10,7 +10,7 @@ kernel's current view, purging entries that vanished without a removal event
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from flowlink.model import (
@@ -20,7 +20,6 @@ from flowlink.model import (
     ProcessInfo,
     SnapshotBatch,
     SocketInfo,
-    Source,
     TableKind,
     UserInfo,
     canonical_addr,
@@ -52,14 +51,6 @@ class StateChange:
     kind: str              # socket | address | host
     action: Action
     key: Any
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    host: str
-    removed_processes: list[int]
-    removed_sockets: list[tuple[int, int]]
-    checked_at: float
 
 
 @dataclass(frozen=True)
@@ -298,14 +289,8 @@ class HostStateStore:
 
     def _upsert_process(self, st: HostState, proc: ProcessInfo, now: float) -> None:
         old = st.processes.get(proc.pid)
-        binary_hash, source = proc.binary_hash, proc.source
         if old is not None and old.start_time == proc.start_time:
-            if old.binary_path == proc.binary_path:
-                if binary_hash is None:
-                    binary_hash = old.binary_hash
-                if old.source == Source.STATUS:
-                    source = Source.STATUS
-            else:
+            if old.binary_path != proc.binary_path:
                 # execve: same generation, new image; keep sockets, remember
                 # the prior image for near-transition attribution ambiguity.
                 hist = st.exec_history.setdefault(proc.pid, [])
@@ -318,8 +303,6 @@ class HostStateStore:
             for key in [k for k in st.sockets if k[0] == proc.pid]:
                 self._remove_socket(st, key)
             st.exec_history.pop(proc.pid, None)
-        if binary_hash != proc.binary_hash or source != proc.source:
-            proc = replace(proc, binary_hash=binary_hash, source=source)
         st.processes[proc.pid] = proc
 
     def _remove_process(self, st: HostState, pid: int) -> None:
@@ -332,7 +315,7 @@ class HostStateStore:
         if st.sockets.pop(key, None) is None:
             self.counters["late_removal_noop"] += 1
 
-    def verify(self, batch: SnapshotBatch) -> VerificationReport:
+    def verify(self, batch: SnapshotBatch) -> None:
         """Reconcile held processes and sockets against one atomic probe of
         the kernel status: anything we hold that the probe did not see is
         purged; survivors are left as they are."""
@@ -341,14 +324,10 @@ class HostStateStore:
             raise StateError(f"cannot verify disconnected host {batch.host!r}")
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
-        removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
-        removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
-        for pid in removed_procs:
+        for pid in [pid for pid in st.processes if pid not in seen_pids]:
             self._remove_process(st, pid)
-        for key in removed_socks:
+        for key in [key for key in st.sockets if key not in seen_socks]:
             self._remove_socket(st, key)
-        return VerificationReport(batch.host, removed_procs, removed_socks,
-                                  batch.event_time)
 
     # -- reads ------------------------------------------------------------
 
@@ -386,18 +365,16 @@ class HostStateStore:
 
 def _merge_socket(old: SocketInfo | None, new: SocketInfo, now: float) -> SocketInfo:
     """Consolidate a sighting of a (pid, fd) at `now` with what is held for
-    it: status-sourced fields override absent audit fields, never the other
-    way around.  Returns `new` itself when consolidation changes none of its
-    fields, and otherwise builds exactly one record."""
+    it: an endpoint the sighting lacks keeps its held value, and the earliest
+    known `first_seen` wins.  Returns `new` itself when consolidation changes
+    none of its fields, and otherwise builds exactly one record."""
     la, lp, ra, rp = new.local_addr, new.local_port, new.remote_addr, new.remote_port
-    source, first_seen = new.source, new.first_seen
+    first_seen = new.first_seen
     if old is not None:
         if la is None or lp is None:
             la, lp = old.local_addr, old.local_port
         if ra is None or rp is None:
             ra, rp = old.remote_addr, old.remote_port
-        if old.source == Source.STATUS:
-            source = Source.STATUS
         if first_seen <= 0.0:
             first_seen = max(old.first_seen, 0.0)
         elif 0.0 < old.first_seen < first_seen:
@@ -405,12 +382,11 @@ def _merge_socket(old: SocketInfo | None, new: SocketInfo, now: float) -> Socket
     if first_seen == 0.0:
         first_seen = now
     if (la == new.local_addr and lp == new.local_port and ra == new.remote_addr
-            and rp == new.remote_port and source == new.source
-            and first_seen == new.first_seen):
+            and rp == new.remote_port and first_seen == new.first_seen):
         return new
     return SocketInfo(
         host=new.host, pid=new.pid, fd=new.fd, proto=new.proto,
-        direction=new.direction, source=source,
+        direction=new.direction, source=new.source,
         local_addr=la, local_port=lp, remote_addr=ra, remote_port=rp,
         first_seen=first_seen,
     )

@@ -19,9 +19,9 @@ from flowlink.model import (
 
 
 def make_proc(host="h1", pid=100, ppid=1, binary="/usr/bin/bash", uid=1000,
-              start=1.0, source=Source.AUDIT, sha=None) -> ProcessInfo:
+              start=1.0, source=Source.AUDIT) -> ProcessInfo:
     return ProcessInfo(host=host, pid=pid, parent_pid=ppid, binary_path=binary,
-                       uid=uid, start_time=start, source=source, binary_hash=sha)
+                       uid=uid, start_time=start, source=source)
 
 
 def make_sock(host="h1", pid=100, fd=5, proto=Proto.TCP,

@@ -49,6 +49,11 @@ def spec(**kw) -> WorkloadSpec:
     return WorkloadSpec(**base)
 
 
+def audit_events(w) -> list[HostEvent]:
+    """The events a workload's actions put on the audit stream."""
+    return [e for e in (a.audit_event() for a in w.actions) if e is not None]
+
+
 def wire():
     loop = EventLoop()
     bus = InProcessBus(loop)
@@ -99,12 +104,12 @@ def test_different_seed_different_bytes():
 
 def test_event_count_is_rate_times_duration_exactly():
     w = build_workload(spec(hosts=1, duration=60.0, event_rate=4.0))
-    assert len(w.audit_events()) == 240
+    assert len(audit_events(w)) == 240
 
 
 def test_load_shape_uniform_per_second():
     w = build_workload(spec(hosts=1, duration=60.0, event_rate=4.0))
-    per_second = collections.Counter(int(e.event_time) for e in w.audit_events())
+    per_second = collections.Counter(int(e.event_time) for e in audit_events(w))
     assert set(per_second) == set(range(60))
     for count in per_second.values():
         assert abs(count - 4.0) <= 0.05 * 4.0
@@ -162,7 +167,7 @@ def test_udp_spanning_allocation_is_exact():
     for uid, truth in w.truth.flows.items():
         assert truth.spans_probe is not None
         per_host[(truth.host, truth.spans_probe)] += 1
-    for host in w.host_names():
+    for host in (h.name for h in w.hosts):
         assert per_host[(host, True)] == 4
         assert per_host[(host, False)] == 4
     for (host, (pid, fd)), (t0, t1) in lifetimes.items():
@@ -199,7 +204,7 @@ def test_full_visibility_sockets_exist_from_baseline():
 def test_audit_local_censoring_strips_endpoint_from_events_only():
     w = build_workload(spec(hosts=1, duration=60.0, event_rate=4.0,
                             audit_local_missing=1.0, seed=3))
-    opens = [e for e in w.audit_events()
+    opens = [e for e in audit_events(w)
              if e.table is TableKind.SOCKET_EVENTS and e.action is Action.ADDED]
     assert opens and all(not e.payload.has_local() for e in opens)
     # the scripted actions still carry the full socket for table state
@@ -228,9 +233,9 @@ def test_generation_properties(hosts, rate, coupling, seed):
     w1, w2 = build_workload(s), build_workload(s)
     assert w1 == w2
     assert [a.time for a in w1.actions] == sorted(a.time for a in w1.actions)
-    names = set(w1.host_names())
+    names = {h.name for h in w1.hosts}
     assert all(t.host in names for t in w1.truth.flows.values())
-    assert len(w1.audit_events()) == int(round(rate * 12.0)) * hosts
+    assert len(audit_events(w1)) == int(round(rate * 12.0)) * hosts
 
 
 # --- scenario scripting ---------------------------------------------------------
@@ -239,7 +244,7 @@ def test_generation_properties(hosts, rate, coupling, seed):
 def test_short_socket_in_audit_but_not_probe_snapshots():
     w = build_workload(spec(hosts=1, duration=40.0, event_rate=0.0,
                             scenarios=[ScenarioHook(ScenarioKind.SHORT_SOCKET, 7.0)]))
-    kinds = [e for e in w.audit_events() if e.table is TableKind.SOCKET_EVENTS]
+    kinds = [e for e in audit_events(w) if e.table is TableKind.SOCKET_EVENTS]
     assert [e.action for e in kinds] == [Action.ADDED, Action.REMOVED]
     agent = SimAgent(w.hosts[0], scheduler=None)
     for a in w.actions:
@@ -254,7 +259,7 @@ def test_process_crash_leaves_no_audit_trace():
                             scenarios=[ScenarioHook(ScenarioKind.PROCESS_CRASH, 4.0)]))
     (crash_time, host, pid) = w.truth.crashes[0]
     assert crash_time == 6.0
-    removed = [e for e in w.audit_events()
+    removed = [e for e in audit_events(w)
                if e.table is TableKind.PROCESS_EVENTS and e.action is Action.REMOVED]
     assert removed == []
     agent = SimAgent(w.hosts[0], scheduler=None)
@@ -288,7 +293,7 @@ def test_attachment_scenario_download_precedes_exec():
     dl = w.downloads[0]
     assert dl.sha256 == file_digest("/home/alice/attachment-h000.bin")
     assert w.truth.flows[dl.flow_uid].pid == PID_BROWSER
-    execs = [e for e in w.audit_events()
+    execs = [e for e in audit_events(w)
              if e.table is TableKind.PROCESS_EVENTS and e.action is Action.ADDED
              and e.payload.binary_path.startswith("/home/alice/")]
     assert [e.event_time for e in execs] == [13.0, 16.0]
@@ -312,7 +317,7 @@ def test_attachment_noexec_has_download_but_no_alert():
 
 def test_initial_batches_cover_all_state_tables():
     w = build_workload(spec(hosts=1, event_rate=0.0))
-    got = w.baseline_batches("h000")
+    got = SimAgent(w.hosts[0], None).initial_batches(0.0)
     assert [b.table for b in got] == [
         TableKind.INTERFACES, TableKind.USERS, TableKind.PROCESSES,
         TableKind.PROCESS_OPEN_SOCKETS, TableKind.LISTENING_PORTS]
@@ -577,7 +582,7 @@ def test_fleet_streams_audit_events_through_overlay():
     sim.start()
     loop.run_until(25.0)
     events = [p for _, p in inbox if isinstance(p, HostEvent)]
-    assert len(events) == len(w.audit_events()) == 40
+    assert len(events) == len(audit_events(w)) == 40
 
 
 def test_host_reconnect_replays_initial_state_and_one_time():

@@ -107,6 +107,11 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
     ({"hosts": 4, "scenarios": [{"kind": "ssh_unrelated", "at": 5,
                                  "params": {"chain": ["h000", "h001", "h001"]}}]},
      "chain"),
+    ({"hosts": 1, "duration": 10, "probe_interval": 0, "udp_sockets_per_host": 1},
+     "probe_interval"),
+    ({"probe_interval": -5}, "probe_interval"),
+    ({"udp_sockets_per_host": -1}, "udp_sockets_per_host"),
+    ({"flows_per_host": -1}, "flows_per_host"),
 ])
 def test_malformed_workload_exits_2_before_opening_logs(tmp_path, capsys, command,
                                                         workload, field):
@@ -119,6 +124,23 @@ def test_malformed_workload_exits_2_before_opening_logs(tmp_path, capsys, comman
     assert _main_in_thread(argv, 20) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and field in err[0]
+    assert not log_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "run", "replay"])
+@pytest.mark.parametrize("content", [None, b"{\"engine\": \"\xff\"}"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, command, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    log_dir = tmp_path / "logs"
+    argv = [command, "--config", str(cfg), "--log-dir", str(log_dir)]
+    if command == "run":
+        argv += ["--duration", "1"]
+    assert _main_in_thread(argv, 20) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "cannot read config" in err[0]
     assert not log_dir.exists()
 
 

@@ -80,6 +80,14 @@ def test_flat_config_file(tmp_path):
     assert cfg.retry_window == 0.75 and workload == {}
 
 
+@pytest.mark.parametrize("engine", [5, [1], "retry_window"])
+def test_engine_section_must_be_an_object(tmp_path, engine):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"engine": engine}))
+    with pytest.raises(ConfigError, match="engine: expected an object"):
+        load_config_sections(str(path))
+
+
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

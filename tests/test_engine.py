@@ -11,7 +11,8 @@ import pytest
 
 from conftest import iface_ev, make_proc, make_sock, proc_ev, sock_ev
 from flowlink import correlate
-from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_workload
+from flowlink.agents import (ENGINE_TOPIC, ScenarioHook, ScenarioKind, WorkloadSpec,
+                             build_workload)
 from flowlink.config import EngineConfig
 from flowlink.detect import ATTACHMENT_EXECUTED, STEPPING_STONE
 from flowlink.engine import (ENGINE_NODE_ID, Engine, EngineOutputs, open_outputs,
@@ -455,6 +456,10 @@ def test_recorded_results_name_their_topic_once():
         assert not set(RETIRED_KEYS[entry["kind"]]) & set(entry["data"])
 
 
+def test_agents_send_connect_snapshots_to_the_engine_node():
+    assert ENGINE_TOPIC == node_topic(ENGINE_NODE_ID)
+
+
 def test_recordings_with_retired_result_keys_still_replay():
     """A recording written when agent results carried their response topic,
     a batch id on events and a verification flag on snapshots replays to
@@ -496,9 +501,9 @@ def test_recorded_rows_carry_no_last_verified():
     assert not any("last_verified" in r for r in rows)
 
 
-def test_recordings_with_last_verified_still_replay():
-    """A recording written when process and socket rows carried a
-    `last_verified` stamp replays to the same logs as one without."""
+def _assert_older_recording_replays(mark_row):
+    """A recording whose held rows `mark_row(row, entry)` gives back a key
+    it no longer writes replays to the same logs as one without."""
     out = _recorded_fleet_run()
     entries = list(read_inputs(iter(out.inputs.getvalue().splitlines())))
     older = []
@@ -506,7 +511,7 @@ def test_recordings_with_last_verified_still_replay():
         entry = json.loads(json.dumps(entry))
         if entry["kind"] in ("host_event", "snapshot"):
             for row in _held_rows(entry):
-                row["last_verified"] = entry["data"]["event_time"]
+                mark_row(row, entry)
         older.append(entry)
     assert older != entries
     new, old = _replay(entries), _replay(older)
@@ -514,6 +519,19 @@ def test_recordings_with_last_verified_still_replay():
     for replayed in (new, old):
         assert replayed.flows.getvalue() == out.flows.getvalue()
         assert replayed.alerts.getvalue() == out.alerts.getvalue()
+
+
+def test_recordings_with_last_verified_still_replay():
+    def mark_row(row, entry):
+        row["last_verified"] = entry["data"]["event_time"]
+    _assert_older_recording_replays(mark_row)
+
+
+def test_recordings_with_binary_hash_still_replay():
+    def mark_row(row, entry):
+        if row["_kind"] == "process":
+            row["binary_hash"] = None
+    _assert_older_recording_replays(mark_row)
 
 
 def test_calls_after_shutdown_are_refused_and_counted(tmp_path):
@@ -625,6 +643,18 @@ def test_wall_scheduler_callbacks_run_under_engine_lock():
     finally:
         release.set()
         sched.stop()
+
+
+def test_event_loop_idle_leaves_the_clock_at_the_last_timer():
+    loop = EventLoop()
+    ran = []
+    loop.call_at(3.0, ran.append, 3.0)
+    loop.call_at(1.0, ran.append, 1.0)
+    loop.run_until_idle()
+    assert ran == [1.0, 3.0] and loop.now() == 3.0
+    loop.call_at(4.0, ran.append, 4.0)
+    loop.run_until(5.0)
+    assert ran == [1.0, 3.0, 4.0] and loop.now() == 5.0
 
 
 @pytest.mark.parametrize("step", [3600.0, -3600.0])

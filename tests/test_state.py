@@ -26,7 +26,6 @@ from flowlink.state import (
     HostStateStore,
     StateChange,
     StateError,
-    VerificationReport,
 )
 
 
@@ -51,8 +50,8 @@ def reference_apply(events):
     """Straight-line interpretation of an event script: dicts in, dicts out.
 
     Mirrors the documented rules only (insert/overwrite, delete, endpoint
-    consolidation, pid-reuse closing sockets), with none of the production
-    code's bookkeeping.
+    consolidation, the last row's source, pid-reuse closing sockets), with
+    none of the production code's bookkeeping.
     """
     procs: dict[int, dict] = {}
     socks: dict[tuple, dict] = {}
@@ -68,7 +67,8 @@ def reference_apply(events):
                     for k in [k for k in socks if k[0] == p.pid]:
                         del socks[k]
                 procs[p.pid] = {"pid": p.pid, "binary": p.binary_path,
-                                "uid": p.uid, "start_time": p.start_time}
+                                "uid": p.uid, "start_time": p.start_time,
+                                "source": p.source}
         elif e.table in (TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS,
                          TableKind.PROCESS_OPEN_SOCKETS):
             if e.action == Action.REMOVED:
@@ -77,14 +77,13 @@ def reference_apply(events):
                 key = (p.pid, p.fd)
                 row = {"local": (p.local_addr, p.local_port),
                        "remote": (p.remote_addr, p.remote_port),
-                       "status": p.source == Source.STATUS}
+                       "source": p.source}
                 old = socks.get(key)
                 if old is not None:
                     if row["local"] == (None, None):
                         row["local"] = old["local"]
                     if row["remote"] == (None, None):
                         row["remote"] = old["remote"]
-                    row["status"] = row["status"] or old["status"]
                 socks[key] = row
         elif e.table == TableKind.USERS:
             if e.action == Action.REMOVED:
@@ -96,11 +95,11 @@ def reference_apply(events):
 
 def project(view):
     procs = {pid: {"pid": pid, "binary": pr.binary_path, "uid": pr.uid,
-                   "start_time": pr.start_time}
+                   "start_time": pr.start_time, "source": pr.source}
              for pid, pr in view.processes.items()}
     socks = {key: {"local": (s.local_addr, s.local_port),
                    "remote": (s.remote_addr, s.remote_port),
-                   "status": s.source == Source.STATUS}
+                   "source": s.source}
              for key, s in view.sockets.items()}
     users = {uid: {"uid": uid, "name": u.name} for uid, u in view.users.items()}
     return procs, socks, users
@@ -118,7 +117,7 @@ def test_added_process_on_empty_state():
 
 def test_audit_then_status_socket_consolidates():
     # audit connect lacks the local endpoint; the status probe of the same
-    # (pid, fd) completes it and upgrades the source
+    # (pid, fd) completes it, and the held record takes the probe's source
     s, _ = store()
     s.apply_event(sock_ev(make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))))
     s.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [
@@ -141,7 +140,7 @@ def test_status_fields_not_degraded_by_late_audit():
     ]))
     s.apply_event(sock_ev(make_sock(pid=100, fd=5, remote=("10.0.0.2", 443)), t=2.0))
     got = s.view("h1").sockets[(100, 5)]
-    assert got.has_local() and got.source is Source.STATUS
+    assert got.has_local() and got.source is Source.AUDIT
 
 
 def test_duplicate_removal_is_counted_noop():
@@ -231,10 +230,8 @@ def test_crashed_process_purged_by_verification():
     s, _ = store()
     s.apply_event(proc_ev(make_proc(pid=100)))
     s.apply_event(proc_ev(make_proc(pid=200, start=2.0), t=2.0))
-    report = s.verify(snapshot("h1", TableKind.VERIFICATION,
-                               [make_proc(pid=200, start=2.0, source=Source.STATUS)],
-                               t=30.0))
-    assert report.removed_processes == [100]
+    s.verify(snapshot("h1", TableKind.VERIFICATION,
+                      [make_proc(pid=200, start=2.0, source=Source.STATUS)], t=30.0))
     assert set(s.view("h1").processes) == {200}
 
 
@@ -242,12 +239,10 @@ def test_broken_socket_purged_process_kept():
     s, _ = store()
     s.apply_event(proc_ev(make_proc(pid=100)))
     s.apply_event(sock_ev(make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))))
-    report = s.verify(snapshot("h1", TableKind.VERIFICATION,
-                               [make_proc(pid=100, source=Source.STATUS)],
-                               t=30.0))
-    assert report.removed_sockets == [(100, 5)]
-    assert report.removed_processes == []
-    assert 100 in s.view("h1").processes
+    s.verify(snapshot("h1", TableKind.VERIFICATION,
+                      [make_proc(pid=100, source=Source.STATUS)], t=30.0))
+    assert set(s.view("h1").processes) == {100}
+    assert s.view("h1").sockets == {}
 
 
 def test_status_rows_are_stored_as_is():
@@ -286,13 +281,12 @@ def test_verify_keeps_every_survivor_as_the_same_record():
     s.apply_event(sock_ev(make_sock(pid=200, fd=6, remote=("10.0.0.3", 443)), t=3.0))
     held = s.view("h1")
     procs, socks = dict(held.processes), dict(held.sockets)   # view() is live state
-    report = s.verify(snapshot("h1", TableKind.VERIFICATION, [
+    s.verify(snapshot("h1", TableKind.VERIFICATION, [
         make_proc(pid=100, source=Source.STATUS),
         make_proc(pid=200, start=2.0, source=Source.STATUS),
         make_sock(pid=200, fd=5, source=Source.STATUS,
                   local=("10.0.0.1", 4000), remote=("10.0.0.2", 443)),
     ], t=30.0))
-    assert report.removed_sockets == [(200, 6)]
     view = s.view("h1")
     assert set(view.processes) == {100, 200} and set(view.sockets) == {(200, 5)}
     assert all(view.processes[pid] is procs[pid] for pid in view.processes)
@@ -319,9 +313,9 @@ def test_rows_that_cannot_alter_an_attribution_announce_nothing():
     s.merge_snapshot(snapshot("h1", TableKind.USERS, [make_user(uid=1002)]))
     s.apply_event(user_ev(make_user(uid=1000), action=Action.REMOVED))
     s.apply_event(sock_ev(make_sock(pid=300, fd=7), action=Action.REMOVED))
-    report = s.verify(snapshot("h1", TableKind.VERIFICATION,
-                               [make_proc(pid=100, start=4.0)], t=30.0))
-    assert report.removed_processes == [400] and report.removed_sockets == [(400, 3)]
+    s.verify(snapshot("h1", TableKind.VERIFICATION,
+                      [make_proc(pid=100, start=4.0)], t=30.0))
+    assert set(s.view("h1").processes) == {100} and s.view("h1").sockets == {}
     assert heard == []
 
 
@@ -507,7 +501,8 @@ def random_event(draw, t):
     which = draw(st.integers(0, 3))
     if which == 0:
         return proc_ev(make_proc(pid=draw(pids), start=draw(starts),
-                                 binary=draw(st.sampled_from(["/bin/a", "/bin/b"]))), t=t)
+                                 binary=draw(st.sampled_from(["/bin/a", "/bin/b"])),
+                                 source=draw(st.sampled_from(list(Source)))), t=t)
     if which == 1:
         return proc_ev(make_proc(pid=draw(pids)), action=Action.REMOVED, t=t)
     if which == 2:
@@ -727,19 +722,11 @@ class RebuildingStore(HostStateStore):
         old = st.processes.get(proc.pid)
         proc = replace(proc)   # a new record even when nothing changes
         if old is not None and old.start_time == proc.start_time:
-            same_image = old.binary_path == proc.binary_path
-            if not same_image:
+            if old.binary_path != proc.binary_path:
                 hist = st.exec_history.setdefault(proc.pid, [])
                 hist.append(ExecTransition(now, old))
                 del hist[:-8]
-            merged = replace(
-                proc,
-                binary_hash=old.binary_hash
-                if same_image and proc.binary_hash is None else proc.binary_hash,
-                source=Source.STATUS
-                if same_image and Source.STATUS in (proc.source, old.source) else proc.source,
-            )
-            st.processes[proc.pid] = merged
+            st.processes[proc.pid] = proc
             changes.append(StateChange(st.host, "process", Action.ADDED, proc.pid))
             return changes
         if old is not None:
@@ -766,7 +753,6 @@ class RebuildingStore(HostStateStore):
             raise StateError(f"cannot verify disconnected host {batch.host!r}")
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
-        now = batch.event_time
         changes = []
         removed_procs = sorted(pid for pid in st.processes if pid not in seen_pids)
         removed_socks = sorted(key for key in st.sockets if key not in seen_socks)
@@ -778,7 +764,6 @@ class RebuildingStore(HostStateStore):
             del st.sockets[key]
             changes.append(StateChange(st.host, "socket", Action.REMOVED, key))
         self._emit(changes)
-        return VerificationReport(batch.host, removed_procs, removed_socks, now)
 
 
 def _rebuild_merge_socket(old, new):
@@ -789,12 +774,11 @@ def _rebuild_merge_socket(old, new):
 
     la, lp = pick(new.local_addr, new.local_port, old.local_addr, old.local_port)
     ra, rp = pick(new.remote_addr, new.remote_port, old.remote_addr, old.remote_port)
-    source = Source.STATUS if Source.STATUS in (old.source, new.source) else Source.AUDIT
     first_seen = min(t for t in (old.first_seen, new.first_seen) if t > 0.0) \
         if (old.first_seen > 0.0 or new.first_seen > 0.0) else 0.0
     return SocketInfo(
         host=new.host, pid=new.pid, fd=new.fd, proto=new.proto,
-        direction=new.direction, source=source,
+        direction=new.direction, source=new.source,
         local_addr=la, local_port=lp, remote_addr=ra, remote_port=rp,
         first_seen=first_seen,
     )
@@ -807,7 +791,7 @@ sources = st.sampled_from(list(Source))
 def proc_rows(draw, t):
     return make_proc(pid=draw(pids), start=draw(starts),
                      binary=draw(st.sampled_from(["/bin/a", "/bin/b"])),
-                     source=draw(sources), sha=draw(st.sampled_from([None, "aa", "bb"])))
+                     source=draw(sources))
 
 
 @st.composite
@@ -897,7 +881,7 @@ def run_fold(s, clock, ops):
             s.apply_event(op)
         elif op.table is TableKind.VERIFICATION:
             try:
-                results.append(s.verify(op))
+                s.verify(op)
             except StateError as exc:
                 results.append(str(exc))
         else:
