@@ -1,14 +1,15 @@
 """Engine configuration: a flat dataclass with strict JSON (de)serialization.
 
-Unknown keys, values of the wrong type and non-positive durations are
-rejected with the offending field named, so a typo'd config fails at startup
-instead of silently using defaults.
+Unknown keys, values of the wrong type and durations that are not finite
+and positive are rejected with the offending field named, so a typo'd
+config fails at startup instead of silently using defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -67,6 +68,8 @@ class EngineConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name}: expected a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}: duration must be finite, got {value!r}")
             if value <= 0:
                 raise ConfigError(f"{name}: duration must be positive, got {value!r}")
         if not _is_int(self.max_parked) or self.max_parked < 1:

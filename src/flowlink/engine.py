@@ -41,7 +41,7 @@ from .flowlog import (
 )
 from .model import Action, HostEvent, QueryErrorResult, SnapshotBatch, TableKind
 from .overlay import InProcessBus, Interest, OverlayNode, host_group
-from .runtime import EventLoop, ReservedOrder
+from .runtime import EventLoop
 from .state import HostStateStore, StateError
 
 ENGINE_NODE_ID = "engine"
@@ -341,11 +341,6 @@ def run_simulation(config: EngineConfig, workload,
 
 # --- replay -------------------------------------------------------------------------
 
-# Virtual seconds of recorded inputs queued ahead of the replay clock.  A
-# window of the 870-host fleet holds about two thousand timers; scheduling
-# a whole recording up front held one per input.
-REPLAY_WINDOW = 0.5
-
 # recorded kind -> the `Engine` entry point that replays it, and the
 # decoder of its arguments from the entry's data and topic
 _REPLAYED = {
@@ -385,62 +380,59 @@ def decode_inputs(entries: Iterable[dict]) -> Iterator[tuple]:
 
 
 class _ReplayFeeder:
-    """Feeds recorded inputs to the engine's `EventLoop` a window at a time.
+    """Runs recorded inputs on the engine's `EventLoop` from one tick.
 
-    A tick at time T decodes entries in file order and schedules, through
-    `call_at`, each one due before T + `REPLAY_WINDOW` at its own time; the
-    first entry beyond the window arms the next tick at its time.  Entries
-    and ticks take numbers of one `ReservedOrder`, made after
-    `Engine.start()`, so at equal times an entry runs after `start()`'s
+    The tick decodes entries in file order and calls each one's entry point
+    inline, at its time, for as long as the entry is due within the current
+    `run_until` and no pending timer sorts before it.  Otherwise it holds
+    the entry back, puts itself back on the loop at the entry's time, and
+    returns.  The tick's tie-break number is taken when the feeder is made,
+    after `Engine.start()`, so at equal times an entry runs after `start()`'s
     timers, in file order, and before every timer the engine schedules at
     run time: the order that scheduling every entry up front would give.
     An entry whose time lies behind the clock runs at the clock's time.
+    Entry points are looked up when each entry runs, so one replaced on the
+    engine after the feeder was made is the one called.
     """
 
     def __init__(self, engine: Engine, entries: Iterable[dict]):
         self._engine = engine
         self._loop = engine.scheduler
-        self._order = ReservedOrder(self._loop)
         self._decoded = decode_inputs(entries)
-        self._ahead: Optional[tuple] = None  # decoded, due after the window
-        self.fed = 0                # entries of a known kind scheduled
+        self._held: Optional[tuple] = None  # decoded, not yet run
+        self.fed = 0                # entries of a known kind run
         self.latest = self._loop.now()   # the latest time fed, or the start
-        self.next_tick: Optional[float] = self._loop.now()  # None once all fed
-        with self._order:
-            self._loop.call_at(self.next_tick, self._tick)
+        self.next_due: Optional[float] = self._loop.now()  # None once all fed
+        self._handle = self._loop.call_at(self.next_due, self._tick)
 
     def _tick(self) -> None:
-        engine, loop = self._engine, self._loop
-        now = loop.now()
-        end = now + REPLAY_WINDOW
-        ahead, self._ahead = self._ahead, None
-        with self._order:
-            for entry in itertools.chain([ahead] if ahead else [], self._decoded):
-                t, method, args = entry
-                if t >= end and t > now:
-                    self._ahead, self.next_tick = entry, t
-                    loop.call_at(t, self._tick)
-                    return
-                self.latest = max(self.latest, t)
-                if method is None:
-                    engine.counters["replay_unknown_kind"] += 1
-                else:
-                    loop.call_at(t, getattr(engine, method), *args)
-                    self.fed += 1
-        self.next_tick = None
+        engine, loop, seq = self._engine, self._loop, self._handle.seq
+        held, self._held = self._held, None
+        for entry in itertools.chain([held] if held else [], self._decoded):
+            t, method, args = entry
+            if not loop.try_advance(t, seq):
+                self._held, self.next_due = entry, t
+                loop.call_again(self._handle, t)
+                return
+            self.latest = max(self.latest, t)
+            if method is None:
+                engine.counters["replay_unknown_kind"] += 1
+            else:
+                getattr(engine, method)(*args)
+                self.fed += 1
+        self.next_due = None
 
 
 def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
     """Queue recorded inputs on the engine's `EventLoop` at their original
     times; call it after `Engine.start()`, then run the loop.  `entries` is
     read to a list now (a list is kept as it is), and the count of entries
-    of a known kind is returned; the loop then decodes them a window at a
-    time as its clock reaches them (`_ReplayFeeder`).  A malformed entry
+    of a known kind is returned; the loop then decodes and runs them one by
+    one as its clock reaches them (`_ReplayFeeder`).  A malformed entry
     therefore raises `LogFormatError` from `run_until`, when the loop
-    decodes it: at its own time at the latest, and possibly before the
-    entries just before it in file order have run.  Entries whose `t` goes
-    backwards run at the clock's time, in file order; unknown kinds are
-    counted in `replay_unknown_kind` as they are reached."""
+    decodes it: only after every entry before it has run.  Entries whose
+    `t` goes backwards run at the clock's time, in file order; unknown kinds
+    are counted in `replay_unknown_kind` as they are reached."""
     if not isinstance(entries, list):
         entries = list(entries)
     _ReplayFeeder(engine, entries)
@@ -453,11 +445,15 @@ def replay(engine: Engine, entries: Iterable[dict]) -> tuple[int, float]:
     only as the clock reaches them, and run to `retry_window + 1` past the
     latest entry; call it after `Engine.start()`.  Returns the count of
     entries of a known kind and the time run to.  Decoding fails as in
-    `schedule_replay`."""
+    `schedule_replay`.
+
+    The latest time is known only once the last entry is read, so the loop
+    runs in horizons of `retry_window` past the next entry not yet run,
+    none of which passes the end."""
     feeder = _ReplayFeeder(engine, entries)
     loop = engine.scheduler
-    while feeder.next_tick is not None:
-        loop.run_until(feeder.next_tick)
+    while feeder.next_due is not None:
+        loop.run_until(feeder.next_due + engine.config.retry_window)
     until = feeder.latest + engine.config.retry_window + 1.0
     loop.run_until(until)
     return feeder.fed, until

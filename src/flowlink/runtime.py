@@ -36,21 +36,19 @@ class TimerHandle:
         return (self.when, self.seq) < (other.when, other.seq)
 
 
-# Sequence numbers one `ReservedOrder` holds back: more timers than any run
-# schedules, so the loop's own numbers stay above the whole block.
-_RESERVED_SEQS = 1 << 62
-
-
 class EventLoop:
     """Single-threaded discrete-event scheduler over virtual time.
 
     Ties at the same timestamp fire in scheduling order, which makes every
-    run under a fixed schedule byte-reproducible.  A `ReservedOrder` lets
-    timers scheduled later take their place in that order earlier.
+    run under a fixed schedule byte-reproducible.  A callback may run work
+    of its own inline while `try_advance` allows it, and `call_again` puts
+    its handle back at the time of the first piece it held back, so that
+    work keeps the handle's place in that order.
     """
 
     def __init__(self, start: float = 0.0):
         self._now = start
+        self._deadline = start
         self._heap: list[TimerHandle] = []
         self._seq = itertools.count()
         self.lock = threading.RLock()
@@ -74,6 +72,7 @@ class EventLoop:
     def run_until(self, deadline: float):
         """Run all work due up to and including `deadline`, then set the
         clock there; an infinite deadline leaves it at the last timer run."""
+        self._deadline = deadline
         while self._heap and self._heap[0].when <= deadline:
             h = heapq.heappop(self._heap)
             if h.cancelled:
@@ -87,25 +86,25 @@ class EventLoop:
         """Drain the schedule, leaving the clock at the last timer run."""
         self.run_until(math.inf)
 
+    def try_advance(self, when: float, seq: int) -> bool:
+        """For a running callback: if work ordered at `(when, seq)` is due
+        within the current `run_until` and no scheduled timer, cancelled or
+        not, sorts before it, move the clock to `when` (never back) and
+        return True; otherwise return False and leave the clock as it is."""
+        when = max(when, self._now)
+        if when > self._deadline:
+            return False
+        heap = self._heap
+        if heap and (heap[0].when, heap[0].seq) < (when, seq):
+            return False
+        self._now = when
+        return True
 
-class ReservedOrder:
-    """A block of an `EventLoop`'s tie-break numbers, held back when the
-    block is made.  Timers scheduled inside `with order:` take numbers from
-    the block, so at equal times they fire after every timer scheduled
-    before the block was made, before every timer scheduled outside it at
-    any time, and among themselves in the order they were scheduled."""
-
-    def __init__(self, loop: EventLoop):
-        self._loop = loop
-        first = next(loop._seq)
-        self._seq = itertools.count(first)
-        loop._seq = itertools.count(first + _RESERVED_SEQS)
-
-    def __enter__(self) -> None:
-        self._outer, self._loop._seq = self._loop._seq, self._seq
-
-    def __exit__(self, *exc) -> None:
-        self._loop._seq = self._outer
+    def call_again(self, handle: TimerHandle, when: float) -> None:
+        """Schedule a handle whose callback is running again at `when`,
+        keeping its tie-break number."""
+        handle.when = max(when, self._now)
+        heapq.heappush(self._heap, handle)
 
 
 class WallScheduler:

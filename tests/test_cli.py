@@ -152,6 +152,18 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, capsys):
     assert "dns_servers" in capsys.readouterr().err
 
 
+def test_config_with_non_finite_duration_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"engine": {"retry_window": NaN}}')
+    log_dir = tmp_path / "logs"
+    argv = ["sim", "--config", str(cfg), "--hosts", "1", "--duration", "5",
+            "--log-dir", str(log_dir)]
+    assert _main_in_thread(argv, 20) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "retry_window" in err[0]
+    assert not log_dir.exists()
+
+
 def test_config_naming_roles_exits_2_as_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"roles": ["proxy"]}))

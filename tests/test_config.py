@@ -44,6 +44,14 @@ def test_bad_duration_named_in_error():
         EngineConfig.from_dict({"hash_query_timeout": "soon"})
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+def test_non_finite_duration_named_in_error(tmp_path, literal):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"engine": {"retry_window": %s}}' % literal)
+    with pytest.raises(ConfigError, match="retry_window: duration must be finite"):
+        load_config_sections(str(path))
+
+
 def test_ports_validated():
     with pytest.raises(ConfigError, match="metrics_port"):
         EngineConfig(metrics_port=99999)

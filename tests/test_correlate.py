@@ -392,6 +392,26 @@ def test_parked_flow_resolves_on_late_telemetry():
     assert len(results) == 1  # the park's timer finds nothing due; no double emit
 
 
+def test_one_batch_emits_the_flows_it_decides_in_park_order():
+    """Parked TCP then UDP; one snapshot lists the UDP socket first.  Both
+    flows are decided by that batch and leave the park in the order they
+    entered it."""
+    loop, store, idx, corr, results = make_correlator()
+    store.handle_reconnect("h1")
+    wire(store, "h1", A)
+    tcp = flow()
+    udp = flow(orig=(A, 5353), resp=(B, 53), proto=Proto.UDP)
+    corr.submit(tcp, 1.0, 2.0)
+    corr.submit(udp, 1.0, 2.0)
+    assert results == [] and corr.parked_count == 2
+    store.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [
+        make_sock(pid=200, fd=6, proto=Proto.UDP, local=(A, 5353), remote=(B, 53)),
+        make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443)),
+    ]))
+    assert [r.flow for r in results] == [tcp, udp]
+    assert all(r.side_status(Side.ORIGINATOR) == UNIQUE for r in results)
+
+
 def test_parked_flow_expires_at_deadline():
     loop, store, idx, corr, results = make_correlator(retry_window=2.0)
     store.handle_reconnect("h1")

@@ -1,4 +1,4 @@
-"""Replay fed a window at a time: the same order, callbacks and logs as
+"""Replay run inline from one feeder tick: the same order and logs as
 scheduling every recorded input up front."""
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import iface_ev, make_sock, sock_ev
 from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_workload
 from flowlink.config import EngineConfig
-from flowlink.engine import (REPLAY_WINDOW, Engine, EngineOutputs, decode_inputs,
-                             run_simulation, schedule_replay)
+from flowlink.engine import (Engine, EngineOutputs, decode_inputs, run_simulation,
+                             schedule_replay)
 from flowlink.flowlog import FlowRecord, LogFormatError, read_enriched, read_inputs
 from flowlink.model import Action, Proto
 from flowlink.runtime import EventLoop
@@ -40,18 +40,44 @@ def eager_schedule(engine: Engine, entries) -> int:
     return n
 
 
-def replay_logs(entries, schedule=schedule_replay) -> tuple[str, str, int]:
-    """conn.log and alerts.log of replaying `entries` to `retry_window + 1`
-    past the last one, and the count `schedule` returned."""
+# A host whose agent reconnects at once: the engine call that takes it
+# down arms its return as a timer at the same instant.
+FLAPPING = "h2"
+
+
+def replay_steps(entries, schedule=schedule_replay,
+                 cuts=()) -> tuple[list[tuple[str, str]], int]:
+    """conn.log and alerts.log after the loop has run to each of `cuts` in
+    turn, then to `retry_window + 1` past the last entry and shut down; and
+    the count `schedule` returned."""
     entries = list(entries)
     loop = EventLoop()
     out = EngineOutputs(flows=io.StringIO(), alerts=io.StringIO())
     engine = Engine(config(), loop, outputs=out)
+    down = engine.deregister_host
+
+    def deregister_host(host):
+        down(host)
+        if host == FLAPPING:
+            loop.call_at(loop.now(), engine.register_host, host)
+    engine.deregister_host = deregister_host
     engine.start()
     n = schedule(engine, entries)
+    logs = []
+    for until in cuts:
+        loop.run_until(until)
+        logs.append((out.flows.getvalue(), out.alerts.getvalue()))
     loop.run_until(max((e["t"] for e in entries), default=0.0) + RETRY + 1.0)
     engine.shutdown()
-    return out.flows.getvalue(), out.alerts.getvalue(), n
+    logs.append((out.flows.getvalue(), out.alerts.getvalue()))
+    return logs, n
+
+
+def replay_logs(entries, schedule=schedule_replay) -> tuple[str, str, int]:
+    """conn.log and alerts.log of replaying `entries` to `retry_window + 1`
+    past the last one, and the count `schedule` returned."""
+    logs, n = replay_steps(entries, schedule)
+    return (*logs[-1], n)
 
 
 def statuses(flows_log: str) -> dict[str, str]:
@@ -84,9 +110,8 @@ def iface_entry(t, host, addr, action=Action.ADDED):
 
 def test_socket_recorded_at_the_retry_deadline_still_attributes():
     """A flow parks at t = 1 and its socket is recorded at exactly
-    t + retry_window, after the window that held the flow.  Recorded inputs
-    sort before the deadline timer the engine armed at run time."""
-    assert RETRY > REPLAY_WINDOW
+    t + retry_window.  Recorded inputs sort before the deadline timer the
+    engine armed at run time."""
     entries = [entry(0.0, "host_up", {"host": "h1"}),
                iface_entry(0.0, "h1", "10.0.0.1"),
                flow_entry(1.0, "F1", 4000),
@@ -183,7 +208,7 @@ def test_list_and_iterator_of_a_recording_replay_alike():
 # --- differential: the feeder against the eager reference ----------------------------
 
 HOSTS = {"h1": "10.0.0.1", "h2": "10.0.0.2"}
-GRID = 0.25            # coarse times force ties with windows and deadlines
+GRID = 0.25            # coarse times force ties between entries and deadlines
 RETRY_STEPS = int(RETRY / GRID)
 
 host_names = st.sampled_from(sorted(HOSTS))
@@ -228,7 +253,41 @@ def build_recording(steps: list[tuple[int, tuple]]) -> list[dict]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 32), events), max_size=30))
-def test_feeder_replays_like_scheduling_everything_up_front(steps):
+@given(st.lists(st.tuples(st.integers(0, 32), events), max_size=30), st.data())
+def test_feeder_replays_like_scheduling_everything_up_front(steps, data):
+    """The loop runs in drawn `run_until` steps, and the logs must agree
+    after each.  A step ends at an entry's time, halfway to the next grid
+    time, or at the retry deadline of a flow parked at that entry."""
     entries = build_recording(steps)
-    assert replay_logs(entries) == replay_logs(entries, eager_schedule)
+    times = {e["t"] for e in entries}
+    cuts = sorted(data.draw(st.lists(st.sampled_from(sorted(
+        times | {t + GRID / 2 for t in times} | {t + RETRY for t in times})),
+        max_size=6)))
+    assert (replay_steps(entries, cuts=cuts)
+            == replay_steps(entries, eager_schedule, cuts=cuts))
+
+
+def test_the_feeder_arms_ticks_not_a_timer_per_entry():
+    """802 entries over 4 s, each flow attributed at once: the loop arms
+    only feeder ticks and the engine's own timers."""
+    class CountingLoop(EventLoop):
+        calls = 0
+
+        def call_at(self, when, fn, *args):
+            self.calls += 1
+            return super().call_at(when, fn, *args)
+
+    entries = [entry(0.0, "host_up", {"host": "h1"}),
+               iface_entry(0.0, "h1", "10.0.0.1")]
+    for i in range(400):
+        entries += [sock_entry(i * 0.01, "h1", 100 + i, 5000 + i),
+                    flow_entry(i * 0.01, f"F{i}", 5000 + i)]
+    loop = CountingLoop()
+    out = EngineOutputs(flows=io.StringIO())
+    engine = Engine(config(), loop, outputs=out)
+    engine.start()
+    assert schedule_replay(engine, entries) == len(entries)
+    loop.run_until(10.0)
+    engine.shutdown()
+    assert set(statuses(out.flows.getvalue()).values()) == {"unique"}
+    assert loop.calls < len(entries) / 20
