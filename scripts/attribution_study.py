@@ -47,12 +47,7 @@ def run_with_results(spec: WorkloadSpec):
                            deregister_host=engine.deregister_host)
     engine.start()
     fleet.start()
-    until = workload.spec.duration
-    if workload.actions:
-        until = max(until, workload.actions[-1].time)
-    if workload.flows:
-        until = max(until, max(f.end for f in workload.flows))
-    loop.run_until(until + engine.config.retry_window + 1.0)
+    loop.run_until(workload.end + engine.config.retry_window + 1.0)
     engine.shutdown()
     return engine, results
 

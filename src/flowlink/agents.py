@@ -316,6 +316,13 @@ class Workload:
     downloads: list[DownloadEvent]
     truth: GroundTruth
 
+    @property
+    def end(self) -> float:
+        """The latest of the duration, the last action and the last flow end."""
+        last_action = self.actions[-1].time if self.actions else 0.0
+        last_flow = max((f.end for f in self.flows), default=0.0)
+        return max(self.spec.duration, last_action, last_flow)
+
 
 def shift_workload(workload: Workload, base: float) -> Workload:
     """Translate every generated timestamp by `base`, so a workload built on

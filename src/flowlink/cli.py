@@ -121,10 +121,12 @@ def _cmd_run(args) -> int:
     if args.metrics_port is not None:
         config.metrics_port = args.metrics_port
     config.validate()
-    if not args.metrics_interval > 0:
-        print(f"error: --metrics-interval must be positive, "
-              f"got {args.metrics_interval:g}", file=sys.stderr)
-        return 2
+    for flag, value in (("--metrics-interval", args.metrics_interval),
+                        ("--duration", args.duration)):
+        if value is not None and not value > 0:
+            print(f"error: {flag} must be positive, got {value:g}",
+                  file=sys.stderr)
+            return 2
     try:
         spec = (WorkloadSpec.from_dict(workload_section)
                 if workload_section else None)
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--record", action="store_true",
                        help="record all inputs for later replay")
     run_p.add_argument("--duration", type=float, default=None,
-                       help="exit cleanly after this many seconds")
+                       help="exit cleanly after this many seconds (inf: never)")
     run_p.set_defaults(func=_cmd_run)
 
     sim_p = sub.add_parser("sim", help="run a deterministic simulation")

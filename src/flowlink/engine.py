@@ -6,11 +6,12 @@ feeds attributed flows to the detectors, and writes the enriched flow log,
 the alert log, and (optionally) a verbatim record of every input for later
 replay.  All periodic host work rides standing interests published at
 `start()`: the streamed tables, the probed tables and the verification pass
-are each one schedule entry that every agent runs on its own timer, so the
-engine keeps no per-host timers.  The scheduler's lock owns all engine
-state: every entry point takes it, and the wall-clock scheduler runs each
-timer callback while holding it, so flows and telemetry may be pushed from
-any thread.  Once `shutdown()` has run, the entry points that record or
+are each one schedule entry that every agent runs on its own timer.  The
+engine's one per-host timer is one-shot: a disconnect arms it to expire the
+host's frozen state when its grace period ends.  The scheduler's lock owns
+all engine state: every entry point takes it, and the wall-clock scheduler
+runs each timer callback while holding it, so flows and telemetry may be
+pushed from any thread.  Once `shutdown()` has run, the entry points that record or
 emit refuse their input and count it.
 """
 
@@ -101,12 +102,10 @@ def _entry_point(method):
 
 class Engine:
     def __init__(self, config: EngineConfig, scheduler,
-                 bus: Optional[InProcessBus] = None,
                  outputs: Optional[EngineOutputs] = None):
         self.config = config
         self.scheduler = scheduler
-        self.bus = bus or InProcessBus(scheduler)
-        self.node = OverlayNode(ENGINE_NODE_ID, self.bus)
+        self.node = OverlayNode(ENGINE_NODE_ID, InProcessBus(scheduler))
         self.lock = scheduler.lock
         self.counters: collections.Counter = collections.Counter()
 
@@ -141,7 +140,6 @@ class Engine:
                           if self.outputs.inputs else None)
 
         self._qid = itertools.count(1)
-        self._housekeeping_timer = None
         self._started = False
         self._shut_down = False
 
@@ -166,14 +164,6 @@ class Engine:
             self.node.publish_interest(Interest(
                 interest_id="verification", query="verification", group="all",
                 period=self.config.verification_interval))
-            self._housekeeping()
-
-    def _housekeeping(self) -> None:
-        if self._shut_down:
-            return
-        self.store.expire_disconnected()
-        self._housekeeping_timer = self.scheduler.call_later(
-            self.config.grace_period / 2, self._housekeeping)
 
     @_entry_point
     def register_host(self, host: str) -> None:
@@ -182,8 +172,15 @@ class Engine:
 
     @_entry_point
     def deregister_host(self, host: str) -> None:
+        """Freeze the host's state, then arm the timer that expires it, so
+        the timer never fires before `disconnected_at + grace_period`."""
         self._record("host_down", {"host": host})
         self.store.handle_disconnect(host)
+        self.scheduler.call_later(self.config.grace_period, self._expire)
+
+    def _expire(self) -> None:
+        if not self._shut_down:
+            self.store.expire_disconnected()
 
     def shutdown(self) -> None:
         """Finalize parked flows (each exactly once) and flush every sink."""
@@ -191,8 +188,6 @@ class Engine:
             if self._shut_down:
                 return
             self._shut_down = True
-            if self._housekeeping_timer is not None:
-                self.scheduler.cancel(self._housekeeping_timer)
             self.correlator.flush()
             self.outputs.close()
 
@@ -328,12 +323,7 @@ def run_simulation(config: EngineConfig, workload,
     engine.start()
     fleet.start()
     if until is None:
-        until = workload.spec.duration
-        if workload.actions:
-            until = max(until, workload.actions[-1].time)
-        if workload.flows:
-            until = max(until, max(f.end for f in workload.flows))
-        until += config.retry_window + 1.0
+        until = workload.end + config.retry_window + 1.0
     loop.run_until(until)
     engine.shutdown()
     return engine
@@ -392,7 +382,8 @@ class _ReplayFeeder:
     run time: the order that scheduling every entry up front would give.
     An entry whose time lies behind the clock runs at the clock's time.
     Entry points are looked up when each entry runs, so one replaced on the
-    engine after the feeder was made is the one called.
+    engine after the feeder was made is the one called.  Once every entry
+    has run, the feeder leaves no timer on the loop.
     """
 
     def __init__(self, engine: Engine, entries: Iterable[dict]):
@@ -401,9 +392,7 @@ class _ReplayFeeder:
         self._decoded = decode_inputs(entries)
         self._held: Optional[tuple] = None  # decoded, not yet run
         self.fed = 0                # entries of a known kind run
-        self.latest = self._loop.now()   # the latest time fed, or the start
-        self.next_due: Optional[float] = self._loop.now()  # None once all fed
-        self._handle = self._loop.call_at(self.next_due, self._tick)
+        self._handle = self._loop.call_at(self._loop.now(), self._tick)
 
     def _tick(self) -> None:
         engine, loop, seq = self._engine, self._loop, self._handle.seq
@@ -411,16 +400,14 @@ class _ReplayFeeder:
         for entry in itertools.chain([held] if held else [], self._decoded):
             t, method, args = entry
             if not loop.try_advance(t, seq):
-                self._held, self.next_due = entry, t
+                self._held = entry
                 loop.call_again(self._handle, t)
                 return
-            self.latest = max(self.latest, t)
             if method is None:
                 engine.counters["replay_unknown_kind"] += 1
             else:
                 getattr(engine, method)(*args)
                 self.fed += 1
-        self.next_due = None
 
 
 def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
@@ -442,18 +429,12 @@ def schedule_replay(engine: Engine, entries: Iterable[dict]) -> int:
 
 def replay(engine: Engine, entries: Iterable[dict]) -> tuple[int, float]:
     """Replay recorded inputs on the engine's `EventLoop`, reading `entries`
-    only as the clock reaches them, and run to `retry_window + 1` past the
-    latest entry; call it after `Engine.start()`.  Returns the count of
-    entries of a known kind and the time run to.  Decoding fails as in
-    `schedule_replay`.
-
-    The latest time is known only once the last entry is read, so the loop
-    runs in horizons of `retry_window` past the next entry not yet run,
-    none of which passes the end."""
+    only as the clock reaches them, and run until no timer is left; call it
+    after `Engine.start()`, on a loop that no agent shares (the engine's own
+    timers are all one-shot).  Returns the count of entries of a known kind
+    and the time of the last timer run: the last entry, a parked flow's
+    deadline, a detector's query timeout or a disconnected host's expiry.
+    Decoding fails as in `schedule_replay`."""
     feeder = _ReplayFeeder(engine, entries)
-    loop = engine.scheduler
-    while feeder.next_due is not None:
-        loop.run_until(feeder.next_due + engine.config.retry_window)
-    until = feeder.latest + engine.config.retry_window + 1.0
-    loop.run_until(until)
-    return feeder.fed, until
+    engine.scheduler.run_until_idle()
+    return feeder.fed, engine.scheduler.now()

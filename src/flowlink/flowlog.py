@@ -38,6 +38,12 @@ def _fmt_float(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _address(d: dict, key: str) -> str:
+    if not isinstance(d[key], str):
+        raise ValueError(f"{key}: expected an address string, got {d[key]!r}")
+    return d[key]
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     """One flow observation; `ts` is the start, the record is reported at
@@ -87,11 +93,12 @@ class FlowRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowRecord":
-        """Convert every field; an absent or empty optional one reads as 0."""
+        """Convert every field; an absent or empty optional one reads as 0.
+        An address that is not a string raises `ValueError`."""
         return cls(
             ts=float(d["ts"]), uid=str(d["uid"]),
-            orig_h=d["orig_h"], orig_p=int(d["orig_p"]),
-            resp_h=d["resp_h"], resp_p=int(d["resp_p"]),
+            orig_h=_address(d, "orig_h"), orig_p=int(d["orig_p"]),
+            resp_h=_address(d, "resp_h"), resp_p=int(d["resp_p"]),
             proto=PROTOS[d["proto"]],
             duration=float(d.get("duration") or 0),
             orig_bytes=int(d.get("orig_bytes") or 0),

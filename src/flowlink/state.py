@@ -186,10 +186,11 @@ class HostStateStore:
 
     def expire_disconnected(self, now: float | None = None) -> list[str]:
         """Discard frozen state whose grace period has run out; their
-        addresses leave the index so reused IPs resolve to the new owner."""
+        addresses leave the index so reused IPs resolve to the new owner.
+        A timer set for `disconnected_at + grace_period` finds its host due."""
         now = self._clock() if now is None else now
         expired = [host for host, st in self._hosts.items()
-                   if not st.connected and now - st.disconnected_at >= self.grace_period]
+                   if not st.connected and now >= st.disconnected_at + self.grace_period]
         changes: list[StateChange] = []
         for host in expired:
             changes += self._drop(host)

@@ -197,6 +197,12 @@ def test_replay_refuses_garbage_inputs(tmp_path, capsys):
      '"action": "changed", "payload": {"_kind": "interface", "host": "h1", '
      '"addr": "10.0.0.1"}, "event_time": 1.0}}', "ValueError"),
     ('{"t": Infinity, "kind": "host_up", "data": {"host": "h1"}}', "finite"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": null, '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, "proto": "tcp"}}',
+     "ValueError: orig_h"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": 123, "resp_p": 2, "proto": "tcp"}}',
+     "ValueError: resp_h"),
 ])
 def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
     bad = tmp_path / "inputs.log"
@@ -398,6 +404,17 @@ def test_run_rejects_non_positive_metrics_interval_before_opening_logs(
     assert _main_in_thread(["run", "--log-dir", str(log_dir), "--metrics-interval",
                             interval, "--duration", "1"], 10) == 2
     assert "--metrics-interval" in capsys.readouterr().err
+    assert not log_dir.exists()
+
+
+@pytest.mark.parametrize("duration", ["0", "-1", "nan"])
+def test_run_rejects_non_positive_duration_before_opening_logs(
+        tmp_path, capsys, duration):
+    log_dir = tmp_path / "logs"
+    assert _main_in_thread(["run", "--log-dir", str(log_dir),
+                            "--duration", duration], 10) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --duration ")
     assert not log_dir.exists()
 
 

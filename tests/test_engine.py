@@ -358,6 +358,34 @@ def test_graceful_shutdown_finalizes_parked_flows_exactly_once():
     assert rows[0]["uid"] == "F-park" and rows[0]["status"] == "unattributed"
 
 
+def test_disconnected_host_expires_when_its_grace_period_ends():
+    """Down at t = 10 with a 60 s grace period: a flow from its address
+    still attributes at 69.9 s, and one at 70.0 s finds no host."""
+    loop = EventLoop()
+    out = outputs()
+    engine = Engine(config(grace_period=60.0), loop, outputs=out)
+    engine.start()
+    engine.register_host("h1")
+    engine.ingest_result(ENGINE_TOPIC, iface_ev("h1", "10.0.0.1", t=0.0))
+    engine.ingest_result(ENGINE_TOPIC, proc_ev(make_proc(start=0.0), t=0.0))
+    for port in (4000, 4001):
+        sock = make_sock(fd=port, local=("10.0.0.1", port),
+                         remote=("203.0.113.9", 443), first_seen=0.0)
+        engine.ingest_result(ENGINE_TOPIC, sock_ev(sock, t=0.0))
+    loop.run_until(10.0)
+    engine.deregister_host("h1")
+    for uid, port, t in (("F-in", 4000, 69.9), ("F-out", 4001, 70.0)):
+        loop.run_until(t)
+        engine.submit_flow(FlowRecord(ts=t, uid=uid, orig_h="10.0.0.1",
+                                      orig_p=port, resp_h="203.0.113.9",
+                                      resp_p=443, proto=Proto.TCP))
+    assert engine.store.hosts() == []
+    loop.run_until(80.0)
+    engine.shutdown()
+    assert {r["uid"]: r["status"] for r in enriched_rows(out)} == {
+        "F-in": "unique", "F-out": "unattributed"}
+
+
 def test_metrics_snapshot_shape():
     w = build_workload(spec(flow_coupling=1.0))
     engine = run_simulation(config(dns_servers=("203.0.113.53",)), w)

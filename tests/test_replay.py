@@ -1,5 +1,5 @@
 """Replay run inline from one feeder tick: the same order and logs as
-scheduling every recorded input up front."""
+scheduling every recorded input up front, run until no timer is left."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import iface_ev, make_sock, sock_ev
 from flowlink.agents import ScenarioHook, ScenarioKind, WorkloadSpec, build_workload
 from flowlink.config import EngineConfig
-from flowlink.engine import (Engine, EngineOutputs, decode_inputs, run_simulation,
-                             schedule_replay)
+from flowlink.engine import (Engine, EngineOutputs, decode_inputs, replay,
+                             run_simulation, schedule_replay)
 from flowlink.flowlog import FlowRecord, LogFormatError, read_enriched, read_inputs
 from flowlink.model import Action, Proto
 from flowlink.runtime import EventLoop
@@ -130,6 +130,54 @@ def test_socket_recorded_at_the_retry_deadline_still_attributes():
         loop.call_at(1.0, loop.call_at, t, getattr(engine, method), *args)
         return 4
     assert statuses(replay_logs(entries, naive)[0]) == {"F1": "unattributed"}
+
+
+def replay_to_idle(entries) -> tuple[str, str, float, EventLoop]:
+    """conn.log and alerts.log of `replay` from a clock that starts at the
+    first entry, as `flowlink replay` runs it; the time it returned; and
+    its loop."""
+    loop = EventLoop(entries[0]["t"])
+    out = EngineOutputs(flows=io.StringIO(), alerts=io.StringIO())
+    engine = Engine(config(), loop, outputs=out)
+    engine.start()
+    n, until = replay(engine, entries)
+    assert n == len(entries)
+    engine.shutdown()
+    return out.flows.getvalue(), out.alerts.getvalue(), until, loop
+
+
+def h1_with_socket(t: float) -> list[dict]:
+    return [entry(t, "host_up", {"host": "h1"}),
+            iface_entry(t, "h1", "10.0.0.1"),
+            sock_entry(t, "h1", 100, 4000)]
+
+
+def test_expiry_does_not_depend_on_when_the_recording_starts():
+    """h1 goes down at 25 s, so its state ends at 27 s; a flow from it at
+    27.1 s finds no host however far before it the recording starts."""
+    tail = h1_with_socket(20.0) + [entry(25.0, "host_down", {"host": "h1"}),
+                                   flow_entry(27.1, "F1", 4000)]
+    logs = [replay_to_idle([entry(t0, "host_up", {"host": "h9"})] + tail)[0]
+            for t0 in (0.0, 10.2)]
+    assert statuses(logs[0]) == {"F1": "unattributed"}
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("last, ends_at", [
+    (flow_entry(3.0, "F-parked", 4001), 3.0 + RETRY),
+    (entry(3.0, "host_down", {"host": "h1"}), 3.0 + config().grace_period),
+], ids=["parked_flow", "host_down"])
+def test_replay_runs_until_no_timer_is_left(last, ends_at):
+    """A recording that ends with a parked flow, or with a host going down:
+    `replay` returns at the last timer the engine armed, leaves none, and
+    logs what running a fixed time past the last entry logs."""
+    entries = h1_with_socket(0.0) + [flow_entry(1.0, "F1", 4000),
+                                     flow_entry(2.0, "F2", 4002), last]
+    flows, alerts, until, loop = replay_to_idle(entries)
+    assert until == ends_at and not loop._heap
+    assert (flows, alerts) == replay_logs(entries)[:2]
+    uids = {e["data"]["uid"] for e in entries if e["kind"] == "flow"}
+    assert set(statuses(flows)) == uids
 
 
 def test_entries_and_ticks_sort_between_start_and_run_time_timers():

@@ -620,7 +620,7 @@ class RebuildingStore(HostStateStore):
         now = self._clock() if now is None else now
         expired = [host for host, st in self._hosts.items()
                    if not st.connected and st.disconnected_at is not None
-                   and now - st.disconnected_at >= self.grace_period]
+                   and now >= st.disconnected_at + self.grace_period]
         changes = []
         for host in expired:
             st = self._hosts.pop(host)
