@@ -1,11 +1,11 @@
 """Flow-context detectors.
 
 Both detectors work on engine-side knowledge only: attributed flows, wire
-download observations, and answers to the one-time host queries they issue
-through a pluggable publish/retract pair.  `AttachmentDetector` flags
-execution of a binary whose content hash arrived over the network;
-`SteppingStoneDetector` flags hosts relaying one inbound SSH session into a
-new outbound one via the process tree.
+download observations, and answers to one-time host queries (`_HostQueries`).
+`AttachmentDetector` flags execution of a binary whose content hash arrived
+over the network; `SteppingStoneDetector` flags hosts relaying one inbound
+SSH session into a new outbound one via the process tree.  Each hands every
+alert it derives to its sink; the engine's sink drops repeats.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import bisect
 import collections
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Hashable, Optional
 
 from .correlate import AttributionResult
 from .flowlog import DownloadEvent, FlowRecord
@@ -98,28 +98,47 @@ def _flow_uid(result: AttributionResult) -> str:
     return result.tag.uid if isinstance(result.tag, FlowRecord) else ""
 
 
-class _AlertDedup:
-    def __init__(self, sink: Callable[[Alert], None],
-                 counters: collections.Counter):
-        self._sink = sink
-        self._seen: set[tuple[str, str]] = set()
-        self._counters = counters
+class _HostQueries:
+    """One-time host queries in flight, at most one per key.  A query still
+    unanswered at its timeout is retracted; its waiters go to `on_timeout`."""
 
-    def emit(self, alert: Alert) -> bool:
-        key = alert.identity
-        if key in self._seen:
-            self._counters["alerts_duplicate"] += 1
+    def __init__(self, publish: Callable[[str, str], str],
+                 retract: Callable[[str], None], scheduler, timeout: float,
+                 on_timeout: Callable[[list], None]):
+        self._publish = publish
+        self._retract = retract
+        self._scheduler = scheduler
+        self._timeout = timeout
+        self._on_timeout = on_timeout
+        # key -> (interest id, waiters)
+        self._pending: dict[Hashable, tuple[str, list]] = {}
+
+    def ask(self, key: Hashable, host: str, query: str, waiter) -> bool:
+        """Queue `waiter` on `key`'s query; True if this call published it."""
+        pending = self._pending.get(key)
+        if pending is not None:
+            pending[1].append(waiter)
             return False
-        self._seen.add(key)
-        self._counters["alerts"] += 1
-        self._sink(alert)
+        iid = self._publish(query, host)
+        self._pending[key] = (iid, [waiter])
+        self._scheduler.call_later(self._timeout, self._expire, key, iid)
         return True
 
+    def answer(self, key: Hashable) -> list:
+        """Retract `key`'s query and return its waiters ([] if none is out)."""
+        pending = self._pending.pop(key, None)
+        if pending is None:
+            return []
+        self._retract(pending[0])
+        return pending[1]
 
-@dataclass
-class _PendingHash:
-    interest_id: str
-    procs: list[ProcessInfo] = field(default_factory=list)
+    def _expire(self, key: Hashable, interest_id: str) -> None:
+        pending = self._pending.get(key)
+        if pending is None or pending[0] != interest_id:
+            return  # answered, and perhaps asked again since this was armed
+        del self._pending[key]
+        self._retract(interest_id)
+        self._on_timeout(pending[1])
 
 
 class AttachmentDetector:
@@ -138,14 +157,11 @@ class AttachmentDetector:
                  alert_sink: Callable[[Alert], None],
                  scheduler, query_timeout: float = 5.0):
         self.downloads = downloads
-        self.publish = publish
-        self.retract = retract
-        self.scheduler = scheduler
         self.counters: collections.Counter = collections.Counter()
-        self._dedup = _AlertDedup(alert_sink, self.counters)
-        self._pending: dict[tuple[str, str], _PendingHash] = {}
+        self._alert_sink = alert_sink
+        self._queries = _HostQueries(publish, retract, scheduler,
+                                     query_timeout, self._on_timeout)
         self._hash_cache: dict[tuple[str, str], str] = {}
-        self.query_timeout = query_timeout
 
     def on_download(self, ev: DownloadEvent) -> None:
         self.downloads.add(ev)
@@ -160,46 +176,31 @@ class AttachmentDetector:
         if cached is not None:
             self._check(proc, cached, now)
             return
-        entry = self._pending.get(key)
-        if entry is not None:
-            entry.procs.append(proc)
-            return
         # a literal cannot escape its quote: a path holding both is unqueryable
         quote = "'" if "'" not in proc.binary_path else '"'
         if quote in proc.binary_path:
             self.counters["unqueryable_paths"] += 1
             return
-        iid = self.publish(
-            f"file_hash WHERE path == {quote}{proc.binary_path}{quote}", proc.host)
-        self._pending[key] = _PendingHash(interest_id=iid, procs=[proc])
-        self.counters["hash_queries"] += 1
-        self.scheduler.call_later(self.query_timeout, self._on_timeout, key, iid)
+        query = f"file_hash WHERE path == {quote}{proc.binary_path}{quote}"
+        if self._queries.ask(key, proc.host, query, proc):
+            self.counters["hash_queries"] += 1
 
     def on_file_hash(self, batch: SnapshotBatch, now: float) -> None:
         for row in batch.rows:
             key = (batch.host, row.path)
             self._hash_cache[key] = row.sha256
-            entry = self._pending.pop(key, None)
-            if entry is None:
-                continue
-            self.retract(entry.interest_id)
-            for proc in entry.procs:
+            for proc in self._queries.answer(key):
                 self._check(proc, row.sha256, now)
 
-    def _on_timeout(self, key: tuple[str, str], interest_id: str) -> None:
-        entry = self._pending.get(key)
-        if entry is None or entry.interest_id != interest_id:
-            return
-        del self._pending[key]
-        self.retract(interest_id)
-        self.counters["hash_query_timeouts"] += 1
+    def _on_timeout(self, procs: list[ProcessInfo]) -> None:
+        self.counters["hash_query_timeouts"] += 1  # the execs go unchecked
 
     def _check(self, proc: ProcessInfo, sha256: str, now: float) -> None:
         sightings = self.downloads.by_hash(sha256, now)
         if not sightings:
             return
         dl = sightings[0]
-        self._dedup.emit(Alert(
+        self._alert_sink(Alert(
             kind=ATTACHMENT_EXECUTED, ts=now, host=proc.host,
             summary=(f"{proc.host}: pid {proc.pid} executed {proc.binary_path},"
                      f" downloaded {now - dl.ts:.1f}s earlier"),
@@ -219,12 +220,6 @@ class _SSHLeg:
     peer: str
 
 
-@dataclass
-class _PendingDescendants:
-    interest_id: str
-    attempts: list[tuple[_SSHLeg, _SSHLeg, tuple]] = field(default_factory=list)
-
-
 class SteppingStoneDetector:
     """Alert when one host carries an inbound SSH session whose process tree
     spawned a fresh outbound SSH connection within the pairing window.
@@ -240,18 +235,16 @@ class SteppingStoneDetector:
                  alert_sink: Callable[[Alert], None],
                  scheduler, pairing_window: float = 600.0,
                  query_timeout: float = 5.0):
-        self.publish = publish
-        self.retract = retract
-        self.scheduler = scheduler
         self.pairing_window = pairing_window
-        self.query_timeout = query_timeout
         self.counters: collections.Counter = collections.Counter()
-        self._dedup = _AlertDedup(alert_sink, self.counters)
+        self._alert_sink = alert_sink
+        # (host, session leader pid) -> the pairs waiting on its tree
+        self._queries = _HostQueries(publish, retract, scheduler,
+                                     query_timeout, self._on_timeout)
         self._incoming: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
         self._outgoing: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
         # pair key -> time of the pair's newer leg
         self._attempted: dict[tuple, float] = {}
-        self._pending: dict[tuple[str, int], _PendingDescendants] = {}
 
     def on_attributed(self, result: AttributionResult, now: float) -> None:
         flow = result.flow
@@ -297,34 +290,20 @@ class SteppingStoneDetector:
                 if key in self._attempted:
                     continue
                 self._attempted[key] = max(leg_in.ts, leg_out.ts)
-                self._query(host, leg_in, leg_out, key)
-
-    def _query(self, host: str, leg_in: _SSHLeg, leg_out: _SSHLeg,
-               key: tuple) -> None:
-        pending = self._pending.get((host, leg_in.pid))
-        if pending is not None:
-            pending.attempts.append((leg_in, leg_out, key))
-            return
-        iid = self.publish(f"process_descendants WHERE pid == {leg_in.pid}",
-                           host)
-        self._pending[(host, leg_in.pid)] = _PendingDescendants(
-            interest_id=iid, attempts=[(leg_in, leg_out, key)])
-        self.counters["descendant_queries"] += 1
-        self.scheduler.call_later(self.query_timeout, self._on_timeout,
-                                  (host, leg_in.pid), iid)
+                query = f"process_descendants WHERE pid == {leg_in.pid}"
+                if self._queries.ask((host, leg_in.pid), host, query,
+                                     (leg_in, leg_out, key)):
+                    self.counters["descendant_queries"] += 1
 
     def on_descendants(self, batch: SnapshotBatch, now: float) -> None:
         root = next((row["root"] for row in batch.rows if "root" in row), None)
         if root is None:
             return
-        entry = self._pending.pop((batch.host, root), None)
-        if entry is None:
-            return
-        self.retract(entry.interest_id)
+        attempts = self._queries.answer((batch.host, root))
         descendants = {row["pid"] for row in batch.rows if "pid" in row}
-        for leg_in, leg_out, _key in entry.attempts:
+        for leg_in, leg_out, _key in attempts:
             if leg_out.pid in descendants:
-                self._dedup.emit(Alert(
+                self._alert_sink(Alert(
                     kind=STEPPING_STONE, ts=now, host=batch.host,
                     summary=(f"{batch.host}: inbound ssh session {leg_in.pid}"
                              f" relayed onward via pid {leg_out.pid}"),
@@ -334,12 +313,7 @@ class SteppingStoneDetector:
                               "out_flow": leg_out.flow_uid,
                               "in_peer": leg_in.peer, "out_peer": leg_out.peer}))
 
-    def _on_timeout(self, key: tuple[str, int], interest_id: str) -> None:
-        entry = self._pending.get(key)
-        if entry is None or entry.interest_id != interest_id:
-            return
-        del self._pending[key]
-        self.retract(interest_id)
+    def _on_timeout(self, attempts: list[tuple[_SSHLeg, _SSHLeg, tuple]]) -> None:
         self.counters["descendant_timeouts"] += 1
-        for _leg_in, _leg_out, attempt_key in entry.attempts:
+        for _leg_in, _leg_out, attempt_key in attempts:
             self._attempted.pop(attempt_key, None)  # retriable on next sighting

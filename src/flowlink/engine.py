@@ -129,6 +129,7 @@ class Engine:
             query_timeout=config.hash_query_timeout)
 
         self.alerts: list[Alert] = []
+        self._alert_ids: set[tuple[str, str]] = set()
         self.result_sinks: list = []
 
         self.outputs = outputs or EngineOutputs()
@@ -269,6 +270,12 @@ class Engine:
             sink(result)
 
     def _on_alert(self, alert: Alert) -> None:
+        """Keep, count and log each alert identity once; count repeats."""
+        identity = alert.identity
+        if identity in self._alert_ids:
+            self.counters["alerts_duplicate"] += 1
+            return
+        self._alert_ids.add(identity)
         self.alerts.append(alert)
         self.counters["alerts"] += 1
         if self._alert_writer is not None:

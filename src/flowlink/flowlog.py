@@ -10,6 +10,7 @@ the same header convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -38,10 +39,17 @@ def _fmt_float(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _address(d: dict, key: str) -> str:
+def _string(d: dict, key: str) -> str:
     if not isinstance(d[key], str):
-        raise ValueError(f"{key}: expected an address string, got {d[key]!r}")
+        raise ValueError(f"{key}: expected a string, got {d[key]!r}")
     return d[key]
+
+
+def _finite(value, key: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{key}: expected a finite number, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -94,13 +102,14 @@ class FlowRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "FlowRecord":
         """Convert every field; an absent or empty optional one reads as 0.
-        An address that is not a string raises `ValueError`."""
+        A uid or address that is not a string, or a time that is not
+        finite, raises `ValueError`."""
         return cls(
-            ts=float(d["ts"]), uid=str(d["uid"]),
-            orig_h=_address(d, "orig_h"), orig_p=int(d["orig_p"]),
-            resp_h=_address(d, "resp_h"), resp_p=int(d["resp_p"]),
+            ts=_finite(d["ts"], "ts"), uid=_string(d, "uid"),
+            orig_h=_string(d, "orig_h"), orig_p=int(d["orig_p"]),
+            resp_h=_string(d, "resp_h"), resp_p=int(d["resp_p"]),
             proto=PROTOS[d["proto"]],
-            duration=float(d.get("duration") or 0),
+            duration=_finite(d.get("duration") or 0, "duration"),
             orig_bytes=int(d.get("orig_bytes") or 0),
             resp_bytes=int(d.get("resp_bytes") or 0),
             orig_pkts=int(d.get("orig_pkts") or 0),
@@ -238,9 +247,12 @@ class DownloadEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DownloadEvent":
-        return cls(ts=float(d["ts"]), sha256=d["sha256"],
-                   flow=FlowTuple(d["orig_h"], int(d["orig_p"]), d["resp_h"],
-                                  int(d["resp_p"]), PROTOS[d["proto"]]),
+        """A hash or address that is not a string, or a time that is not
+        finite, raises `ValueError`."""
+        return cls(ts=_finite(d["ts"], "ts"), sha256=_string(d, "sha256"),
+                   flow=FlowTuple(_string(d, "orig_h"), int(d["orig_p"]),
+                                  _string(d, "resp_h"), int(d["resp_p"]),
+                                  PROTOS[d["proto"]]),
                    flow_uid=d.get("flow_uid", ""),
                    origin_kind=d.get("origin_kind", "http_download"))
 

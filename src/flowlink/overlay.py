@@ -35,6 +35,8 @@ class Role(str, Enum):
 
 DEFAULT_GROUP = "all"
 TOPIC_INTERESTS = "control/interests"
+# Delay from publish to delivery on the in-process bus, in seconds.
+BUS_LATENCY = 0.001
 
 
 def host_group(host: str) -> str:
@@ -173,14 +175,13 @@ class ScheduleDelta:
 class InProcessBus:
     """Topic-exact pub/sub fabric with scheduler-mediated delivery.
 
-    Every publish is delivered asynchronously after a fixed latency, so
+    Every publish is delivered asynchronously after `BUS_LATENCY`, so
     message order is a pure function of publish order and the scheduler —
     the property the replayable simulator relies on.
     """
 
-    def __init__(self, scheduler, latency: float = 0.001):
+    def __init__(self, scheduler):
         self.scheduler = scheduler
-        self.latency = latency
         self._subs: dict[str, dict[str, Callable]] = {}
 
     def subscribe(self, topic: str, subscriber_id: str, callback: Callable) -> None:
@@ -189,7 +190,7 @@ class InProcessBus:
     def publish(self, topic: str, payload) -> int:
         subs = list(self._subs.get(topic, {}).values())
         for cb in subs:
-            self.scheduler.call_later(self.latency, cb, topic, payload)
+            self.scheduler.call_later(BUS_LATENCY, cb, topic, payload)
         return len(subs)
 
 

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import socketserver
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -89,11 +90,11 @@ class MetricsServer:
 class FlowFeedServer:
     """TCP flow feed: each connection carries one flow-log v1 stream (two
     header lines, then tab-separated rows), delivered to `sink` in order.
-    A malformed stream drops that connection; prior rows stand."""
+    A malformed stream drops that connection, with one `error: flow feed`
+    line on stderr naming the peer; prior rows stand."""
 
     def __init__(self, sink, host: str = "127.0.0.1", port: int = 0):
         self.sink = sink
-        self.errors = 0
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -102,8 +103,10 @@ class FlowFeedServer:
                 try:
                     for record in read_flows(iter(text)):
                         outer.sink(record)
-                except (LogFormatError, UnicodeDecodeError):
-                    outer.errors += 1
+                except (LogFormatError, UnicodeDecodeError) as exc:
+                    addr, port = self.client_address[:2]
+                    print(f"error: flow feed {addr}:{port}: {exc}",
+                          file=sys.stderr)
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True

@@ -346,11 +346,10 @@ class HostStateStore:
         st = self._hosts.get(host)
         return st is not None and st.connected
 
-    def dump_records(self, host: str | None = None) -> Iterator[dict]:
+    def dump_records(self) -> Iterator[dict]:
         """Full state as plain records, the same row shape agents emit in
         snapshot batches."""
-        hosts = [host] if host else self.hosts()
-        for h in hosts:
+        for h in self.hosts():
             st = self.view(h)
             if st is None:
                 continue

@@ -203,6 +203,24 @@ def test_replay_refuses_garbage_inputs(tmp_path, capsys):
     ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
      '"orig_p": 1, "resp_h": 123, "resp_p": 2, "proto": "tcp"}}',
      "ValueError: resp_h"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": null, "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, "proto": "tcp"}}',
+     "ValueError: uid"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": NaN, "uid": "F1", "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, "proto": "tcp", '
+     '"duration": Infinity}}', "ValueError: ts"),
+    ('{"t": 1.0, "kind": "flow", "data": {"ts": 1.0, "uid": "F1", "orig_h": "10.0.0.1", '
+     '"orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 2, "proto": "tcp", '
+     '"duration": Infinity}}', "ValueError: duration"),
+    ('{"t": 1.0, "kind": "download", "data": {"ts": 1.0, "sha256": 5, '
+     '"orig_h": "10.0.0.1", "orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 80, '
+     '"proto": "tcp"}}', "ValueError: sha256"),
+    ('{"t": 1.0, "kind": "download", "data": {"ts": 1.0, "sha256": "ab", '
+     '"orig_h": null, "orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 80, '
+     '"proto": "tcp"}}', "ValueError: orig_h"),
+    ('{"t": 1.0, "kind": "download", "data": {"ts": NaN, "sha256": "ab", '
+     '"orig_h": "10.0.0.1", "orig_p": 1, "resp_h": "10.0.0.2", "resp_p": 80, '
+     '"proto": "tcp"}}', "ValueError: ts"),
 ])
 def test_replay_refuses_malformed_entry(tmp_path, capsys, entry, cause):
     bad = tmp_path / "inputs.log"
@@ -351,7 +369,9 @@ def test_run_with_embedded_fleet_attributes_live_flows(tmp_path):
     assert all(r["orig_pids"] != "-" for r in rows)
 
 
-def test_run_tcp_feed(tmp_path):
+def _run_feeding(tmp_path, stream: bytes):
+    """`run` for 3 s with a TCP flow feed that receives `stream` on one
+    connection; returns run's exit code."""
     port = _free_port()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"listen_port": port,
@@ -370,16 +390,31 @@ def test_run_tcp_feed(tmp_path):
         except OSError:
             time.sleep(0.05)
     assert sock is not None, "flow feed never came up"
-    sock.sendall(
+    sock.sendall(stream)
+    sock.close()
+    th.join(timeout=10)
+    assert not th.is_alive()
+    return result["code"]
+
+
+def test_run_tcp_feed(tmp_path):
+    assert _run_feeding(
+        tmp_path,
         b"#flowlink flow-log v1\n"
         b"#fields\tts\tuid\torig_h\torig_p\tresp_h\tresp_p\tproto\tduration\t"
         b"orig_bytes\tresp_bytes\torig_pkts\tresp_pkts\n"
-        b"5.0\tT1\t192.0.2.9\t400\t198.51.100.2\t80\ttcp\t0.5\t0\t0\t0\t0\n")
-    sock.close()
-    th.join(timeout=10)
-    assert result["code"] == 0
+        b"5.0\tT1\t192.0.2.9\t400\t198.51.100.2\t80\ttcp\t0.5\t0\t0\t0\t0\n") == 0
     rows = _enriched_rows(tmp_path / "logs" / "conn.log")
     assert [r["uid"] for r in rows] == ["T1"]
+
+
+def test_run_tcp_feed_reports_a_malformed_stream(tmp_path, capsys):
+    assert _run_feeding(tmp_path, b"not a flow log\n") == 0
+    (line,) = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error:")]
+    assert line.startswith("error: flow feed 127.0.0.1:")
+    assert "missing #flowlink header" in line
+    assert _enriched_rows(tmp_path / "logs" / "conn.log") == []
 
 
 def test_run_reports_invalid_config_with_field_name(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Detectors: downloaded-binary execution and SSH stepping stones."""
 
 import hashlib
+import io
 import json
 
+from flowlink.config import EngineConfig
 from flowlink.correlate import AttributionResult, Candidate
 from flowlink.detect import (
     ATTACHMENT_EXECUTED,
@@ -12,12 +14,13 @@ from flowlink.detect import (
     DownloadStore,
     SteppingStoneDetector,
 )
-from flowlink.flowlog import DownloadEvent, FlowRecord
+from flowlink.engine import Engine, EngineOutputs
+from flowlink.flowlog import DownloadEvent, FlowRecord, read_alerts
 from flowlink.model import FileHashRecord, FlowTuple, Proto, SnapshotBatch, TableKind
 from flowlink.overlay import parse_query
 from flowlink.runtime import EventLoop
 
-from conftest import make_proc
+from conftest import make_proc, proc_ev
 
 
 def tup(orig_p=40000, resp_h="203.0.113.80", resp_p=443):
@@ -177,7 +180,7 @@ def test_cached_hash_skips_second_query():
     assert [a.evidence["pid"] for a in alerts] == [9000, 9001]
 
 
-def test_identical_evidence_is_emitted_once():
+def test_detector_hands_a_re_derived_alert_to_its_sink():
     loop, stub, alerts, det = attachment_harness()
     sha = "a" * 64
     det.on_download(download(sha=sha))
@@ -185,8 +188,29 @@ def test_identical_evidence_is_emitted_once():
     det.on_process_added(proc, now=101.0)
     det.on_file_hash(hash_batch("h1", "/tmp/x", sha), now=101.1)
     det.on_process_added(proc, now=102.0)  # replayed exec, cached hash path
-    assert len(alerts) == 1
-    assert det.counters["alerts_duplicate"] == 1
+    assert len(alerts) == 2
+    assert alerts[0].identity == alerts[1].identity
+
+
+def test_identical_evidence_is_emitted_once():
+    # the engine's alert path keeps the first alert of an identity only
+    loop = EventLoop()
+    out = EngineOutputs(alerts=io.StringIO())
+    engine = Engine(EngineConfig(), loop, outputs=out)
+    engine.register_host("h1")
+    loop.run_until(101.0)
+    sha = "a" * 64
+    engine.submit_download(download(sha=sha))
+    proc = make_proc(pid=9000, binary="/tmp/x")
+    engine.ingest_result("t", proc_ev(proc))
+    engine.ingest_result("t", hash_batch("h1", "/tmp/x", sha))
+    loop.run_until(102.0)
+    engine.ingest_result("t", proc_ev(proc))  # replayed exec, cached hash path
+    (logged,) = read_alerts(iter(out.alerts.getvalue().splitlines()))
+    assert logged["evidence"]["pid"] == 9000
+    assert [a.to_dict() for a in engine.alerts] == [logged]
+    assert engine.counters["alerts"] == 1
+    assert engine.counters["alerts_duplicate"] == 1
 
 
 def test_concurrent_execs_share_one_query():
@@ -347,6 +371,28 @@ def test_timeout_makes_pair_retriable():
     assert len(stub.published) == 2
     det.on_descendants(desc_batch("h001", 201, [205]), now=110.2)
     assert len(alerts) == 1
+
+
+def test_stale_timeout_leaves_a_new_query_for_the_same_key_pending():
+    loop, stub, alerts, det = stepping_harness(timeout=5.0)
+    loop.run_until(100.0)
+    det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT1", end=100.0),
+                      now=100.0)
+    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=100.0),
+                      now=100.0)
+    det.on_descendants(desc_batch("h001", 201, []), now=100.2)  # q1 answered
+    loop.run_until(103.0)
+    # a second outbound leg asks about the same session again: q2
+    det.on_attributed(ssh_result(orig=("h001", 206), uid="OUT2", end=103.0),
+                      now=103.0)
+    assert [p[0] for p in stub.published] == ["q1", "q2"]
+    loop.run_until(106.0)  # q1's timer fires while q2 is out
+    assert det.counters["descendant_timeouts"] == 0
+    det.on_descendants(desc_batch("h001", 201, [206]), now=106.5)
+    assert [a.evidence["out_flow"] for a in alerts] == ["OUT2"]
+    loop.run_until(120.0)  # and so does q2's
+    assert stub.retracted == ["q1", "q2"]
+    assert det.counters["descendant_timeouts"] == 0
 
 
 def test_duplicate_pair_not_requeried():

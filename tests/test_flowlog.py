@@ -72,6 +72,15 @@ def test_reader_rejects_wrong_format():
         list(read_flows(iter([])))
 
 
+@pytest.mark.parametrize("ts, duration", [("nan", "0.5"), ("5.0", "inf")])
+def test_reader_rejects_non_finite_times(ts, duration):
+    line = "\t".join([ts, "F1", "10.0.0.1", "1", "10.0.0.2", "2", "tcp",
+                      duration, "0", "0", "0", "0"])
+    lines = flow_log([]).splitlines(True) + [line + "\n"]
+    with pytest.raises(LogFormatError, match="finite"):
+        list(read_flows(iter(lines)))
+
+
 flow_records = st.builds(
     FlowRecord,
     ts=st.floats(0, 1e6).map(lambda x: round(x, 6)),

@@ -83,7 +83,7 @@ def test_predicate_evaluation():
 
 def test_bus_delivers_in_publish_order():
     loop = EventLoop()
-    bus = InProcessBus(loop, latency=0.001)
+    bus = InProcessBus(loop)
     got = []
     bus.subscribe("t", "n1", lambda topic, p: got.append(p))
     bus.publish("t", 1)
@@ -95,7 +95,7 @@ def test_bus_delivers_in_publish_order():
 
 def test_bus_publish_counts_subscribers():
     loop = EventLoop()
-    bus = InProcessBus(loop, latency=0.0)
+    bus = InProcessBus(loop)
     bus.subscribe("t", "a", lambda *x: None)
     bus.subscribe("t", "b", lambda *x: None)
     assert bus.publish("t", "x") == 2
@@ -125,7 +125,7 @@ class AgentStub:
 
 def mesh(n_auth=1, n_proxy=1):
     loop = EventLoop()
-    bus = InProcessBus(loop, latency=0.001)
+    bus = InProcessBus(loop)
     auths = [OverlayNode(f"auth{i}", bus, roles=(Role.AUTHORITATIVE,))
              for i in range(n_auth)]
     proxies = [OverlayNode(f"proxy{i}", bus, roles=(Role.PROXY,))
