@@ -7,9 +7,9 @@ truth a test can judge the engine against.
 
 `SimAgent` is the runtime half: it maintains the simulated OS tables,
 executes query schedules delivered over the overlay (evented streams,
-periodic snapshots, one-time queries including file hashes, process
-descendants and verification probes), and emits initial snapshots for all
-state tables when it connects.
+periodic snapshots, one-time queries including file hashes and
+verification probes), and emits initial snapshots for all state tables
+when it connects.
 """
 
 from __future__ import annotations
@@ -968,14 +968,6 @@ class SimAgent:
         elif table is TableKind.FILE_HASH:
             rows = [FileHashRecord(self.host, path, sha)
                     for path, sha in sorted(self.files.items())]
-        elif table is TableKind.PROCESS_DESCENDANTS:
-            root = parsed.literal if parsed and parsed.column == "pid" else None
-            if not isinstance(root, int):
-                return []
-            # every row echoes the queried root so responses stay
-            # correlatable; an empty tree still answers with the echo row
-            rows = [{"root": root, "pid": pid} for pid in self._descendants(root)]
-            return rows or [{"root": root}]
         elif table is TableKind.VERIFICATION:
             rows = ([replace(p, source=Source.STATUS)
                      for _, p in sorted(self.processes.items())]
@@ -987,20 +979,6 @@ class SimAgent:
         if parsed is not None and parsed.column:
             rows = [r for r in rows if parsed.matches(payload_to_dict(r))]
         return rows
-
-    def _descendants(self, root) -> list[int]:
-        if not isinstance(root, int):
-            return []
-        children: dict[int, list[int]] = collections.defaultdict(list)
-        for p in self.processes.values():
-            children[p.parent_pid].append(p.pid)
-        out: list[int] = []
-        stack = sorted(children.get(root, ()))
-        while stack:
-            pid = stack.pop(0)
-            out.append(pid)
-            stack.extend(sorted(children.get(pid, ())))
-        return out
 
 
 class FleetSimulator:

@@ -1,11 +1,12 @@
 """Flow-context detectors.
 
 Both detectors work on engine-side knowledge only: attributed flows, wire
-download observations, and answers to one-time host queries (`_HostQueries`).
-`AttachmentDetector` flags execution of a binary whose content hash arrived
-over the network; `SteppingStoneDetector` flags hosts relaying one inbound
-SSH session into a new outbound one via the process tree.  Each hands every
-alert it derives to its sink; the engine's sink drops repeats.
+download observations, held host state, and answers to one-time host
+queries (`_HostQueries`).  `AttachmentDetector` flags execution of a binary
+whose content hash, asked of its host, arrived over the network;
+`SteppingStoneDetector` flags hosts relaying one inbound SSH session into a
+new outbound one, read from the held process tree.  Each hands every alert
+it derives to its sink; the engine's sink drops repeats.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Hashable, Optional
 from .correlate import AttributionResult
 from .flowlog import DownloadEvent, FlowRecord
 from .model import ProcessInfo, Proto, SnapshotBatch
+from .state import HostState
 
 ATTACHMENT_EXECUTED = "attachment_executed"
 STEPPING_STONE = "stepping_stone"
@@ -94,10 +96,6 @@ class DownloadStore:
         return sorted(self._by_hash.get(sha256, ()), key=_ts, reverse=True)
 
 
-def _flow_uid(result: AttributionResult) -> str:
-    return result.tag.uid if isinstance(result.tag, FlowRecord) else ""
-
-
 class _HostQueries:
     """One-time host queries in flight, at most one per key.  A query still
     unanswered at its timeout is retracted; its waiters go to `on_timeout`."""
@@ -145,10 +143,10 @@ class AttachmentDetector:
     """Alert when a process executes a binary whose hash matches a recent
     download.
 
-    Each audit-observed exec on a host with at least one live download record
-    triggers a one-time `file_hash` query scoped to that host, unless the
-    (host, path) hash is already cached.  Unanswered queries time out, are
-    retracted, and only bump a counter.
+    While the fleet-wide download store holds any download, on any host,
+    each audit-observed exec triggers a one-time `file_hash` query scoped to
+    the exec's host, unless the (host, path) hash is already cached.
+    Unanswered queries time out, are retracted, and only bump a counter.
     """
 
     def __init__(self, downloads: DownloadStore,
@@ -213,11 +211,25 @@ class AttachmentDetector:
 
 @dataclass(frozen=True)
 class _SSHLeg:
-    host: str
     pid: int
     flow_uid: str
     ts: float           # flow end: when the report arrived
     peer: str
+
+
+def descends_from(processes: dict[int, ProcessInfo], pid: int,
+                  leader: int) -> bool:
+    """Whether walking `parent_pid` up from `pid` reaches `leader` before a
+    pid `processes` does not hold or one already passed (a cycle); a
+    process never descends from itself."""
+    seen = {pid}
+    proc = processes.get(pid)
+    while proc is not None and proc.parent_pid not in seen:
+        if proc.parent_pid == leader:
+            return True
+        seen.add(proc.parent_pid)
+        proc = processes.get(proc.parent_pid)
+    return False
 
 
 class SteppingStoneDetector:
@@ -226,44 +238,38 @@ class SteppingStoneDetector:
 
     Flow reports land at flow end, so the outbound leg of a relay typically
     arrives before the inbound session that caused it; pairing is therefore
-    order-independent over leg end times.  Tree membership comes from a
-    one-time `process_descendants` query against the session leader.
+    order-independent over leg end times.  A pair is decided when its later
+    leg is attributed, from the host's held process tree as `view` returns
+    it then: frozen, but still held, while the host is disconnected.  A
+    re-reported leg decides its pairs again and re-derives the same alerts.
     """
 
-    def __init__(self, publish: Callable[[str, str], str],
-                 retract: Callable[[str], None],
+    def __init__(self, view: Callable[[str], Optional[HostState]],
                  alert_sink: Callable[[Alert], None],
-                 scheduler, pairing_window: float = 600.0,
-                 query_timeout: float = 5.0):
+                 pairing_window: float = 600.0):
         self.pairing_window = pairing_window
         self.counters: collections.Counter = collections.Counter()
+        self._view = view
         self._alert_sink = alert_sink
-        # (host, session leader pid) -> the pairs waiting on its tree
-        self._queries = _HostQueries(publish, retract, scheduler,
-                                     query_timeout, self._on_timeout)
         self._incoming: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
         self._outgoing: dict[str, list[_SSHLeg]] = collections.defaultdict(list)
-        # pair key -> time of the pair's newer leg
-        self._attempted: dict[tuple, float] = {}
 
     def on_attributed(self, result: AttributionResult, now: float) -> None:
         flow = result.flow
         if flow.proto is not Proto.TCP or flow.resp_port != SSH_PORT:
             return
         self.counters["ssh_flows"] += 1
-        uid = _flow_uid(result)
+        uid = result.tag.uid if isinstance(result.tag, FlowRecord) else ""
         ts = result.flow_end
         self._prune(now)
         for cand in result.responder:
-            leg = _SSHLeg(cand.host, cand.pid, uid, ts,
-                          f"{flow.orig_addr}:{flow.orig_port}")
+            leg = _SSHLeg(cand.pid, uid, ts, f"{flow.orig_addr}:{flow.orig_port}")
             self._incoming[cand.host].append(leg)
-            self._pair(cand.host, [leg], self._outgoing.get(cand.host, ()))
+            self._pair(cand.host, [leg], self._outgoing.get(cand.host, ()), now)
         for cand in result.originator:
-            leg = _SSHLeg(cand.host, cand.pid, uid, ts,
-                          f"{flow.resp_addr}:{flow.resp_port}")
+            leg = _SSHLeg(cand.pid, uid, ts, f"{flow.resp_addr}:{flow.resp_port}")
             self._outgoing[cand.host].append(leg)
-            self._pair(cand.host, self._incoming.get(cand.host, ()), [leg])
+            self._pair(cand.host, self._incoming.get(cand.host, ()), [leg], now)
 
     def _prune(self, now: float) -> None:
         cutoff = now - self.pairing_window
@@ -274,46 +280,23 @@ class SteppingStoneDetector:
                     legs_by_host[host] = kept
                 else:
                     del legs_by_host[host]
-        # once its newer leg is pruned, neither leg can pair again
-        self._attempted = {key: ts for key, ts in self._attempted.items()
-                           if ts >= cutoff}
 
-    def _pair(self, host: str, incoming, outgoing) -> None:
+    def _pair(self, host: str, incoming, outgoing, now: float) -> None:
         for leg_in in incoming:
             for leg_out in outgoing:
                 if leg_in.flow_uid and leg_in.flow_uid == leg_out.flow_uid:
                     continue
                 if abs(leg_in.ts - leg_out.ts) > self.pairing_window:
                     continue
-                key = (host, leg_in.flow_uid, leg_out.flow_uid,
-                       leg_in.pid, leg_out.pid)
-                if key in self._attempted:
-                    continue
-                self._attempted[key] = max(leg_in.ts, leg_out.ts)
-                query = f"process_descendants WHERE pid == {leg_in.pid}"
-                if self._queries.ask((host, leg_in.pid), host, query,
-                                     (leg_in, leg_out, key)):
-                    self.counters["descendant_queries"] += 1
-
-    def on_descendants(self, batch: SnapshotBatch, now: float) -> None:
-        root = next((row["root"] for row in batch.rows if "root" in row), None)
-        if root is None:
-            return
-        attempts = self._queries.answer((batch.host, root))
-        descendants = {row["pid"] for row in batch.rows if "pid" in row}
-        for leg_in, leg_out, _key in attempts:
-            if leg_out.pid in descendants:
-                self._alert_sink(Alert(
-                    kind=STEPPING_STONE, ts=now, host=batch.host,
-                    summary=(f"{batch.host}: inbound ssh session {leg_in.pid}"
-                             f" relayed onward via pid {leg_out.pid}"),
-                    evidence={"host": batch.host,
-                              "in_pid": leg_in.pid, "out_pid": leg_out.pid,
-                              "in_flow": leg_in.flow_uid,
-                              "out_flow": leg_out.flow_uid,
-                              "in_peer": leg_in.peer, "out_peer": leg_out.peer}))
-
-    def _on_timeout(self, attempts: list[tuple[_SSHLeg, _SSHLeg, tuple]]) -> None:
-        self.counters["descendant_timeouts"] += 1
-        for _leg_in, _leg_out, attempt_key in attempts:
-            self._attempted.pop(attempt_key, None)  # retriable on next sighting
+                state = self._view(host)
+                if state is not None and descends_from(
+                        state.processes, leg_out.pid, leg_in.pid):
+                    self._alert_sink(Alert(
+                        kind=STEPPING_STONE, ts=now, host=host,
+                        summary=(f"{host}: inbound ssh session {leg_in.pid}"
+                                 f" relayed onward via pid {leg_out.pid}"),
+                        evidence={"host": host,
+                                  "in_pid": leg_in.pid, "out_pid": leg_out.pid,
+                                  "in_flow": leg_in.flow_uid,
+                                  "out_flow": leg_out.flow_uid,
+                                  "in_peer": leg_in.peer, "out_peer": leg_out.peer}))

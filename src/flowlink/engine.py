@@ -124,9 +124,8 @@ class Engine:
             self.downloads, self._publish_one_time, self.node.retract_interest,
             self._on_alert, scheduler, query_timeout=config.hash_query_timeout)
         self.stepping = SteppingStoneDetector(
-            self._publish_one_time, self.node.retract_interest, self._on_alert,
-            scheduler, pairing_window=config.ssh_pairing_window,
-            query_timeout=config.hash_query_timeout)
+            self.store.view, self._on_alert,
+            pairing_window=config.ssh_pairing_window)
 
         self.alerts: list[Alert] = []
         self._alert_ids: set[tuple[str, str]] = set()
@@ -250,8 +249,6 @@ class Engine:
                 self.counters["verify_while_down"] += 1
         elif batch.table is TableKind.FILE_HASH:
             self.attachments.on_file_hash(batch, now)
-        elif batch.table is TableKind.PROCESS_DESCENDANTS:
-            self.stepping.on_descendants(batch, now)
         else:
             self.store.merge_snapshot(batch)
 

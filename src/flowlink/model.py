@@ -48,7 +48,7 @@ class TableKind(str, Enum):
     USERS = "users"
     INTERFACES = "interfaces"
     FILE_HASH = "file_hash"
-    PROCESS_DESCENDANTS = "process_descendants"
+    PROCESS_DESCENDANTS = "process_descendants"  # in older recordings only
     VERIFICATION = "verification"
     TLS_KEYS = "tls_keys"  # reserved: carried but never interpreted
 

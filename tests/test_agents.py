@@ -504,26 +504,6 @@ def test_file_hash_query_misses_unknown_path():
     assert len(got) == 1 and got[0].rows == ()
 
 
-def test_process_descendants_are_strict_and_transitive():
-    loop, node, inbox = wire()
-    w = build_workload(spec(event_rate=0.0))
-    agent = make_agent(w, loop, node)
-    from flowlink.agents import SimAction
-    for pid, ppid in [(200, PID_SSHD), (201, 200), (202, 201), (300, 1)]:
-        proc = ProcessInfo("h000", pid, ppid, "/bin/x", 1000, 1.0, Source.AUDIT)
-        agent.apply_action(SimAction(1.0, "h000", ActionKind.PROC_START,
-                                     proc=proc))
-    node.subscribe_results("collect")
-    node.publish_interest(interest(
-        "d1", f"process_descendants WHERE pid == {PID_SSHD}",
-        group="host/h000", one_time=True, topic="collect"))
-    connect(loop, node, agent)
-    loop.run_until(1.0)
-    got = batches(inbox, topic="collect")
-    assert len(got) == 1
-    assert [r["pid"] for r in got[0].rows] == [200, 201, 202]
-
-
 def test_verification_snapshot_is_flagged_and_atomic():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from flowlink.agents import ENGINE_TOPIC
 from flowlink.cli import main
 from flowlink.flowlog import read_alerts, read_enriched
 
@@ -59,6 +60,36 @@ def test_sim_then_replay_reproduces_logs_byte_for_byte(tmp_path):
                  "--log-dir", str(second)]) == 0
     assert _read(first / "conn.log") == _read(second / "conn.log")
     assert _read(first / "alerts.log") == _read(second / "alerts.log")
+
+
+def test_replay_of_an_older_recording_with_a_process_descendants_answer(tmp_path):
+    """Older engines asked the relay host for the inbound session's process
+    tree; the answer in their recordings still decodes and changes no log."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workload": {
+        "hosts": 3, "duration": 45.0, "event_rate": 1.0, "seed": 17,
+        "scenarios": [{"kind": "ssh_chain", "at": 15.0}]}}))
+    rec = tmp_path / "rec"
+    assert main(["sim", "--config", str(config), "--log-dir", str(rec),
+                 "--record"]) == 0
+    (alert,) = read_alerts(iter(_read(rec / "alerts.log").splitlines()))
+    ev = alert["evidence"]
+    answer = {"t": alert["ts"] + 0.002, "kind": "snapshot", "topic": ENGINE_TOPIC,
+              "data": {"host": ev["host"], "table": "process_descendants",
+                       "batch_id": 1, "event_time": alert["ts"] + 0.001,
+                       "rows": [{"_kind": "opaque", "root": ev["in_pid"],
+                                 "pid": ev["out_pid"]}]}}
+    lines = _read(rec / "inputs.log").splitlines(True)
+    at = next(i for i in range(1, len(lines))
+              if json.loads(lines[i])["t"] > answer["t"])
+    lines.insert(at, json.dumps(answer) + "\n")
+    inputs = tmp_path / "inputs.log"
+    inputs.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert main(["replay", "--config", str(config), "--inputs", str(inputs),
+                 "--log-dir", str(out)]) == 0
+    assert _read(out / "conn.log") == _read(rec / "conn.log")
+    assert _read(out / "alerts.log") == _read(rec / "alerts.log")
 
 
 def test_sim_seed_changes_logs(tmp_path):

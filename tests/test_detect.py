@@ -13,12 +13,14 @@ from flowlink.detect import (
     AttachmentDetector,
     DownloadStore,
     SteppingStoneDetector,
+    descends_from,
 )
 from flowlink.engine import Engine, EngineOutputs
 from flowlink.flowlog import DownloadEvent, FlowRecord, read_alerts
 from flowlink.model import FileHashRecord, FlowTuple, Proto, SnapshotBatch, TableKind
 from flowlink.overlay import parse_query
 from flowlink.runtime import EventLoop
+from flowlink.state import HostState
 
 from conftest import make_proc, proc_ev
 
@@ -238,6 +240,28 @@ def test_unanswered_query_times_out_and_retracts():
     assert alerts == []  # the waiting exec was dropped with the query
 
 
+def test_stale_timeout_leaves_a_new_query_for_the_same_key_pending():
+    loop, stub, alerts, det = attachment_harness(timeout=5.0)
+    sha = "a" * 64
+    det.on_download(download(sha=sha))
+    loop.run_until(100.0)
+    det.on_process_added(make_proc(pid=9000, binary="/tmp/x"), now=100.0)
+    det.on_file_hash(hash_batch("h1", "/tmp/x", "c" * 64), now=100.2)  # q1
+    # the cached hash is dropped, as an invalidated entry would be, so the
+    # next exec of the path asks again: q2, while q1's timer is still armed
+    det._hash_cache.clear()
+    loop.run_until(103.0)
+    det.on_process_added(make_proc(pid=9001, binary="/tmp/x"), now=103.0)
+    assert [p[0] for p in stub.published] == ["q1", "q2"]
+    loop.run_until(106.0)  # q1's timer fires while q2 is out
+    assert det.counters["hash_query_timeouts"] == 0
+    det.on_file_hash(hash_batch("h1", "/tmp/x", sha), now=106.5)
+    assert [a.evidence["pid"] for a in alerts] == [9001]
+    loop.run_until(120.0)  # and so does q2's
+    assert stub.retracted == ["q1", "q2"]
+    assert det.counters["hash_query_timeouts"] == 0
+
+
 def test_expired_download_never_matches():
     loop, stub, alerts, det = attachment_harness(retention=100.0)
     det.on_download(download(ts=10.0))
@@ -261,164 +285,145 @@ def ssh_result(orig=None, resp=None, uid="F1", end=100.0, resp_h="10.1.0.2",
                              decided_at=end, tag=record)
 
 
-def stepping_harness(window=600.0, timeout=5.0):
-    loop = EventLoop()
-    stub = QueryStub()
+# h001's tree: sshd (50) -> session leader 201 -> shell 203 -> ssh 205, and
+# an unrelated ssh 206 under init
+RELAY_TREE = [(50, 1), (201, 50), (203, 201), (205, 203), (206, 1)]
+
+
+class FakeView:
+    """Stands in for `HostStateStore.view`: each host's held processes,
+    and the hosts asked about, in order."""
+
+    def __init__(self, trees=None):
+        self.states = {host: HostState(host, processes={
+            pid: make_proc(host=host, pid=pid, ppid=ppid) for pid, ppid in tree})
+            for host, tree in (trees or {}).items()}
+        self.asked = []
+
+    def __call__(self, host):
+        self.asked.append(host)
+        return self.states.get(host)
+
+
+def stepping_harness(window=600.0, trees=None):
+    view = FakeView({"h001": RELAY_TREE} if trees is None else trees)
     alerts = []
-    det = SteppingStoneDetector(stub.publish, stub.retract, alerts.append,
-                                loop, pairing_window=window,
-                                query_timeout=timeout)
-    return loop, stub, alerts, det
-
-
-def desc_batch(host, root, pids):
-    rows = tuple({"root": root, "pid": p} for p in pids) or ({"root": root},)
-    return SnapshotBatch(host=host, table=TableKind.PROCESS_DESCENDANTS,
-                         batch_id=1, rows=rows)
+    det = SteppingStoneDetector(view, alerts.append, pairing_window=window)
+    return view, alerts, det
 
 
 def test_relay_pair_alerts_when_client_descends_from_session():
-    loop, stub, alerts, det = stepping_harness()
+    view, alerts, det = stepping_harness()
     # outbound leg reports first (it ends first), inbound session later
     det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=120.0,
                                  orig_h="10.1.0.2", resp_h="10.1.0.3"), now=120.0)
-    assert stub.published == []  # half a pair: nothing to ask yet
+    assert view.asked == [] and alerts == []  # half a pair: nothing to decide
     det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=125.0,
-                                 orig_h="10.1.0.1", resp_h="10.1.0.2"), now=125.0)
-    assert stub.published == [
-        ("q1", "process_descendants WHERE pid == 201", "h001")]
-    det.on_descendants(desc_batch("h001", 201, [203, 205]), now=125.2)
+                                 orig_h="10.1.0.1", resp_h="10.1.0.2"), now=125.2)
+    assert view.asked == ["h001"]
     assert len(alerts) == 1
     ev = alerts[0].evidence
     assert alerts[0].kind == STEPPING_STONE
+    assert alerts[0].ts == 125.2  # decided when the pair formed
     assert (ev["in_pid"], ev["out_pid"]) == (201, 205)
     assert (ev["in_flow"], ev["out_flow"]) == ("IN", "OUT")
-    assert stub.retracted == ["q1"]
 
 
 def test_unrelated_outbound_ssh_stays_quiet():
-    loop, stub, alerts, det = stepping_harness()
+    view, alerts, det = stepping_harness()
+    det.on_attributed(ssh_result(orig=("h001", 206), uid="OUT", end=120.0),
+                      now=120.0)
+    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=125.0),
+                      now=125.0)
+    assert view.asked == ["h001"] and alerts == []
+
+
+def test_pair_on_a_host_the_store_does_not_hold_stays_quiet():
+    view, alerts, det = stepping_harness(trees={})
     det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=120.0),
                       now=120.0)
     det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=125.0),
                       now=125.0)
-    det.on_descendants(desc_batch("h001", 201, [203]), now=125.2)
-    assert alerts == []
-    assert det.counters["descendant_queries"] == 1
-
-
-def test_empty_descendant_answer_resolves_without_alert():
-    loop, stub, alerts, det = stepping_harness()
-    det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=120.0),
-                      now=120.0)
-    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=125.0),
-                      now=125.0)
-    det.on_descendants(desc_batch("h001", 201, []), now=125.2)
-    assert alerts == []
-    assert stub.retracted == ["q1"]
+    assert view.asked == ["h001"] and alerts == []
 
 
 def test_legs_on_different_hosts_never_pair():
-    loop, stub, alerts, det = stepping_harness()
+    view, alerts, det = stepping_harness()
     det.on_attributed(ssh_result(orig=("h002", 205), uid="OUT", end=120.0),
                       now=120.0)
     det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=125.0),
                       now=125.0)
-    assert stub.published == [] and alerts == []
+    assert view.asked == [] and alerts == []
 
 
 def test_pairing_window_excludes_stale_legs():
-    loop, stub, alerts, det = stepping_harness(window=600.0)
+    view, alerts, det = stepping_harness(window=600.0)
     det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=100.0),
                       now=100.0)
     det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=800.0),
                       now=800.0)
-    assert stub.published == []
+    assert view.asked == [] and alerts == []
 
 
 def test_same_flow_cannot_pair_with_itself():
-    loop, stub, alerts, det = stepping_harness()
+    view, alerts, det = stepping_harness()
     det.on_attributed(ssh_result(orig=("h001", 205), resp=("h001", 201),
                                  uid="LOOP", end=100.0), now=100.0)
-    assert stub.published == []
+    assert view.asked == [] and alerts == []
 
 
 def test_non_ssh_flows_are_ignored():
-    loop, stub, alerts, det = stepping_harness()
+    view, alerts, det = stepping_harness()
     res = ssh_result(orig=("h001", 205), uid="WEB", end=100.0)
     res = AttributionResult(
         flow=FlowTuple("10.1.0.1", 41000, "10.1.0.2", 443, Proto.TCP),
         flow_start=90.0, flow_end=100.0, originator=res.originator,
         tag=res.tag)
     det.on_attributed(res, now=100.0)
-    assert det.counters["ssh_flows"] == 0 and stub.published == []
+    assert det.counters["ssh_flows"] == 0 and view.asked == []
 
 
-def test_timeout_makes_pair_retriable():
-    loop, stub, alerts, det = stepping_harness(timeout=5.0)
-    loop.run_until(100.0)
-    det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=100.0),
-                      now=100.0)
-    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=100.5),
-                      now=100.5)
-    assert len(stub.published) == 1
-    loop.run_until(110.0)
-    assert det.counters["descendant_timeouts"] == 1
-    assert stub.retracted == ["q1"]
-    # a replayed inbound report retries the tree query
-    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=100.5),
-                      now=110.0)
-    assert len(stub.published) == 2
-    det.on_descendants(desc_batch("h001", 201, [205]), now=110.2)
-    assert len(alerts) == 1
-
-
-def test_stale_timeout_leaves_a_new_query_for_the_same_key_pending():
-    loop, stub, alerts, det = stepping_harness(timeout=5.0)
-    loop.run_until(100.0)
-    det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT1", end=100.0),
-                      now=100.0)
-    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=100.0),
-                      now=100.0)
-    det.on_descendants(desc_batch("h001", 201, []), now=100.2)  # q1 answered
-    loop.run_until(103.0)
-    # a second outbound leg asks about the same session again: q2
-    det.on_attributed(ssh_result(orig=("h001", 206), uid="OUT2", end=103.0),
-                      now=103.0)
-    assert [p[0] for p in stub.published] == ["q1", "q2"]
-    loop.run_until(106.0)  # q1's timer fires while q2 is out
-    assert det.counters["descendant_timeouts"] == 0
-    det.on_descendants(desc_batch("h001", 201, [206]), now=106.5)
-    assert [a.evidence["out_flow"] for a in alerts] == ["OUT2"]
-    loop.run_until(120.0)  # and so does q2's
-    assert stub.retracted == ["q1", "q2"]
-    assert det.counters["descendant_timeouts"] == 0
-
-
-def test_duplicate_pair_not_requeried():
-    loop, stub, alerts, det = stepping_harness()
+def test_re_reported_leg_re_derives_the_same_alert():
+    # each pair is decided when its later leg arrives; a re-reported leg
+    # decides it again, and the engine's alert path drops the repeat
+    view, alerts, det = stepping_harness()
     out = ssh_result(orig=("h001", 205), uid="OUT", end=100.0)
     inc = ssh_result(resp=("h001", 201), uid="IN", end=101.0)
     det.on_attributed(out, now=100.0)
     det.on_attributed(inc, now=101.0)
-    det.on_descendants(desc_batch("h001", 201, [205]), now=101.2)
-    det.on_attributed(inc, now=102.0)  # replay after a successful answer
-    assert len(stub.published) == 1
-    assert len(alerts) == 1
+    det.on_attributed(inc, now=102.0)
+    assert [a.ts for a in alerts] == [101.0, 102.0]
+    assert alerts[0].identity == alerts[1].identity
 
 
-def test_attempted_pairs_expire_with_their_legs():
-    loop, stub, alerts, det = stepping_harness(window=600.0)
+def test_legs_expire_with_the_pairing_window():
+    view, alerts, det = stepping_harness(window=600.0)
     det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=100.0),
                       now=100.0)
     det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=101.0),
                       now=101.0)
-    det.on_descendants(desc_batch("h001", 201, [205]), now=101.2)
-    assert len(stub.published) == 1 and len(alerts) == 1
-    assert len(det._attempted) == 1
-    # the next ssh flow comes after the pairing window: both legs and the
-    # pair key they made are pruned
+    assert len(alerts) == 1
+    # the next ssh flow comes after the pairing window: both legs are pruned
     det.on_attributed(ssh_result(orig=("h002", 300), uid="LATER", end=800.0),
                       now=800.0)
-    assert len(det._attempted) == 0
-    assert len(stub.published) == 1
+    assert dict(det._incoming) == {}
+    assert {host: [leg.flow_uid for leg in legs]
+            for host, legs in det._outgoing.items()} == {"h002": ["LATER"]}
+
+
+def test_descends_from_is_strict_and_transitive():
+    procs = {pid: make_proc(host="h001", pid=pid, ppid=ppid)
+             for pid, ppid in RELAY_TREE + [(202, 201), (204, 50)]}
+    assert descends_from(procs, 205, 201)      # a grandchild
+    assert descends_from(procs, 202, 201)      # a child
+    assert not descends_from(procs, 201, 201)  # the leader itself
+    assert not descends_from(procs, 204, 201)  # a sibling of the leader
+    assert not descends_from(procs, 206, 201)  # under init
+    assert not descends_from(procs, 999, 201)  # a pid the host does not hold
+    assert not descends_from(procs, 205, 999)  # a leader it does not hold
+    # a parent_pid cycle ends the walk
+    cycle = {pid: make_proc(host="h001", pid=pid, ppid=ppid)
+             for pid, ppid in [(201, 203), (203, 205), (205, 203)]}
+    assert not descends_from(cycle, 205, 201)
+    assert not descends_from(cycle, 203, 203)  # reached only through itself
+    assert descends_from(cycle, 201, 205)      # met before the walk repeats

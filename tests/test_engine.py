@@ -277,15 +277,36 @@ def test_stepping_stone_alert_names_session_and_client():
     assert ev["host"] == want["host"]
     assert (ev["in_pid"], ev["out_pid"]) == (want["in_pid"], want["out_pid"])
     assert (ev["in_flow"], ev["out_flow"]) == (want["in_flow"], want["out_flow"])
+    assert got[0].ts == 40.0  # when the inbound leg paired, at its end
+
+
+@pytest.mark.parametrize("down", [3.0, 10.0])
+def test_stepping_stone_alerts_while_the_relay_host_is_down(down):
+    # the inbound leg ends at 40 s: with `down` 10 the relay host is still
+    # disconnected then, and its frozen process tree decides the pair
+    w = build_workload(spec(
+        hosts=3, duration=60.0, event_rate=1.0,
+        scenarios=[ScenarioHook(ScenarioKind.SSH_CHAIN, 15.0),
+                   ScenarioHook(ScenarioKind.HOST_RECONNECT, 36.0,
+                                host="h001", params={"down": down})]))
+    engine = run_simulation(config(), w)
+    (want,) = w.truth.expected_alerts
+    got = [a for a in engine.alerts if a.kind == STEPPING_STONE]
+    assert [(a.host, a.ts, a.evidence["in_pid"], a.evidence["out_pid"])
+            for a in got] == [(want["host"], 40.0, want["in_pid"],
+                               want["out_pid"])]
 
 
 def test_unrelated_ssh_sessions_do_not_alert():
     w = build_workload(spec(
         hosts=3, duration=60.0, event_rate=1.0,
         scenarios=[ScenarioHook(ScenarioKind.SSH_UNRELATED, 15.0)]))
-    engine = run_simulation(config(), w)
+    out = outputs()
+    engine = run_simulation(config(), w, outputs=out)
     assert [a for a in engine.alerts if a.kind == STEPPING_STONE] == []
-    assert engine.stepping.counters["descendant_queries"] == 1
+    # the detector saw both ssh flows, and asked no host about them
+    assert engine.stepping.counters["ssh_flows"] == 2
+    assert "process_descendants" not in out.inputs.getvalue()
 
 
 def test_host_reconnect_rebuilds_state():

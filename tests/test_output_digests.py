@@ -6,6 +6,13 @@ is where a change to schedule delivery or agent timing shows first.
 Criterion 9 compares a live run with its replay under the same code, so it
 cannot see drift that both share.  Change a digest only together with a
 note on which lines changed and why.
+
+Since the stepping-stone detector reads the engine's held process tree
+instead of asking the relay host: `conn.log` is unchanged; in
+`alerts.log` the `stepping_stone` alert's `ts` is its pairing time, 40.0,
+not the time the host's answer arrived, 40.002; and `inputs.log` lost that
+one `process_descendants` answer from h001, whose later `batch_id`s are
+each one lower.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from flowlink.engine import EngineOutputs, run_simulation
 from flowlink.flowlog import read_alerts, read_inputs
 
 CONN_LOG_SHA256 = "792ced82dcbe17e327267eec8219282c427dacf00dcb66549c23f7e88aa4068f"
-ALERTS_LOG_SHA256 = "ee22ac46646a0145ea2aac3424cbaaf2287ec08211488b5c916c1328b02c1383"
-INPUTS_LOG_SHA256 = "194adbb1c2d7448b1c589aeff8f99e694009c7f3a0928bfa7b340f27e1c298e3"
+ALERTS_LOG_SHA256 = "340826655493001f364cce38de7f73db65152ca96d693493e0f1c3f608d6a72a"
+INPUTS_LOG_SHA256 = "126219d779e28e82f1503cf28391eb9e8a96805222567d8699563f362a598057"
 
 
 def _sha256(text: str) -> str:
