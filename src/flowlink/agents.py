@@ -850,8 +850,7 @@ class SimAgent:
         """Emit initial snapshots for all state tables, then register for a
         schedule (one-time entries execute once per connection)."""
         self.connected = True
-        now = self.scheduler.now() if self.scheduler else 0.0
-        for batch in self.initial_batches(now):
+        for batch in self.initial_batches(self.scheduler.now()):
             self.emit(ENGINE_TOPIC, batch)
         proxy.connect_agent(self.host, groups, self.on_delta)
 
@@ -904,8 +903,7 @@ class SimAgent:
             if delta.action == "add":
                 self._execute(job)
             return
-        if (delta.action == "add" and job.timer is None
-                and self.scheduler is not None):
+        if delta.action == "add" and job.timer is None:
             job.timer = self.scheduler.call_later(entry.period, self._tick, job)
 
     def _rebuild_streams(self) -> None:
@@ -926,18 +924,18 @@ class SimAgent:
 
     def _execute(self, job: _Job) -> None:
         entry = job.entry
-        if job.table is None:
+        rows = self._snapshot_rows(job.table, job.query)
+        if rows is None:
             self._emit_error(entry.query, f"unknown table {job.query.table!r}",
                              entry.response_topics)
             return
-        now = self.scheduler.now() if self.scheduler else 0.0
-        rows = self._snapshot_rows(job.table, job.query)
+        now = self.scheduler.now()
         for topic in sorted(entry.response_topics):
             self.emit(topic, self._batch(job.table, rows, now))
 
     def _emit_error(self, query: str, error: str, topics) -> None:
         self.counters["query_errors"] += 1
-        now = self.scheduler.now() if self.scheduler else 0.0
+        now = self.scheduler.now()
         for topic in sorted(topics):
             self.emit(topic, QueryErrorResult(host=self.host, query=query,
                                               error=error, event_time=now))
@@ -949,7 +947,8 @@ class SimAgent:
 
     # -- table queries -----------------------------------------------------------------
 
-    def _snapshot_rows(self, table: TableKind, parsed) -> list:
+    def _snapshot_rows(self, table: Optional[TableKind], parsed) -> Optional[list]:
+        """The rows of `table` that `parsed` selects; None if not served."""
         if table is TableKind.PROCESSES:
             rows = [replace(p, source=Source.STATUS)
                     for _, p in sorted(self.processes.items())]
@@ -975,7 +974,7 @@ class SimAgent:
                        for _, s in sorted(self.sockets.items())])
             return rows  # atomic snapshot: no predicate filtering
         else:
-            rows = []
+            return None
         if parsed is not None and parsed.column:
             rows = [r for r in rows if parsed.matches(payload_to_dict(r))]
         return rows

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .model import FlowTuple, MatchQuality, Proto, Side, canonical_addr, match_socket
+from .runtime import DeadlineMap
 from .state import AddressIndex, HostState, HostStateStore, StateChange
 
 log = logging.getLogger(__name__)
@@ -151,8 +152,8 @@ class _Parked:
     flow: FlowTuple
     flow_start: float
     flow_end: float
-    deadline: float
     tag: object = None
+    deadline: float = 0.0   # set by `DeadlineMap.add`
 
 
 class Correlator:
@@ -167,10 +168,8 @@ class Correlator:
     store's address index, which already holds each change the correlator
     hears.
 
-    Every entry waits the same `retry_window` on a clock that never goes
-    back, so the park's insertion order is its deadline order.  While the
-    park holds entries, one timer is pending at or before the oldest
-    deadline; it releases what is due and re-arms for the next.  Resolved,
+    The park is a `DeadlineMap`: every entry waits the same `retry_window`
+    under the map's one timer, which expires what is due.  Resolved,
     expired, evicted and flushed entries all leave through `_release`, so
     each submitted flow is emitted exactly once.  `counters["retry_attempts"]`
     counts the re-attributions and `counters["retry_resolved"]` those that
@@ -187,11 +186,11 @@ class Correlator:
         self.index = store.index
         self.emit = emit
         self.scheduler = scheduler
-        self.retry_window = retry_window
         self.max_parked = max_parked
         self.ambiguity_window = ambiguity_window
-        self._parked: dict[int, _Parked] = {}
-        self._timer = None
+        self._parked = DeadlineMap(
+            scheduler, retry_window,
+            lambda pid: self._release(pid, "retry_expired"))
         self._next_id = 0
         self.counters: collections.Counter = collections.Counter()
 
@@ -200,7 +199,7 @@ class Correlator:
     def submit(self, flow: FlowTuple, flow_start: float, flow_end: float,
                tag: object = None) -> None:
         result = self._attribute(flow, flow_start, flow_end, tag)
-        if self.retry_window > 0 and self._should_park(result):
+        if self._should_park(result):
             self._park(flow, flow_start, flow_end, tag)
             return
         self._finish(result)
@@ -221,12 +220,9 @@ class Correlator:
               tag: object) -> None:
         while len(self._parked) >= self.max_parked:
             self._release(next(iter(self._parked)), "parked_evicted")
-        deadline = self.scheduler.now() + self.retry_window
-        self._parked[self._next_id] = _Parked(flow, flow_start, flow_end, deadline, tag)
+        self._parked.add(self._next_id, _Parked(flow, flow_start, flow_end, tag))
         self._next_id += 1
         self.counters["parked"] += 1
-        if self._timer is None:
-            self._timer = self.scheduler.call_at(deadline, self._on_deadline)
 
     # -- retry paths -------------------------------------------------------
 
@@ -257,16 +253,6 @@ class Correlator:
             result = self._attribute(flow, entry.flow_start, entry.flow_end, entry.tag)
             if not self._should_park(result):
                 self._release(pid, "retry_resolved", result)
-
-    def _on_deadline(self) -> None:
-        self._timer = None
-        now = self.scheduler.now()
-        while self._parked:
-            pid, entry = next(iter(self._parked.items()))
-            if entry.deadline > now:
-                self._timer = self.scheduler.call_at(entry.deadline, self._on_deadline)
-                return
-            self._release(pid, "retry_expired")
 
     def flush(self) -> None:
         """Finalize everything still parked (shutdown path)."""

@@ -2,8 +2,8 @@
 
 Both detectors work on engine-side knowledge only: attributed flows, wire
 download observations, held host state, and answers to one-time host
-queries (`_HostQueries`).  `AttachmentDetector` flags execution of a binary
-whose content hash, asked of its host, arrived over the network;
+queries.  `AttachmentDetector` flags execution of a binary whose content
+hash, asked of its host, arrived over the network;
 `SteppingStoneDetector` flags hosts relaying one inbound SSH session into a
 new outbound one, read from the held process tree.  Each hands every alert
 it derives to its sink; the engine's sink drops repeats.
@@ -16,11 +16,12 @@ import collections
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Optional
 
 from .correlate import AttributionResult
 from .flowlog import DownloadEvent, FlowRecord
 from .model import ProcessInfo, Proto, SnapshotBatch
+from .runtime import DeadlineMap
 from .state import HostState
 
 ATTACHMENT_EXECUTED = "attachment_executed"
@@ -96,47 +97,13 @@ class DownloadStore:
         return sorted(self._by_hash.get(sha256, ()), key=_ts, reverse=True)
 
 
-class _HostQueries:
-    """One-time host queries in flight, at most one per key.  A query still
-    unanswered at its timeout is retracted; its waiters go to `on_timeout`."""
+@dataclass
+class _HashQuery:
+    """A `file_hash` query in flight and the execs waiting on its answer."""
 
-    def __init__(self, publish: Callable[[str, str], str],
-                 retract: Callable[[str], None], scheduler, timeout: float,
-                 on_timeout: Callable[[list], None]):
-        self._publish = publish
-        self._retract = retract
-        self._scheduler = scheduler
-        self._timeout = timeout
-        self._on_timeout = on_timeout
-        # key -> (interest id, waiters)
-        self._pending: dict[Hashable, tuple[str, list]] = {}
-
-    def ask(self, key: Hashable, host: str, query: str, waiter) -> bool:
-        """Queue `waiter` on `key`'s query; True if this call published it."""
-        pending = self._pending.get(key)
-        if pending is not None:
-            pending[1].append(waiter)
-            return False
-        iid = self._publish(query, host)
-        self._pending[key] = (iid, [waiter])
-        self._scheduler.call_later(self._timeout, self._expire, key, iid)
-        return True
-
-    def answer(self, key: Hashable) -> list:
-        """Retract `key`'s query and return its waiters ([] if none is out)."""
-        pending = self._pending.pop(key, None)
-        if pending is None:
-            return []
-        self._retract(pending[0])
-        return pending[1]
-
-    def _expire(self, key: Hashable, interest_id: str) -> None:
-        pending = self._pending.get(key)
-        if pending is None or pending[0] != interest_id:
-            return  # answered, and perhaps asked again since this was armed
-        del self._pending[key]
-        self._retract(interest_id)
-        self._on_timeout(pending[1])
+    interest_id: str
+    execs: list[ProcessInfo]
+    deadline: float = 0.0   # set by `DeadlineMap.add`
 
 
 class AttachmentDetector:
@@ -145,8 +112,10 @@ class AttachmentDetector:
 
     While the fleet-wide download store holds any download, on any host,
     each audit-observed exec triggers a one-time `file_hash` query scoped to
-    the exec's host, unless the (host, path) hash is already cached.
-    Unanswered queries time out, are retracted, and only bump a counter.
+    the exec's host, unless the (host, path) hash is already cached.  At
+    most one query per (host, path) is in flight, in a `DeadlineMap`: later
+    execs wait on it, and it is retracted on its answer or, unanswered, at
+    `query_timeout`, when its execs go unchecked and a counter is bumped.
     """
 
     def __init__(self, downloads: DownloadStore,
@@ -157,8 +126,9 @@ class AttachmentDetector:
         self.downloads = downloads
         self.counters: collections.Counter = collections.Counter()
         self._alert_sink = alert_sink
-        self._queries = _HostQueries(publish, retract, scheduler,
-                                     query_timeout, self._on_timeout)
+        self._publish = publish
+        self._retract = retract
+        self._queries = DeadlineMap(scheduler, query_timeout, self._on_timeout)
         self._hash_cache: dict[tuple[str, str], str] = {}
 
     def on_download(self, ev: DownloadEvent) -> None:
@@ -179,18 +149,27 @@ class AttachmentDetector:
         if quote in proc.binary_path:
             self.counters["unqueryable_paths"] += 1
             return
+        pending = self._queries.get(key)
+        if pending is not None:
+            pending.execs.append(proc)
+            return
         query = f"file_hash WHERE path == {quote}{proc.binary_path}{quote}"
-        if self._queries.ask(key, proc.host, query, proc):
-            self.counters["hash_queries"] += 1
+        self._queries.add(key, _HashQuery(self._publish(query, proc.host), [proc]))
+        self.counters["hash_queries"] += 1
 
     def on_file_hash(self, batch: SnapshotBatch, now: float) -> None:
         for row in batch.rows:
             key = (batch.host, row.path)
             self._hash_cache[key] = row.sha256
-            for proc in self._queries.answer(key):
+            pending = self._queries.pop(key, None)
+            if pending is None:
+                continue
+            self._retract(pending.interest_id)
+            for proc in pending.execs:
                 self._check(proc, row.sha256, now)
 
-    def _on_timeout(self, procs: list[ProcessInfo]) -> None:
+    def _on_timeout(self, key: tuple[str, str]) -> None:
+        self._retract(self._queries.pop(key).interest_id)
         self.counters["hash_query_timeouts"] += 1  # the execs go unchecked
 
     def _check(self, proc: ProcessInfo, sha256: str, now: float) -> None:

@@ -258,10 +258,7 @@ class Engine:
         self.counters["flows_out"] += 1
         self.metrics.observe(result)
         if self._flow_writer is not None:
-            if isinstance(result.tag, FlowRecord):
-                self._flow_writer.write(result.tag, result)
-            else:
-                self.counters["unlogged_results"] += 1
+            self._flow_writer.write(result.tag, result)
         self.stepping.on_attributed(result, self.scheduler.now())
         for sink in self.result_sinks:
             sink(result)

@@ -3,7 +3,7 @@ replay, plus a wall-clock scheduler for the live service and load tests.
 
 Both expose the same now()/call_at()/call_later()/cancel() surface so engine
 components are agnostic to which mode they run under.  Neither clock goes
-back, which the correlator's one park timer relies on.  Each also carries the
+back, which `DeadlineMap`'s one timer relies on.  Each also carries the
 `lock` that owns engine state: the engine takes it on every entry point, and
 the wall-clock scheduler runs every callback while holding it.
 """
@@ -16,7 +16,7 @@ import logging
 import math
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 
 class TimerHandle:
@@ -167,3 +167,39 @@ class WallScheduler:
                     h.fn(*h.args)
                 except Exception:  # noqa: BLE001 - timer callbacks must not kill the thread
                     logging.getLogger(__name__).exception("timer callback failed")
+
+
+class DeadlineMap(dict):
+    """Entries that each wait the same `delay`, released by one timer.
+
+    `add()` sets a value's `deadline` to `delay` from now, on a clock that
+    never goes back, so insertion order is deadline order and a key removed
+    and added again is a fresh entry at the back.  While entries remain, one
+    timer is pending at or before the oldest deadline; it hands each due
+    key, oldest first, to `on_due`, which must remove it, then re-arms for
+    the next.  Removing an entry early cancels no timer.
+    """
+
+    def __init__(self, scheduler, delay: float, on_due: Callable[[Hashable], None]):
+        super().__init__()
+        self._scheduler = scheduler
+        self._delay = delay
+        self._on_due = on_due
+        self._timer = None
+
+    def add(self, key: Hashable, value: Any) -> None:
+        """Hold `value` under a key the map lacks; it gets a `deadline`."""
+        value.deadline = self._scheduler.now() + self._delay
+        self[key] = value
+        if self._timer is None:
+            self._timer = self._scheduler.call_at(value.deadline, self._on_deadline)
+
+    def _on_deadline(self) -> None:
+        self._timer = None
+        now = self._scheduler.now()
+        while self:
+            key, value = next(iter(self.items()))
+            if value.deadline > now:
+                self._timer = self._scheduler.call_at(value.deadline, self._on_deadline)
+                return
+            self._on_due(key)

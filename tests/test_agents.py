@@ -475,6 +475,27 @@ def test_malformed_query_reports_error_and_agent_continues():
     assert len(batches(inbox, table=TableKind.USERS)) == 2  # initial + one-time
 
 
+def test_tables_the_agent_does_not_serve_answer_with_a_query_error():
+    # process_descendants stays a TableKind member only so that older
+    # recordings decode; no agent serves it
+    loop, node, inbox = wire()
+    agent = make_agent(build_workload(spec(event_rate=0.0)), loop, node)
+    node.subscribe_results("collect")
+    for iid, table in (("d1", "process_descendants"), ("n1", "nosuchtable")):
+        node.publish_interest(interest(iid, f"{table} WHERE pid == 50",
+                                       one_time=True, topic="collect"))
+    connect(loop, node, agent)
+    loop.run_until(1.0)
+    assert batches(inbox, topic="collect") == []
+    errors = [p for t, p in inbox if t == "collect"]
+    assert sorted((type(e), e.query, e.error) for e in errors) == [
+        (QueryErrorResult, "nosuchtable WHERE pid == 50",
+         "unknown table 'nosuchtable'"),
+        (QueryErrorResult, "process_descendants WHERE pid == 50",
+         "unknown table 'process_descendants'")]
+    assert agent.counters["query_errors"] == 2
+
+
 def test_file_hash_query_returns_generated_digest():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))

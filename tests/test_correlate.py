@@ -481,14 +481,6 @@ def test_changes_that_cannot_decide_skip_attribution(monkeypatch):
     assert results == [] and corr.parked_count == 1
 
 
-def test_zero_window_never_parks():
-    loop, store, idx, corr, results = make_correlator(retry_window=0.0)
-    store.handle_reconnect("h1")
-    wire(store, "h1", A)
-    corr.submit(flow(), 1.0, 2.0)
-    assert len(results) == 1 and corr.counters["parked"] == 0
-
-
 def test_parked_overflow_evicts_oldest():
     loop, store, idx, corr, results = make_correlator(max_parked=3)
     store.handle_reconnect("h1")

@@ -1,8 +1,12 @@
 """Detectors: downloaded-binary execution and SSH stepping stones."""
 
+import collections
 import hashlib
 import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlink.config import EngineConfig
 from flowlink.correlate import AttributionResult, Candidate
@@ -260,6 +264,151 @@ def test_stale_timeout_leaves_a_new_query_for_the_same_key_pending():
     loop.run_until(120.0)  # and so does q2's
     assert stub.retracted == ["q1", "q2"]
     assert det.counters["hash_query_timeouts"] == 0
+
+
+def test_unanswered_queries_share_one_timer_and_time_out_at_their_own_deadlines():
+    loop, stub, alerts, det = attachment_harness(timeout=5.0)
+    det.on_download(download())
+    for t, path in ((100.0, "/tmp/a"), (101.0, "/tmp/b"), (103.0, "/tmp/c")):
+        loop.run_until(t)
+        det.on_process_added(make_proc(pid=9000, binary=path), now=t)
+        assert len(loop._heap) == 1  # the detector's one timeout timer
+    for t, retracted in ((104.5, []), (105.0, ["q1"]), (105.5, ["q1"]),
+                         (106.0, ["q1", "q2"]), (108.0, ["q1", "q2", "q3"])):
+        loop.run_until(t)
+        assert stub.retracted == retracted, t
+        assert det.counters["hash_query_timeouts"] == len(retracted)
+        assert len(loop._heap) <= 1
+    assert loop._heap == []
+
+
+class _HostQueries:
+    """The in-flight query table the attachment detector had before its
+    queries shared one `DeadlineMap`, kept as the reference: one timeout
+    timer per published query, and a check that drops a timer whose key
+    was answered and asked again since it was armed."""
+
+    def __init__(self, publish, retract, scheduler, timeout, on_timeout):
+        self._publish = publish
+        self._retract = retract
+        self._scheduler = scheduler
+        self._timeout = timeout
+        self._on_timeout = on_timeout
+        self._pending = {}  # key -> (interest id, waiters)
+
+    def ask(self, key, host, query, waiter):
+        pending = self._pending.get(key)
+        if pending is not None:
+            pending[1].append(waiter)
+            return False
+        iid = self._publish(query, host)
+        self._pending[key] = (iid, [waiter])
+        self._scheduler.call_later(self._timeout, self._expire, key, iid)
+        return True
+
+    def answer(self, key):
+        pending = self._pending.pop(key, None)
+        if pending is None:
+            return []
+        self._retract(pending[0])
+        return pending[1]
+
+    def _expire(self, key, interest_id):
+        pending = self._pending.get(key)
+        if pending is None or pending[0] != interest_id:
+            return
+        del self._pending[key]
+        self._retract(interest_id)
+        self._on_timeout(pending[1])
+
+
+class PerQueryTimerDetector(AttachmentDetector):
+    """`AttachmentDetector` on `_HostQueries`.  Paths here never hold a
+    quote, so the unqueryable-path branch is left out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._queries = _HostQueries(self._publish, self._retract,
+                                     kwargs["scheduler"],
+                                     kwargs["query_timeout"], self._on_timeout)
+
+    def on_process_added(self, proc, now):
+        self.downloads.prune(now)
+        if not len(self.downloads):
+            return
+        key = (proc.host, proc.binary_path)
+        cached = self._hash_cache.get(key)
+        if cached is not None:
+            self._check(proc, cached, now)
+            return
+        query = f"file_hash WHERE path == '{proc.binary_path}'"
+        if self._queries.ask(key, proc.host, query, proc):
+            self.counters["hash_queries"] += 1
+
+    def on_file_hash(self, batch, now):
+        for row in batch.rows:
+            key = (batch.host, row.path)
+            self._hash_cache[key] = row.sha256
+            for proc in self._queries.answer(key):
+                self._check(proc, row.sha256, now)
+
+    def _on_timeout(self, procs):
+        self.counters["hash_query_timeouts"] += 1
+
+
+Q_HOSTS = ("h1", "h2")
+Q_PATHS = ("/tmp/a", "/tmp/b")
+DOWNLOADED = "a" * 64
+
+query_steps = st.lists(st.one_of(
+    st.tuples(st.just("exec"), st.sampled_from(Q_HOSTS), st.sampled_from(Q_PATHS)),
+    st.tuples(st.just("answer"), st.sampled_from(Q_HOSTS), st.sampled_from(Q_PATHS),
+              st.sampled_from((DOWNLOADED, "c" * 64))),
+    st.tuples(st.just("empty_answer"), st.sampled_from(Q_HOSTS)),
+    st.tuples(st.just("clear_cache")),
+    # sums of these hit the 5 s timeout exactly: deadline ties
+    st.tuples(st.just("advance"), st.sampled_from((0.0, 1.25, 2.5, 5.0)))),
+    max_size=40)
+
+
+def run_query_world(detector_cls, steps):
+    loop = EventLoop()
+    stub = QueryStub()
+    alerts = []
+    det = detector_cls(DownloadStore(), stub.publish, stub.retract, alerts.append,
+                       scheduler=loop, query_timeout=5.0)
+    det.on_download(download(ts=0.0, sha=DOWNLOADED))
+    most_timers = 0
+    for pid, (name, *args) in enumerate(steps, 9000):
+        now = loop.now()
+        if name == "exec":
+            host, path = args
+            det.on_process_added(make_proc(host=host, pid=pid, binary=path), now)
+        elif name == "answer":
+            host, path, sha = args
+            det.on_file_hash(hash_batch(host, path, sha, batch_id=pid), now)
+        elif name == "empty_answer":
+            det.on_file_hash(SnapshotBatch(host=args[0], table=TableKind.FILE_HASH,
+                                           batch_id=pid, rows=()), now)
+        elif name == "clear_cache":
+            det._hash_cache.clear()
+        else:
+            loop.run_until(now + args[0])
+        most_timers = max(most_timers, len(loop._heap))
+    loop.run_until_idle()
+    counters = collections.Counter(
+        {k: det.counters[k] for k in ("hash_queries", "hash_query_timeouts")})
+    return ([a.to_dict() for a in alerts], stub.published, stub.retracted,
+            counters, most_timers)
+
+
+@given(query_steps)
+@settings(max_examples=300, deadline=None)
+def test_one_timer_query_table_equals_per_query_timers(steps):
+    *got, most_timers = run_query_world(AttachmentDetector, steps)
+    *want, _ = run_query_world(PerQueryTimerDetector, steps)
+    assert got == want
+    assert most_timers <= 1
 
 
 def test_expired_download_never_matches():
