@@ -162,8 +162,9 @@ class Correlator:
     A flow whose endpoint resolves to monitored hosts but yields no socket
     candidates is parked.  It is re-attributed on the changes that can
     decide it: a socket added or updated on a host that claims one of its
-    addresses, any host change (connect, disconnect, grace expiry) on such a
-    host, and one of its addresses being added to or removed from any host.
+    addresses, such a host disconnecting, and one of its addresses being
+    added to or removed from any host (a reconnect or a grace expiry reaches
+    it this way, by removing the host's addresses).
     At the deadline the flow is finalized as-is.  Hosts are looked up in the
     store's address index, which already holds each change the correlator
     hears.
@@ -228,7 +229,7 @@ class Correlator:
 
     def on_state_change(self, change: StateChange) -> None:
         # The store announces only the changes that can decide a parked
-        # flow: a socket upsert (a side gains a candidate), a host change (a
+        # flow: a socket upsert (a side gains a candidate), a disconnect (a
         # side loses its last connected host) and an address added or
         # removed (a side's host set changes).
         if not self._parked:

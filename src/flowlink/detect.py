@@ -11,7 +11,6 @@ it derives to its sink; the engine's sink drops repeats.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import hashlib
 import json
@@ -57,44 +56,29 @@ class Alert:
                    summary=d["summary"], evidence=dict(d["evidence"]))
 
 
-def _ts(ev: DownloadEvent) -> float:
-    return ev.ts
-
-
 class DownloadStore:
-    """Recent wire-observed downloads, indexed by content hash.
-
-    Entries age out after `retention` seconds; duplicate hashes keep every
-    sighting and hand back the newest first.
-    """
+    """Recent wire-observed downloads: the newest sighting of each content
+    hash (on a tie, the first), aged out `retention` seconds after it."""
 
     def __init__(self, retention: float = 86400.0):
         self.retention = retention
-        self._by_time: list[DownloadEvent] = []   # by ts; events have no order
-        self._by_hash: dict[str, list[DownloadEvent]] = collections.defaultdict(list)
+        self._newest: dict[str, DownloadEvent] = {}
 
     def __len__(self) -> int:
-        return len(self._by_time)
+        return len(self._newest)
 
     def add(self, ev: DownloadEvent) -> None:
-        bisect.insort(self._by_time, ev, key=_ts)
-        self._by_hash[ev.sha256].append(ev)
+        held = self._newest.get(ev.sha256)
+        if held is None or ev.ts > held.ts:
+            self._newest[ev.sha256] = ev
 
-    def prune(self, now: float) -> int:
+    def prune(self, now: float) -> None:
         cutoff = now - self.retention
-        idx = bisect.bisect_left(self._by_time, cutoff, key=_ts)
-        expired, self._by_time = self._by_time[:idx], self._by_time[idx:]
-        for ev in expired:
-            sightings = self._by_hash[ev.sha256]
-            sightings.remove(ev)
-            if not sightings:
-                del self._by_hash[ev.sha256]
-        return len(expired)
+        self._newest = {h: ev for h, ev in self._newest.items() if ev.ts >= cutoff}
 
-    def by_hash(self, sha256: str, now: Optional[float] = None) -> list[DownloadEvent]:
-        if now is not None:
-            self.prune(now)
-        return sorted(self._by_hash.get(sha256, ()), key=_ts, reverse=True)
+    def newest(self, sha256: str, now: float) -> Optional[DownloadEvent]:
+        self.prune(now)
+        return self._newest.get(sha256)
 
 
 @dataclass
@@ -173,10 +157,9 @@ class AttachmentDetector:
         self.counters["hash_query_timeouts"] += 1  # the execs go unchecked
 
     def _check(self, proc: ProcessInfo, sha256: str, now: float) -> None:
-        sightings = self.downloads.by_hash(sha256, now)
-        if not sightings:
+        dl = self.downloads.newest(sha256, now)
+        if dl is None:
             return
-        dl = sightings[0]
         self._alert_sink(Alert(
             kind=ATTACHMENT_EXECUTED, ts=now, host=proc.host,
             summary=(f"{proc.host}: pid {proc.pid} executed {proc.binary_path},"

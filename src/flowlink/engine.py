@@ -7,12 +7,13 @@ the alert log, and (optionally) a verbatim record of every input for later
 replay.  All periodic host work rides standing interests published at
 `start()`: the streamed tables, the probed tables and the verification pass
 are each one schedule entry that every agent runs on its own timer.  The
-engine's one per-host timer is one-shot: a disconnect arms it to expire the
-host's frozen state when its grace period ends.  The scheduler's lock owns
-all engine state: every entry point takes it, and the wall-clock scheduler
-runs each timer callback while holding it, so flows and telemetry may be
-pushed from any thread.  Once `shutdown()` has run, the entry points that record or
-emit refuse their input and count it.
+engine's one per-host timer is one-shot: a disconnect that freezes a host's
+state arms it, and it expires that state when the grace period ends, unless
+a reconnect replaced it.  The engine alone knows the grace period.  The
+scheduler's lock owns all engine state: every entry point takes it, and the
+wall-clock scheduler runs each timer callback while holding it, so flows
+and telemetry may be pushed from any thread.  Once `shutdown()` has run,
+the entry points that record or emit refuse their input and count it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .flowlog import (
 from .model import Action, HostEvent, QueryErrorResult, SnapshotBatch, TableKind
 from .overlay import InProcessBus, Interest, OverlayNode, host_group
 from .runtime import EventLoop
-from .state import HostStateStore, StateError
+from .state import HostState, HostStateStore
 
 ENGINE_NODE_ID = "engine"
 
@@ -109,8 +110,7 @@ class Engine:
         self.lock = scheduler.lock
         self.counters: collections.Counter = collections.Counter()
 
-        self.store = HostStateStore(clock=scheduler.now,
-                                    grace_period=config.grace_period)
+        self.store = HostStateStore(clock=scheduler.now)
         self.metrics = AttributionMetrics(filtered_responders=config.dns_servers)
         self.correlator = Correlator(
             self.store, emit=self._on_attributed,
@@ -172,15 +172,17 @@ class Engine:
 
     @_entry_point
     def deregister_host(self, host: str) -> None:
-        """Freeze the host's state, then arm the timer that expires it, so
-        the timer never fires before `disconnected_at + grace_period`."""
+        """Freeze the host's state and arm one timer that expires it at
+        `disconnected_at + grace_period`.  A host that is unknown or already
+        down freezes nothing and arms no timer."""
         self._record("host_down", {"host": host})
-        self.store.handle_disconnect(host)
-        self.scheduler.call_later(self.config.grace_period, self._expire)
+        frozen = self.store.handle_disconnect(host)
+        if frozen is not None:
+            self.scheduler.call_later(self.config.grace_period, self._expire, frozen)
 
-    def _expire(self) -> None:
+    def _expire(self, frozen: HostState) -> None:
         if not self._shut_down:
-            self.store.expire_disconnected()
+            self.store.expire(frozen)
 
     def shutdown(self) -> None:
         """Finalize parked flows (each exactly once) and flush every sink."""
@@ -242,12 +244,7 @@ class Engine:
             self.counters["unroutable_results"] += 1
 
     def _dispatch_batch(self, batch: SnapshotBatch, now: float) -> None:
-        if batch.table is TableKind.VERIFICATION:
-            try:
-                self.store.verify(batch)
-            except StateError:
-                self.counters["verify_while_down"] += 1
-        elif batch.table is TableKind.FILE_HASH:
+        if batch.table is TableKind.FILE_HASH:
             self.attachments.on_file_hash(batch, now)
         else:
             self.store.merge_snapshot(batch)
@@ -293,8 +290,8 @@ class Engine:
                 "stepping": dict(self.stepping.counters),
             }
             out["parked"] = self.correlator.parked_count
-            out["hosts"] = {"known": self.store.hosts(),
-                            "connected": self.store.connected_hosts()}
+            out["hosts"] = {"known": len(self.store.hosts()),
+                            "connected": len(self.store.connected_hosts())}
             out["alerts"] = len(self.alerts)
             return out
 

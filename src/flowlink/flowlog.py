@@ -84,13 +84,6 @@ class FlowRecord:
                 _fmt_float(self.duration), str(self.orig_bytes),
                 str(self.resp_bytes), str(self.orig_pkts), str(self.resp_pkts)]
 
-    @classmethod
-    def from_fields(cls, values: dict[str, str]) -> "FlowRecord":
-        try:
-            return cls.from_dict(values)
-        except (KeyError, ValueError) as exc:
-            raise LogFormatError(f"bad flow row {values!r}: {exc}") from exc
-
     def to_dict(self) -> dict:
         return {"ts": self.ts, "uid": self.uid, "orig_h": self.orig_h,
                 "orig_p": self.orig_p, "resp_h": self.resp_h,
@@ -145,17 +138,17 @@ def read_header(lines: Iterator[str], expect_format: str) -> list[str]:
 
 # --- flow logs ---------------------------------------------------------------------
 
-def parse_flow_line(line: str, field_names: Iterable[str] = FLOW_FIELDS) -> FlowRecord:
-    values = dict(zip(field_names, line.rstrip("\n").split("\t")))
-    return FlowRecord.from_fields(values)
-
-
 def read_flows(lines: Iterator[str]) -> Iterator[FlowRecord]:
     field_names = read_header(lines, FLOW_FORMAT)
     for line in lines:
         if not line.strip() or line.startswith("#"):
             continue
-        yield parse_flow_line(line, field_names)
+        values = dict(zip(field_names, line.rstrip("\n").split("\t")))
+        try:
+            record = FlowRecord.from_dict(values)
+        except (KeyError, ValueError) as exc:
+            raise LogFormatError(f"bad flow row {values!r}: {exc}") from exc
+        yield record
 
 
 def _join(values: Iterable[str]) -> str:

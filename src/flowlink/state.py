@@ -31,21 +31,18 @@ SOCKET_TABLES = (TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS,
                  TableKind.PROCESS_OPEN_SOCKETS)
 
 
-class StateError(Exception):
-    """Raised when an operation violates the host lifecycle (e.g. verifying a
-    disconnected host)."""
-
-
 @dataclass(frozen=True)
 class StateChange:
     """A mutation that can alter an attribution, announced to listeners.
 
     Exactly three kinds are announced: `socket` (every socket upsert, key
     `(pid, fd)`, action ADDED), `address` (an interface address added to or
-    removed from the host, key the address) and `host` (the host connected,
-    disconnected or dropped, key the host name).  Process and user rows,
-    socket removals and verification purges announce nothing: none of them
-    can give a flow side a candidate or change its host set."""
+    removed from the host, key the address) and `host` (the host
+    disconnected, action REMOVED, key the host name).  Process and user
+    rows, socket removals and verification purges announce nothing: none of
+    them can give a flow side a candidate or change its host set.  Nor do a
+    reconnect and an expiry beyond their address removals: by then the
+    host claims no address, so no flow side can name it."""
 
     host: str
     kind: str              # socket | address | host
@@ -139,11 +136,13 @@ class HostStateStore:
     `_remove_socket`.  Held records are frozen and shared: folding a row
     stores the incoming record itself unless consolidation changes a field,
     and then builds one new record.  Verification only purges; survivors
-    stay the records they were."""
+    stay the records they were.
 
-    def __init__(self, clock: Callable[[], float], grace_period: float = 60.0):
+    A disconnect freezes a host's state and hands it back; the caller owns
+    the grace period and hands that state to `expire` when it runs out."""
+
+    def __init__(self, clock: Callable[[], float]):
         self._clock = clock
-        self.grace_period = grace_period
         self._hosts: dict[str, HostState] = {}
         self.counters: Counter = Counter()
         self.index = AddressIndex()
@@ -168,44 +167,37 @@ class HostStateStore:
         caller's responsibility."""
         changes = self._drop(host)
         self._hosts[host] = HostState(host=host)
-        changes.append(StateChange(host, "host", Action.ADDED, host))
         self._emit(changes)
 
-    def handle_disconnect(self, host: str) -> None:
-        """Freeze the host's state; it stays readable for late attribution
-        until the grace period expires."""
+    def handle_disconnect(self, host: str) -> HostState | None:
+        """Freeze the host's state and return it; it stays readable for late
+        attribution until it is handed to `expire`.  An unknown or already
+        disconnected host is counted, and None returned."""
         st = self._hosts.get(host)
         if st is None:
             self.counters["disconnect_unknown_host"] += 1
-            return
+            return None
         if not st.connected:
             self.counters["disconnect_noop"] += 1
-            return
+            return None
         st.disconnected_at = self._clock()
         self._emit([StateChange(host, "host", Action.REMOVED, host)])
+        return st
 
-    def expire_disconnected(self, now: float | None = None) -> list[str]:
-        """Discard frozen state whose grace period has run out; their
-        addresses leave the index so reused IPs resolve to the new owner.
-        A timer set for `disconnected_at + grace_period` finds its host due."""
-        now = self._clock() if now is None else now
-        expired = [host for host, st in self._hosts.items()
-                   if not st.connected and now >= st.disconnected_at + self.grace_period]
-        changes: list[StateChange] = []
-        for host in expired:
-            changes += self._drop(host)
-        self._emit(changes)
-        return expired
+    def expire(self, frozen: HostState) -> None:
+        """Discard `frozen`, a state `handle_disconnect` returned, if the
+        store still holds it (a reconnect replaces it); its addresses leave
+        the index so reused IPs resolve to the new owner."""
+        if self._hosts.get(frozen.host) is frozen:
+            self._emit(self._drop(frozen.host))
 
     def _drop(self, host: str) -> list[StateChange]:
-        """Discard a host's state; its addresses leave before the host."""
+        """Discard a host's state; the changes are its address removals."""
         st = self._hosts.pop(host, None)
         if st is None:
             return []
-        changes = [StateChange(host, "address", Action.REMOVED, addr)
-                   for addr in sorted(st.addresses)]
-        changes.append(StateChange(host, "host", Action.REMOVED, host))
-        return changes
+        return [StateChange(host, "address", Action.REMOVED, addr)
+                for addr in sorted(st.addresses)]
 
     def _live(self, host: str) -> HostState | None:
         """The state telemetry from `host` may change, or None (counted)
@@ -253,9 +245,11 @@ class HostStateStore:
 
     def merge_snapshot(self, batch: SnapshotBatch) -> None:
         """Upsert a probe's rows; absence from a plain snapshot removes
-        nothing (that is verification's job)."""
+        nothing (that is verification's job: a verification batch goes to
+        `verify`)."""
         if batch.table is TableKind.VERIFICATION:
-            raise StateError("verification batches must go through verify()")
+            self.verify(batch)
+            return
         st = self._live(batch.host)
         if st is None:
             return
@@ -320,9 +314,9 @@ class HostStateStore:
         """Reconcile held processes and sockets against one atomic probe of
         the kernel status: anything we hold that the probe did not see is
         purged; survivors are left as they are."""
-        st = self._hosts.get(batch.host)
-        if st is None or not st.connected:
-            raise StateError(f"cannot verify disconnected host {batch.host!r}")
+        st = self._live(batch.host)
+        if st is None:
+            return
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
         for pid in [pid for pid in st.processes if pid not in seen_pids]:

@@ -46,7 +46,7 @@ from flowlink.model import (
     match_socket,
 )
 from flowlink.runtime import EventLoop
-from flowlink.state import HostStateStore, StateError
+from flowlink.state import HostStateStore
 
 A, B, C = "10.0.0.1", "10.0.0.2", "10.0.0.3"
 
@@ -106,8 +106,7 @@ def test_index_host_removal_clears_addresses():
     store, idx, clock = fixture()
     wire(store, "h1", A)
     clock.t = 10.0
-    store.handle_disconnect("h1")
-    store.expire_disconnected(now=100.0)
+    store.expire(store.handle_disconnect("h1"))
     assert idx.hosts_for(A) == frozenset()
 
 
@@ -130,11 +129,11 @@ def test_disconnected_host_attributes_until_grace_expires():
     before = attribute(flow(), 1.0, 2.0, idx, store)
     assert [c.pid for c in before.originator] == [100]
     clock.t = 10.0
-    store.handle_disconnect("h1")
+    frozen = store.handle_disconnect("h1")
     during = attribute(flow(), 1.0, 2.0, idx, store)
     assert during.originator == before.originator
     assert during.originator_hosts == {"h1"}
-    store.expire_disconnected(now=100.0)
+    store.expire(frozen)
     after = attribute(flow(), 1.0, 2.0, idx, store)
     assert after.originator == () and after.originator_hosts == frozenset()
 
@@ -770,7 +769,8 @@ class WatchedLoop(EventLoop):
 def run_retry_world(correlator_cls, ops, max_parked):
     """Results in emission order, the correlator and its loop."""
     loop = WatchedLoop()
-    store = HostStateStore(loop.now, grace_period=3.0)
+    store = HostStateStore(loop.now)
+    frozen = []     # each state a disconnect froze, in order
     results: list[AttributionResult] = []
     corr = correlator_cls(store, results.append, scheduler=loop,
                           retry_window=2.0, max_parked=max_parked)
@@ -784,9 +784,13 @@ def run_retry_world(correlator_cls, ops, max_parked):
         if name == "reconnect":
             store.handle_reconnect(arg)
         elif name == "disconnect":
-            store.handle_disconnect(arg)
+            st = store.handle_disconnect(arg)
+            if st is not None:
+                frozen.append(st)
         elif name == "expire":
-            store.expire_disconnected()
+            # the states whose 3 s grace period has run out
+            while frozen and frozen[0].disconnected_at + 3.0 <= now:
+                store.expire(frozen.pop(0))
         elif name == "event":
             store.apply_event(replace(arg, event_time=now))
         elif name == "snapshot":
@@ -794,11 +798,8 @@ def run_retry_world(correlator_cls, ops, max_parked):
             store.merge_snapshot(snapshot(host, table, rows, batch_id=i, t=now))
         elif name == "verify":
             host, rows = arg
-            try:
-                store.verify(snapshot(host, TableKind.VERIFICATION, rows, batch_id=i,
-                                      t=now))
-            except StateError:
-                pass
+            store.merge_snapshot(snapshot(host, TableKind.VERIFICATION, rows,
+                                          batch_id=i, t=now))
         elif name == "flow":
             corr.submit(arg, now, now + 0.1, tag=i)
         else:

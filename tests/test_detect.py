@@ -99,33 +99,63 @@ def test_alert_dict_roundtrip():
 def test_download_store_prunes_by_retention():
     store = DownloadStore(retention=100.0)
     store.add(download(ts=10.0, uid="old"))
-    store.add(download(ts=60.0, uid="new"))
+    store.add(download(ts=20.0, sha="b" * 64, uid="newer"))
     assert len(store) == 2
-    assert store.prune(now=120.0) == 1
-    assert [d.flow_uid for d in store.by_hash("a" * 64)] == ["new"]
-    assert store.prune(now=200.0) == 1
+    store.prune(now=115.0)
+    assert store.newest("a" * 64, now=115.0) is None
+    assert store.newest("b" * 64, now=115.0).flow_uid == "newer"
+    assert store.newest("b" * 64, now=125.0) is None
     assert len(store) == 0
-    assert store.by_hash("a" * 64) == []
 
 
 def test_download_store_duplicate_hash_newest_first():
-    store = DownloadStore()
+    store = DownloadStore(retention=100.0)
     store.add(download(ts=10.0, uid="first"))
     store.add(download(ts=30.0, uid="second"))
+    store.add(download(ts=20.0, uid="between"))
     store.add(download(ts=20.0, sha="b" * 64, uid="other"))
-    assert [d.flow_uid for d in store.by_hash("a" * 64)] == ["second", "first"]
-    assert [d.flow_uid for d in store.by_hash("b" * 64)] == ["other"]
+    assert len(store) == 2
+    assert store.newest("a" * 64, now=30.0).flow_uid == "second"
+    assert store.newest("b" * 64, now=30.0).flow_uid == "other"
+    # the older sightings go with the newest one, not before it
+    assert store.newest("a" * 64, now=125.0).flow_uid == "second"
+    assert store.newest("a" * 64, now=131.0) is None
 
 
-def test_download_store_keeps_and_prunes_same_ts_downloads():
-    # two attachments of one mail arrive with one timestamp
+def test_download_store_keeps_the_first_of_same_ts_sightings():
+    # two copies of one attachment arrive with one timestamp
     store = DownloadStore(retention=100.0)
     store.add(download(ts=5.0, uid="first"))
     store.add(download(ts=5.0, uid="second"))
-    assert sorted(d.flow_uid for d in store.by_hash("a" * 64)) == ["first", "second"]
-    assert store.prune(now=104.0) == 0
-    assert store.prune(now=106.0) == 2
-    assert len(store) == 0 and store.by_hash("a" * 64) == []
+    assert len(store) == 1
+    assert store.newest("a" * 64, now=104.0).flow_uid == "first"
+    assert store.newest("a" * 64, now=106.0) is None and len(store) == 0
+
+
+download_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from("ab"), st.sampled_from([0.0, 5.0, 10.0, 30.0])),
+    st.tuples(st.just("ask"), st.sampled_from("ab"), st.sampled_from([0.0, 2.5, 10.0]))),
+    max_size=30)
+
+
+@given(download_ops)
+@settings(max_examples=200, deadline=None)
+def test_download_store_equals_every_sighting_kept(ops):
+    """Asked at a clock that never goes back, the store names the newest
+    sighting within retention, the first on a tie, as if it kept them all."""
+    store, every, now = DownloadStore(retention=20.0), [], 0.0
+    for i, (op, h, x) in enumerate(ops):
+        if op == "add":
+            ev = download(ts=x, sha=h * 64, uid=str(i))
+            store.add(ev)
+            every.append(ev)
+            continue
+        now += x
+        live = [ev for ev in every if ev.ts >= now - 20.0]
+        want = max((ev for ev in live if ev.sha256 == h * 64), key=lambda ev: ev.ts,
+                   default=None)
+        assert store.newest(h * 64, now) == want
+        assert len(store) == len({ev.sha256 for ev in live})
 
 
 # --- attachment detector ---------------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import iface_ev, make_proc, make_sock, proc_ev, sock_ev
+from conftest import iface_ev, make_proc, make_sock, proc_ev, snapshot, sock_ev
 from flowlink import correlate
 from flowlink.agents import (ENGINE_TOPIC, ScenarioHook, ScenarioKind, WorkloadSpec,
                              build_workload)
@@ -407,6 +407,35 @@ def test_disconnected_host_expires_when_its_grace_period_ends():
         "F-in": "unique", "F-out": "unattributed"}
 
 
+def test_repeated_deregister_arms_one_expiry_timer():
+    """Only the disconnect that freezes a state arms a timer: a host already
+    down, or one the engine never knew, arms none."""
+    loop = EventLoop()
+    engine = Engine(config(grace_period=60.0), loop)
+    engine.start()
+    engine.register_host("h1")
+    for host in ("h1", "h1", "h9"):
+        engine.deregister_host(host)
+    assert sum(1 for h in loop._heap if h.fn == engine._expire) == 1
+    assert (engine.store.counters["disconnect_noop"]
+            == engine.store.counters["disconnect_unknown_host"] == 1)
+    loop.run_until(60.0)
+    assert engine.store.hosts() == []
+
+
+def test_verification_from_a_down_host_is_dropped_and_counted():
+    loop = EventLoop()
+    engine = Engine(config(), loop)
+    engine.start()
+    engine.register_host("h1")
+    engine.ingest_result(ENGINE_TOPIC, proc_ev(make_proc(pid=100), t=0.0))
+    engine.deregister_host("h1")
+    engine.ingest_result(ENGINE_TOPIC, snapshot("h1", TableKind.VERIFICATION, []))
+    assert engine.store.counters["events_while_down"] == 1
+    assert "verify_while_down" not in engine.counters
+    assert list(engine.store.view("h1").processes) == [100]   # not purged
+
+
 def test_metrics_snapshot_shape():
     w = build_workload(spec(flow_coupling=1.0))
     engine = run_simulation(config(dns_servers=("203.0.113.53",)), w)
@@ -414,7 +443,7 @@ def test_metrics_snapshot_shape():
     assert set(snap["counters"]) == {"engine", "correlator", "store",
                                      "overlay", "attachments", "stepping"}
     assert snap["per_proto"]["tcp"]["attribution_rate"] == 1.0
-    assert snap["hosts"]["connected"] == ["h000", "h001"]
+    assert snap["hosts"] == {"known": 2, "connected": 2}
     assert snap["parked"] == 0
     dump = engine.state_dump()
     assert dump["hosts"] == ["h000", "h001"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,6 @@ from flowlink.state import (
     HostState,
     HostStateStore,
     StateChange,
-    StateError,
 )
 
 
@@ -37,9 +35,9 @@ class FakeClock:
         return self.t
 
 
-def store(grace=60.0):
+def store():
     clock = FakeClock()
-    s = HostStateStore(clock, grace_period=grace)
+    s = HostStateStore(clock)
     s.handle_reconnect("h1")
     return s, clock
 
@@ -320,14 +318,15 @@ def test_rows_that_cannot_alter_an_attribution_announce_nothing():
 
 
 def test_each_change_that_can_alter_an_attribution_is_announced_once():
-    s, clock = store(grace=5.0)
+    s, _ = store()
     sock = make_sock(pid=100, fd=5, remote=("10.0.0.2", 443))
     status_sock = make_sock(pid=100, fd=5, source=Source.STATUS,
                             local=("10.0.0.1", 4000), remote=("10.0.0.2", 443))
     upsert = StateChange("h1", "socket", Action.ADDED, (100, 5))
     added, removed = (StateChange("h1", "address", a, "10.0.0.1")
                       for a in (Action.ADDED, Action.REMOVED))
-    up, down = (StateChange("h1", "host", a, "h1") for a in (Action.ADDED, Action.REMOVED))
+    down = StateChange("h1", "host", Action.REMOVED, "h1")
+    frozen = []
     steps = [
         (lambda: s.apply_event(sock_ev(sock)), [upsert]),
         (lambda: s.apply_event(sock_ev(sock)), [upsert]),   # unchanged, still announced
@@ -338,11 +337,13 @@ def test_each_change_that_can_alter_an_attribution_is_announced_once():
         (lambda: s.merge_snapshot(snapshot("h1", TableKind.INTERFACES,
                                            [InterfaceRecord("h1", "10.0.0.1")],
                                            batch_id=2)), [added]),
-        (lambda: s.handle_disconnect("h1"), [down]),
-        (lambda: s.expire_disconnected(now=clock.t + 5.0), [removed, down]),
-        (lambda: s.handle_reconnect("h1"), [up]),
+        (lambda: frozen.append(s.handle_disconnect("h1")), [down]),
+        (lambda: s.handle_disconnect("h1"), []),                   # already down
+        (lambda: s.expire(frozen[0]), [removed]),
+        (lambda: s.handle_disconnect("h1"), []),                   # unknown now
+        (lambda: s.handle_reconnect("h1"), []),
         (lambda: s.apply_event(iface_ev("h1", "10.0.0.1")), [added]),
-        (lambda: s.handle_reconnect("h1"), [removed, down, up]),   # drops the held state
+        (lambda: s.handle_reconnect("h1"), [removed]),   # drops the held state
     ]
     heard = []
     s.add_listener(heard.append)
@@ -361,17 +362,20 @@ def test_is_connected_follows_lifecycle():
     assert s.is_connected("h1")
 
 
-def test_verify_disconnected_host_raises():
+def test_verify_from_a_down_host_is_dropped_and_counted():
     s, _ = store()
+    s.apply_event(proc_ev(make_proc(pid=100)))
     s.handle_disconnect("h1")
-    with pytest.raises(StateError):
-        s.verify(snapshot("h1", TableKind.VERIFICATION, []))
+    s.merge_snapshot(snapshot("h1", TableKind.VERIFICATION, []))
+    s.merge_snapshot(snapshot("h9", TableKind.VERIFICATION, []))
+    assert s.counters["events_while_down"] == 2
+    assert list(s.view("h1").processes) == [100]
 
 
 # --- lifecycle ---------------------------------------------------------------------
 
 def test_reconnect_within_grace_discards_old_state():
-    s, clock = store(grace=60.0)
+    s, clock = store()
     s.apply_event(proc_ev(make_proc(pid=100)))
     clock.t = 10.0
     s.handle_disconnect("h1")
@@ -382,17 +386,26 @@ def test_reconnect_within_grace_discards_old_state():
 
 
 def test_grace_expiry_drops_host_and_addresses():
-    s, clock = store(grace=60.0)
+    s, clock = store()
     s.apply_event(iface_ev("h1", "10.0.0.1"))
     removed_addrs = []
     s.add_listener(lambda ch: removed_addrs.append(ch.key)
                    if ch.kind == "address" and ch.action == Action.REMOVED else None)
     clock.t = 10.0
-    s.handle_disconnect("h1")
-    assert s.expire_disconnected(now=30.0) == []
-    assert s.expire_disconnected(now=70.1) == ["h1"]
+    frozen = s.handle_disconnect("h1")
+    assert frozen is s.view("h1") and frozen.disconnected_at == 10.0
+    s.expire(frozen)
     assert s.view("h1") is None
     assert removed_addrs == ["10.0.0.1"]
+
+
+def test_expiry_leaves_the_state_a_reconnect_made():
+    s, _ = store()
+    frozen = s.handle_disconnect("h1")
+    s.handle_reconnect("h1")
+    s.apply_event(iface_ev("h1", "10.0.0.1"))
+    s.expire(frozen)
+    assert s.is_connected("h1") and s.view("h1").addresses == {"10.0.0.1"}
 
 
 def test_cold_start_reconnect_creates_empty_state():
@@ -409,6 +422,16 @@ def test_events_while_disconnected_are_dropped():
     s.apply_event(proc_ev(make_proc(pid=100)))
     assert s.counters["events_while_down"] == 1
     assert s.view("h1").processes == {}
+
+
+def expire_due(s, frozen, now, grace):
+    """Hand the store each state in `frozen` (those `handle_disconnect`
+    returned, in order; None entries are skipped) whose grace has run out by
+    `now`, as the engine's timer would, and take it off the list."""
+    while frozen and (frozen[0] is None or frozen[0].disconnected_at + grace <= now):
+        st = frozen.pop(0)
+        if st is not None:
+            s.expire(st)
 
 
 # --- the store's address index ----------------------------------------------------
@@ -433,16 +456,17 @@ def test_store_index_equals_held_addresses(ops):
     """After every step, the index names exactly the held hosts (connected
     or frozen in their grace period) whose addresses include the address."""
     clock = FakeClock()
-    s = HostStateStore(clock, grace_period=60.0)
+    s = HostStateStore(clock)
+    frozen = []
     for i, (name, *args) in enumerate(ops):
         clock.t += 1.0
         if name == "reconnect":
             s.handle_reconnect(args[0])
         elif name == "disconnect":
-            s.handle_disconnect(args[0])
+            frozen.append(s.handle_disconnect(args[0]))
         elif name == "expire":
             clock.t += args[0]
-            s.expire_disconnected()
+            expire_due(s, frozen, clock.t, 60.0)
         elif name == "event":
             host, addr, action = args
             s.apply_event(iface_ev(host, addr, action=action, t=clock.t))
@@ -599,9 +623,14 @@ class RebuildingStore(HostStateStore):
     was before records were shared (every upserted row is rebuilt, even when
     no field changes), before its paths were merged (events and snapshots
     dispatch separately, and removals, reconnect and expiry each spell out
-    their own steps) and before its change stream was narrowed (every
+    their own steps), before its change stream was narrowed (every
     mutation is announced, and the test keeps the kinds the store
-    announces)."""
+    announces) and before expiry was handed the state it drops (the store
+    holds its own grace period and scans every host for those due)."""
+
+    def __init__(self, clock, grace_period):
+        super().__init__(clock)
+        self.grace_period = grace_period
 
     def handle_reconnect(self, host):
         now = self._clock()
@@ -616,8 +645,8 @@ class RebuildingStore(HostStateStore):
         self._emit(changes)
         return changes
 
-    def expire_disconnected(self, now=None):
-        now = self._clock() if now is None else now
+    def expire_disconnected(self):
+        now = self._clock()
         expired = [host for host, st in self._hosts.items()
                    if not st.connected and st.disconnected_at is not None
                    and now >= st.disconnected_at + self.grace_period]
@@ -675,7 +704,7 @@ class RebuildingStore(HostStateStore):
 
     def merge_snapshot(self, batch):
         if batch.table is TableKind.VERIFICATION:
-            raise StateError("verification batches must go through verify()")
+            return self.verify(batch)
         st = self._hosts.get(batch.host)
         if st is None or not st.connected:
             self.counters["events_while_down"] += 1
@@ -750,7 +779,8 @@ class RebuildingStore(HostStateStore):
     def verify(self, batch):
         st = self._hosts.get(batch.host)
         if st is None or not st.connected:
-            raise StateError(f"cannot verify disconnected host {batch.host!r}")
+            self.counters["events_while_down"] += 1
+            return
         seen_pids = {r.pid for r in batch.rows if isinstance(r, ProcessInfo)}
         seen_socks = {r.key for r in batch.rows if isinstance(r, SocketInfo)}
         changes = []
@@ -864,47 +894,56 @@ def fold_ops(draw):
     return ops
 
 
+GRACE = 5.0
+
+
 def run_fold(s, clock, ops):
-    changes = []
-    s.add_listener(changes.append)
-    results = []
+    """Per op, the changes `s` announced; and after each lifecycle step, the
+    hosts it holds and whether each is connected.  The rebuilding store
+    expires by its own scan; the store is handed each state a disconnect
+    froze once its grace has run out, as the engine's timer would."""
+    heard, changes, hosts, frozen = [], [], [], []
+    s.add_listener(heard.append)
     for op in ops:
         if isinstance(op, tuple):
             step, clock.t = op
             if step == "reconnect":
                 s.handle_reconnect("h1")
             elif step == "disconnect":
-                s.handle_disconnect("h1")
+                frozen.append(s.handle_disconnect("h1"))
+            elif isinstance(s, RebuildingStore):
+                s.expire_disconnected()
             else:
-                results.append(s.expire_disconnected())
+                expire_due(s, frozen, clock.t, GRACE)
+            hosts.append([(h, s.is_connected(h)) for h in s.hosts()])
         elif not hasattr(op, "rows"):
             s.apply_event(op)
-        elif op.table is TableKind.VERIFICATION:
-            try:
-                s.verify(op)
-            except StateError as exc:
-                results.append(str(exc))
         else:
             s.merge_snapshot(op)
-    return changes, results
+        changes.append(heard[:])
+        heard.clear()
+    return changes, hosts
 
 
 @given(fold_ops())
 @settings(max_examples=300, deadline=None)
 def test_shared_records_fold_equals_rebuilding_fold(ops):
-    runs = []
-    for cls in (HostStateStore, RebuildingStore):
-        clock = FakeClock()
-        s = cls(clock, grace_period=5.0)
-        s.handle_reconnect("h1")
-        runs.append((s, run_fold(s, clock, ops)))
-    (shared, (changes, got)), (oracle, (every_change, want)) = runs
+    clock = FakeClock()
+    shared = HostStateStore(clock)
+    shared.handle_reconnect("h1")
+    changes, got = run_fold(shared, clock, ops)
+    clock = FakeClock()
+    oracle = RebuildingStore(clock, GRACE)
+    oracle.handle_reconnect("h1")
+    every_change, want = run_fold(oracle, clock, ops)
     assert list(shared.dump_records()) == list(oracle.dump_records())
     assert got == want
-    # the store announces socket upserts, address changes and host changes
-    announced = [c for c in every_change if c.kind in ("address", "host")
-                 or (c.kind == "socket" and c.action is Action.ADDED)]
-    assert ([(c.host, c.kind, c.action, c.key) for c in changes]
-            == [(c.host, c.kind, c.action, c.key) for c in announced])
+    # the store announces socket upserts, address changes and a disconnect
+    for op, heard, every in zip(ops, changes, every_change):
+        at_disconnect = isinstance(op, tuple) and op[0] == "disconnect"
+        announced = [c for c in every if c.kind == "address"
+                     or (c.kind == "socket" and c.action is Action.ADDED)
+                     or (c.kind == "host" and at_disconnect)]
+        assert heard == announced
     assert shared.view("h1") == oracle.view("h1")
     assert shared.counters == oracle.counters
