@@ -846,13 +846,13 @@ class SimAgent:
 
     # -- connection lifecycle ----------------------------------------------------
 
-    def connect(self, proxy, groups=()) -> None:
+    def connect(self, proxy) -> None:
         """Emit initial snapshots for all state tables, then register for a
         schedule (one-time entries execute once per connection)."""
         self.connected = True
         for batch in self.initial_batches(self.scheduler.now()):
             self.emit(ENGINE_TOPIC, batch)
-        proxy.connect_agent(self.host, groups, self.on_delta)
+        proxy.connect_agent(self.host, deliver=self.on_delta)
 
     def disconnect(self, proxy=None) -> None:
         self.connected = False
@@ -988,8 +988,7 @@ class FleetSimulator:
                  flow_sink: Callable[[FlowRecord], None],
                  download_sink: Optional[Callable[[DownloadEvent], None]] = None,
                  register_host: Optional[Callable[[str], None]] = None,
-                 deregister_host: Optional[Callable[[str], None]] = None,
-                 groups: Optional[dict] = None):
+                 deregister_host: Optional[Callable[[str], None]] = None):
         self.workload = workload
         self.loop = loop
         self.proxy = proxy
@@ -997,7 +996,6 @@ class FleetSimulator:
         self.download_sink = download_sink or (lambda d: None)
         self.register_host = register_host or (lambda h: None)
         self.deregister_host = deregister_host or (lambda h: None)
-        self.groups = dict(groups or {})
         self.agents = {
             init.name: SimAgent(init, loop, emit=proxy.route_result)
             for init in workload.hosts}
@@ -1014,7 +1012,7 @@ class FleetSimulator:
 
     def _connect(self, name: str) -> None:
         self.register_host(name)
-        self.agents[name].connect(self.proxy, self.groups.get(name, ()))
+        self.agents[name].connect(self.proxy)
 
     def _apply(self, action: SimAction) -> None:
         agent = self.agents[action.host]

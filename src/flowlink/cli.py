@@ -179,8 +179,7 @@ def _cmd_run(args) -> int:
                 flow_sink=engine.submit_flow,
                 download_sink=engine.submit_download,
                 register_host=engine.register_host,
-                deregister_host=engine.deregister_host,
-                groups=config.groups).start()
+                deregister_host=engine.deregister_host).start()
             print(f"embedded fleet: {len(workload.hosts)} hosts, "
                   f"{len(workload.actions)} actions", file=sys.stderr)
 

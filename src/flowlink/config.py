@@ -10,17 +10,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
     pass
-
-
-_DURATION_FIELDS = ("verification_interval", "retry_window", "grace_period",
-                    "probe_interval", "exec_ambiguity_window",
-                    "ssh_pairing_window", "download_retention",
-                    "hash_query_timeout")
 
 
 def _names(name: str, value) -> tuple[str, ...]:
@@ -42,29 +36,21 @@ class EngineConfig:
     retry_window: float = 2.0
     grace_period: float = 60.0
     probe_interval: float = 30.0
-    exec_ambiguity_window: float = 0.1
-    ssh_pairing_window: float = 600.0
-    download_retention: float = 86400.0
-    hash_query_timeout: float = 5.0
     dns_servers: tuple[str, ...] = ()
-    groups: dict = field(default_factory=dict)  # host -> extra group names
     log_dir: str = "logs"
     metrics_port: int = 0                     # 0 = metrics endpoint disabled
     max_parked: int = 10_000
 
     def __post_init__(self):
         self.dns_servers = _names("dns_servers", self.dns_servers)
-        if not isinstance(self.groups, dict):
-            raise ConfigError(f"groups: expected an object of host -> group names, "
-                              f"got {self.groups!r}")
-        self.groups = {h: _names(f"groups[{h!r}]", g) for h, g in self.groups.items()}
         self.validate()
 
     def validate(self) -> None:
         for name in ("listen_addr", "log_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name}: expected a string, got {getattr(self, name)!r}")
-        for name in _DURATION_FIELDS:
+        # every float field is a duration: the default's type is the field's
+        for name in (f.name for f in fields(self) if isinstance(f.default, float)):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name}: expected a number, got {value!r}")
@@ -82,7 +68,6 @@ class EngineConfig:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["dns_servers"] = list(self.dns_servers)
-        out["groups"] = {h: list(g) for h, g in self.groups.items()}
         return out
 
     @classmethod

@@ -77,11 +77,16 @@ class AttributionResult:
         return UNATTRIBUTED
 
 
-def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
-                           ambiguity_window: float) -> list[Candidate]:
+# A socket first seen within this many seconds of an exec on its pid may
+# belong to the image before the exec as well as the one after it.
+EXEC_AMBIGUITY_WINDOW = 0.1
+
+
+def _candidate_from_socket(state: HostState, sock,
+                           quality: MatchQuality) -> list[Candidate]:
     """Build candidates for one matching socket, including the pre-exec image
-    when the socket was created close enough to an exec transition that the
-    owning image is ambiguous."""
+    when the socket was created within `EXEC_AMBIGUITY_WINDOW` of an exec
+    transition, so that the owning image is ambiguous."""
     host = state.host
     out = []
     proc = state.processes.get(sock.pid)
@@ -93,7 +98,7 @@ def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
                          uid=proc.uid, user_name=user.name if user else "",
                          quality=quality))
     for trans in state.exec_history.get(sock.pid, ()):
-        if abs(sock.first_seen - trans.time) <= ambiguity_window:
+        if abs(sock.first_seen - trans.time) <= EXEC_AMBIGUITY_WINDOW:
             prior = trans.prior
             puser = state.users.get(prior.uid)
             out.append(Candidate(host=host, pid=prior.pid, binary_path=prior.binary_path,
@@ -105,7 +110,6 @@ def _candidate_from_socket(state: HostState, sock, quality: MatchQuality,
 def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
               index: AddressIndex, store: HostStateStore,
               decided_at: float = 0.0,
-              ambiguity_window: float = 0.1,
               tag: object = None) -> AttributionResult:
     """One-shot attribution of a flow against current state.
 
@@ -131,8 +135,7 @@ def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
                     quality = match_socket(flow, side, sock)
                     if quality is MatchQuality.NONE:
                         continue
-                    cands = _candidate_from_socket(state, sock, quality,
-                                                   ambiguity_window)
+                    cands = _candidate_from_socket(state, sock, quality)
                     bucket = exact if quality is MatchQuality.EXACT else partial
                     bucket.extend((sock.first_seen, c) for c in cands)
         chosen = exact if exact else partial
@@ -180,15 +183,13 @@ class Correlator:
     def __init__(self, store: HostStateStore,
                  emit: Callable[[AttributionResult], None],
                  scheduler,
-                 retry_window: float = 2.0,
-                 max_parked: int = 10_000,
-                 ambiguity_window: float = 0.1):
+                 retry_window: float,
+                 max_parked: int):
         self.store = store
         self.index = store.index
         self.emit = emit
         self.scheduler = scheduler
         self.max_parked = max_parked
-        self.ambiguity_window = ambiguity_window
         self._parked = DeadlineMap(
             scheduler, retry_window,
             lambda pid: self._release(pid, "retry_expired"))
@@ -280,8 +281,7 @@ class Correlator:
     def _attribute(self, flow: FlowTuple, flow_start: float, flow_end: float,
                    tag: object) -> AttributionResult:
         return attribute(flow, flow_start, flow_end, self.index, self.store,
-                         decided_at=self.scheduler.now(),
-                         ambiguity_window=self.ambiguity_window, tag=tag)
+                         decided_at=self.scheduler.now(), tag=tag)
 
     def _finish(self, result: AttributionResult) -> None:
         self.counters["emitted"] += 1

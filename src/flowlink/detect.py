@@ -56,12 +56,16 @@ class Alert:
                    summary=d["summary"], evidence=dict(d["evidence"]))
 
 
+# A download is forgotten this many seconds after its newest sighting.
+DOWNLOAD_RETENTION = 86400.0
+
+
 class DownloadStore:
     """Recent wire-observed downloads: the newest sighting of each content
-    hash (on a tie, the first), aged out `retention` seconds after it."""
+    hash (on a tie, the first), aged out `DOWNLOAD_RETENTION` seconds after
+    it."""
 
-    def __init__(self, retention: float = 86400.0):
-        self.retention = retention
+    def __init__(self):
         self._newest: dict[str, DownloadEvent] = {}
 
     def __len__(self) -> int:
@@ -73,12 +77,17 @@ class DownloadStore:
             self._newest[ev.sha256] = ev
 
     def prune(self, now: float) -> None:
-        cutoff = now - self.retention
+        cutoff = now - DOWNLOAD_RETENTION
         self._newest = {h: ev for h, ev in self._newest.items() if ev.ts >= cutoff}
 
     def newest(self, sha256: str, now: float) -> Optional[DownloadEvent]:
         self.prune(now)
         return self._newest.get(sha256)
+
+
+# An unanswered `file_hash` query is retracted this many seconds after it
+# was asked.
+HASH_QUERY_TIMEOUT = 5.0
 
 
 @dataclass
@@ -99,20 +108,21 @@ class AttachmentDetector:
     the exec's host, unless the (host, path) hash is already cached.  At
     most one query per (host, path) is in flight, in a `DeadlineMap`: later
     execs wait on it, and it is retracted on its answer or, unanswered, at
-    `query_timeout`, when its execs go unchecked and a counter is bumped.
+    `HASH_QUERY_TIMEOUT`, when its execs go unchecked and a counter is
+    bumped.
     """
 
     def __init__(self, downloads: DownloadStore,
                  publish: Callable[[str, str], str],
                  retract: Callable[[str], None],
                  alert_sink: Callable[[Alert], None],
-                 scheduler, query_timeout: float = 5.0):
+                 scheduler):
         self.downloads = downloads
         self.counters: collections.Counter = collections.Counter()
         self._alert_sink = alert_sink
         self._publish = publish
         self._retract = retract
-        self._queries = DeadlineMap(scheduler, query_timeout, self._on_timeout)
+        self._queries = DeadlineMap(scheduler, HASH_QUERY_TIMEOUT, self._on_timeout)
         self._hash_cache: dict[tuple[str, str], str] = {}
 
     def on_download(self, ev: DownloadEvent) -> None:
@@ -194,9 +204,14 @@ def descends_from(processes: dict[int, ProcessInfo], pid: int,
     return False
 
 
+# Two SSH legs on one host pair only when their flows ended at most this
+# many seconds apart; older legs are dropped.
+SSH_PAIRING_WINDOW = 600.0
+
+
 class SteppingStoneDetector:
     """Alert when one host carries an inbound SSH session whose process tree
-    spawned a fresh outbound SSH connection within the pairing window.
+    spawned a fresh outbound SSH connection within `SSH_PAIRING_WINDOW`.
 
     Flow reports land at flow end, so the outbound leg of a relay typically
     arrives before the inbound session that caused it; pairing is therefore
@@ -207,9 +222,7 @@ class SteppingStoneDetector:
     """
 
     def __init__(self, view: Callable[[str], Optional[HostState]],
-                 alert_sink: Callable[[Alert], None],
-                 pairing_window: float = 600.0):
-        self.pairing_window = pairing_window
+                 alert_sink: Callable[[Alert], None]):
         self.counters: collections.Counter = collections.Counter()
         self._view = view
         self._alert_sink = alert_sink
@@ -234,7 +247,7 @@ class SteppingStoneDetector:
             self._pair(cand.host, self._incoming.get(cand.host, ()), [leg], now)
 
     def _prune(self, now: float) -> None:
-        cutoff = now - self.pairing_window
+        cutoff = now - SSH_PAIRING_WINDOW
         for legs_by_host in (self._incoming, self._outgoing):
             for host in list(legs_by_host):
                 kept = [leg for leg in legs_by_host[host] if leg.ts >= cutoff]
@@ -248,7 +261,7 @@ class SteppingStoneDetector:
             for leg_out in outgoing:
                 if leg_in.flow_uid and leg_in.flow_uid == leg_out.flow_uid:
                     continue
-                if abs(leg_in.ts - leg_out.ts) > self.pairing_window:
+                if abs(leg_in.ts - leg_out.ts) > SSH_PAIRING_WINDOW:
                     continue
                 state = self._view(host)
                 if state is not None and descends_from(

@@ -115,17 +115,14 @@ class Engine:
         self.correlator = Correlator(
             self.store, emit=self._on_attributed,
             scheduler=scheduler, retry_window=config.retry_window,
-            max_parked=config.max_parked,
-            ambiguity_window=config.exec_ambiguity_window)
+            max_parked=config.max_parked)
         self.store.add_listener(self.correlator.on_state_change)
 
-        self.downloads = DownloadStore(retention=config.download_retention)
+        self.downloads = DownloadStore()
         self.attachments = AttachmentDetector(
             self.downloads, self._publish_one_time, self.node.retract_interest,
-            self._on_alert, scheduler, query_timeout=config.hash_query_timeout)
-        self.stepping = SteppingStoneDetector(
-            self.store.view, self._on_alert,
-            pairing_window=config.ssh_pairing_window)
+            self._on_alert, scheduler)
+        self.stepping = SteppingStoneDetector(self.store.view, self._on_alert)
 
         self.alerts: list[Alert] = []
         self._alert_ids: set[tuple[str, str]] = set()
@@ -317,7 +314,7 @@ def run_simulation(config: EngineConfig, workload,
         workload, loop, engine.node,
         flow_sink=engine.submit_flow, download_sink=engine.submit_download,
         register_host=engine.register_host,
-        deregister_host=engine.deregister_host, groups=config.groups)
+        deregister_host=engine.deregister_host)
     engine.start()
     fleet.start()
     if until is None:

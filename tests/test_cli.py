@@ -203,6 +203,30 @@ def test_config_naming_roles_exits_2_as_unknown_field(tmp_path, capsys):
     assert "unknown config field 'roles'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sim", "run", "replay"])
+@pytest.mark.parametrize("name, value", [
+    ("groups", 5), ("groups", {"h1": 5}), ("groups", {"h1": ["servers"]}),
+    ("exec_ambiguity_window", 0.1), ("ssh_pairing_window", 600.0),
+    ("download_retention", 86400.0), ("hash_query_timeout", 5.0),
+])
+@pytest.mark.parametrize("sectioned", [True, False], ids=["engine", "flat"])
+def test_config_naming_a_removed_engine_field_exits_2(tmp_path, capsys, command,
+                                                      name, value, sectioned):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"engine": {name: value}} if sectioned
+                              else {name: value}))
+    log_dir = tmp_path / "logs"
+    argv = [command, "--config", str(cfg), "--log-dir", str(log_dir)]
+    if command == "run":
+        argv += ["--duration", "1"]
+    elif command == "replay":
+        argv += ["--inputs", str(tmp_path / "inputs.log")]
+    assert _main_in_thread(argv, 20) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: unknown config field {name!r}"]
+    assert not log_dir.exists()
+
+
 def test_replay_refuses_garbage_inputs(tmp_path, capsys):
     bad = tmp_path / "inputs.log"
     bad.write_text("not a log\n")

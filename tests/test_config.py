@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pathlib
+import re
 
 import pytest
 
 from flowlink.config import ConfigError, EngineConfig, load_config_sections
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_are_valid():
@@ -16,8 +21,7 @@ def test_defaults_are_valid():
 
 
 def test_roundtrip_through_dict():
-    cfg = EngineConfig(dns_servers=("10.0.0.53",), retry_window=1.5,
-                       groups={"h1": ("servers",)})
+    cfg = EngineConfig(dns_servers=("10.0.0.53",), retry_window=1.5)
     again = EngineConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -40,8 +44,8 @@ def test_bad_duration_named_in_error():
         EngineConfig(grace_period=-5)
     with pytest.raises(ConfigError, match="probe_interval"):
         EngineConfig(probe_interval=0)
-    with pytest.raises(ConfigError, match="hash_query_timeout"):
-        EngineConfig.from_dict({"hash_query_timeout": "soon"})
+    with pytest.raises(ConfigError, match="verification_interval: expected a number"):
+        EngineConfig.from_dict({"verification_interval": "soon"})
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
@@ -60,7 +64,6 @@ def test_ports_validated():
 @pytest.mark.parametrize("name, value", [
     ("retry_window", True), ("dns_servers", "203.0.113.53"),
     ("dns_servers", 5), ("dns_servers", [5]),
-    ("groups", 5), ("groups", {"h1": 5}),
     ("max_parked", "x"), ("max_parked", True), ("max_parked", 0),
     ("metrics_port", True), ("listen_port", "80"),
     ("listen_addr", None), ("log_dir", 5),
@@ -101,3 +104,10 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config_sections(str(path))
+
+
+def test_readme_engine_fields_name_exactly_the_config_fields():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Engine fields"):].split("\n\n", 1)[0]
+    named = re.findall(r"`([a-z_]+)`", paragraph)
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(EngineConfig))

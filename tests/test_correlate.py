@@ -23,6 +23,7 @@ from conftest import (
 )
 from flowlink import correlate
 from flowlink.correlate import (
+    EXEC_AMBIGUITY_WINDOW,
     UNATTRIBUTED,
     UNIQUE,
     VAGUE,
@@ -240,9 +241,10 @@ def test_exec_transition_adds_prior_image_when_ambiguous():
     store.apply_event(proc_ev(make_proc(pid=100, start=1.0, binary="/bin/sh", uid=0)))
     store.apply_event(proc_ev(make_proc(pid=100, start=1.0, binary="/usr/bin/wget", uid=0)),)
     # socket created within the ambiguity window of the exec
+    seen = 1.0 + EXEC_AMBIGUITY_WINDOW / 2
     store.apply_event(sock_ev(make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443),
-                                        first_seen=1.05)))
-    res = attribute(flow(), 1.0, 2.0, idx, store, ambiguity_window=0.1)
+                                        first_seen=seen)))
+    res = attribute(flow(), 1.0, 2.0, idx, store)
     assert {c.binary_path for c in res.originator} == {"/bin/sh", "/usr/bin/wget"}
     assert res.side_status(Side.ORIGINATOR) == VAGUE
 
@@ -252,9 +254,10 @@ def test_exec_transition_ignored_outside_window():
     wire(store, "h1", A)
     store.apply_event(proc_ev(make_proc(pid=100, start=1.0, binary="/bin/sh", uid=0)))
     store.apply_event(proc_ev(make_proc(pid=100, start=1.0, binary="/usr/bin/wget", uid=0)))
+    seen = 1.0 + 2 * EXEC_AMBIGUITY_WINDOW
     store.apply_event(sock_ev(make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443),
-                                        first_seen=5.0), t=5.0))
-    res = attribute(flow(), 1.0, 6.0, idx, store, ambiguity_window=0.1)
+                                        first_seen=seen), t=seen))
+    res = attribute(flow(), 1.0, 6.0, idx, store)
     assert {c.binary_path for c in res.originator} == {"/usr/bin/wget"}
 
 
@@ -549,15 +552,13 @@ class PerFlowTimerCorrelator:
     _should_park = Correlator._should_park
     parked_count = Correlator.parked_count
 
-    def __init__(self, store, emit, scheduler, retry_window=2.0,
-                 max_parked=10_000, ambiguity_window=0.1):
+    def __init__(self, store, emit, scheduler, retry_window, max_parked):
         self.store = store
         self.index = store.index
         self.emit = emit
         self.scheduler = scheduler
         self.retry_window = retry_window
         self.max_parked = max_parked
-        self.ambiguity_window = ambiguity_window
         self._parked = collections.OrderedDict()
         self._next_id = 0
         self.counters = collections.Counter()
@@ -565,7 +566,7 @@ class PerFlowTimerCorrelator:
     def submit(self, flow, flow_start, flow_end, tag=None):
         now = self._now()
         result = attribute(flow, flow_start, flow_end, self.index, self.store,
-                           decided_at=now, ambiguity_window=self.ambiguity_window)
+                           decided_at=now)
         if self.retry_window > 0 and self._should_park(result):
             self._park(flow, flow_start, flow_end, tag)
             return
@@ -605,8 +606,7 @@ class PerFlowTimerCorrelator:
                 continue
             self.counters["retry_attempts"] += 1
             result = attribute(flow, entry["flow_start"], entry["flow_end"],
-                               self.index, self.store, decided_at=self._now(),
-                               ambiguity_window=self.ambiguity_window)
+                               self.index, self.store, decided_at=self._now())
             if not self._should_park(result):
                 self._unpark(pid)
                 self.counters["retry_resolved"] += 1
@@ -628,8 +628,7 @@ class PerFlowTimerCorrelator:
 
     def _finalize(self, entry):
         result = attribute(entry["flow"], entry["flow_start"], entry["flow_end"],
-                           self.index, self.store, decided_at=self._now(),
-                           ambiguity_window=self.ambiguity_window)
+                           self.index, self.store, decided_at=self._now())
         self._finish(replace(result, tag=entry["tag"]))
 
     def _finish(self, result):

@@ -12,6 +12,9 @@ from flowlink.config import EngineConfig
 from flowlink.correlate import AttributionResult, Candidate
 from flowlink.detect import (
     ATTACHMENT_EXECUTED,
+    DOWNLOAD_RETENTION,
+    HASH_QUERY_TIMEOUT,
+    SSH_PAIRING_WINDOW,
     STEPPING_STONE,
     Alert,
     AttachmentDetector,
@@ -55,13 +58,12 @@ class QueryStub:
         self.retracted.append(iid)
 
 
-def attachment_harness(timeout=5.0, retention=86400.0):
+def attachment_harness():
     loop = EventLoop()
     stub = QueryStub()
     alerts = []
-    det = AttachmentDetector(DownloadStore(retention=retention), stub.publish,
-                             stub.retract, alerts.append, loop,
-                             query_timeout=timeout)
+    det = AttachmentDetector(DownloadStore(), stub.publish, stub.retract,
+                             alerts.append, loop)
     return loop, stub, alerts, det
 
 
@@ -97,19 +99,19 @@ def test_alert_dict_roundtrip():
 
 
 def test_download_store_prunes_by_retention():
-    store = DownloadStore(retention=100.0)
+    store = DownloadStore()
     store.add(download(ts=10.0, uid="old"))
     store.add(download(ts=20.0, sha="b" * 64, uid="newer"))
     assert len(store) == 2
-    store.prune(now=115.0)
-    assert store.newest("a" * 64, now=115.0) is None
-    assert store.newest("b" * 64, now=115.0).flow_uid == "newer"
-    assert store.newest("b" * 64, now=125.0) is None
+    store.prune(now=15.0 + DOWNLOAD_RETENTION)
+    assert store.newest("a" * 64, now=15.0 + DOWNLOAD_RETENTION) is None
+    assert store.newest("b" * 64, now=15.0 + DOWNLOAD_RETENTION).flow_uid == "newer"
+    assert store.newest("b" * 64, now=25.0 + DOWNLOAD_RETENTION) is None
     assert len(store) == 0
 
 
 def test_download_store_duplicate_hash_newest_first():
-    store = DownloadStore(retention=100.0)
+    store = DownloadStore()
     store.add(download(ts=10.0, uid="first"))
     store.add(download(ts=30.0, uid="second"))
     store.add(download(ts=20.0, uid="between"))
@@ -118,18 +120,19 @@ def test_download_store_duplicate_hash_newest_first():
     assert store.newest("a" * 64, now=30.0).flow_uid == "second"
     assert store.newest("b" * 64, now=30.0).flow_uid == "other"
     # the older sightings go with the newest one, not before it
-    assert store.newest("a" * 64, now=125.0).flow_uid == "second"
-    assert store.newest("a" * 64, now=131.0) is None
+    assert store.newest("a" * 64, now=25.0 + DOWNLOAD_RETENTION).flow_uid == "second"
+    assert store.newest("a" * 64, now=31.0 + DOWNLOAD_RETENTION) is None
 
 
 def test_download_store_keeps_the_first_of_same_ts_sightings():
     # two copies of one attachment arrive with one timestamp
-    store = DownloadStore(retention=100.0)
+    store = DownloadStore()
     store.add(download(ts=5.0, uid="first"))
     store.add(download(ts=5.0, uid="second"))
     assert len(store) == 1
-    assert store.newest("a" * 64, now=104.0).flow_uid == "first"
-    assert store.newest("a" * 64, now=106.0) is None and len(store) == 0
+    assert store.newest("a" * 64, now=4.0 + DOWNLOAD_RETENTION).flow_uid == "first"
+    assert (store.newest("a" * 64, now=6.0 + DOWNLOAD_RETENTION) is None
+            and len(store) == 0)
 
 
 download_ops = st.lists(st.one_of(
@@ -142,8 +145,10 @@ download_ops = st.lists(st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_download_store_equals_every_sighting_kept(ops):
     """Asked at a clock that never goes back, the store names the newest
-    sighting within retention, the first on a tie, as if it kept them all."""
-    store, every, now = DownloadStore(retention=20.0), [], 0.0
+    sighting within retention, the first on a tie, as if it kept them all.
+    The clock starts 20 s short of the retention, so the drawn steps age
+    sightings out."""
+    store, every, now = DownloadStore(), [], DOWNLOAD_RETENTION - 20.0
     for i, (op, h, x) in enumerate(ops):
         if op == "add":
             ev = download(ts=x, sha=h * 64, uid=str(i))
@@ -151,7 +156,7 @@ def test_download_store_equals_every_sighting_kept(ops):
             every.append(ev)
             continue
         now += x
-        live = [ev for ev in every if ev.ts >= now - 20.0]
+        live = [ev for ev in every if ev.ts >= now - DOWNLOAD_RETENTION]
         want = max((ev for ev in live if ev.sha256 == h * 64), key=lambda ev: ev.ts,
                    default=None)
         assert store.newest(h * 64, now) == want
@@ -261,21 +266,22 @@ def test_concurrent_execs_share_one_query():
 
 
 def test_unanswered_query_times_out_and_retracts():
-    loop, stub, alerts, det = attachment_harness(timeout=5.0)
+    loop, stub, alerts, det = attachment_harness()
     det.on_download(download())
     loop.run_until(100.0)
     det.on_process_added(make_proc(pid=9000, binary="/tmp/x"), now=100.0)
-    loop.run_until(104.0)
+    loop.run_until(100.0 + HASH_QUERY_TIMEOUT - 1.0)
     assert det.counters["hash_query_timeouts"] == 0
-    loop.run_until(106.0)
+    loop.run_until(100.0 + HASH_QUERY_TIMEOUT + 1.0)
     assert det.counters["hash_query_timeouts"] == 1
     assert stub.retracted == ["q1"]
-    det.on_file_hash(hash_batch("h1", "/tmp/x", "a" * 64), now=107.0)
+    det.on_file_hash(hash_batch("h1", "/tmp/x", "a" * 64),
+                     now=100.0 + HASH_QUERY_TIMEOUT + 2.0)
     assert alerts == []  # the waiting exec was dropped with the query
 
 
 def test_stale_timeout_leaves_a_new_query_for_the_same_key_pending():
-    loop, stub, alerts, det = attachment_harness(timeout=5.0)
+    loop, stub, alerts, det = attachment_harness()
     sha = "a" * 64
     det.on_download(download(sha=sha))
     loop.run_until(100.0)
@@ -284,27 +290,31 @@ def test_stale_timeout_leaves_a_new_query_for_the_same_key_pending():
     # the cached hash is dropped, as an invalidated entry would be, so the
     # next exec of the path asks again: q2, while q1's timer is still armed
     det._hash_cache.clear()
-    loop.run_until(103.0)
-    det.on_process_added(make_proc(pid=9001, binary="/tmp/x"), now=103.0)
+    asked = 100.0 + HASH_QUERY_TIMEOUT - 2.0
+    loop.run_until(asked)
+    det.on_process_added(make_proc(pid=9001, binary="/tmp/x"), now=asked)
     assert [p[0] for p in stub.published] == ["q1", "q2"]
-    loop.run_until(106.0)  # q1's timer fires while q2 is out
+    loop.run_until(100.0 + HASH_QUERY_TIMEOUT + 1.0)  # q1's timer fires while q2 is out
     assert det.counters["hash_query_timeouts"] == 0
-    det.on_file_hash(hash_batch("h1", "/tmp/x", sha), now=106.5)
+    det.on_file_hash(hash_batch("h1", "/tmp/x", sha),
+                     now=100.0 + HASH_QUERY_TIMEOUT + 1.5)
     assert [a.evidence["pid"] for a in alerts] == [9001]
-    loop.run_until(120.0)  # and so does q2's
+    loop.run_until(100.0 + 4 * HASH_QUERY_TIMEOUT)  # and so does q2's
     assert stub.retracted == ["q1", "q2"]
     assert det.counters["hash_query_timeouts"] == 0
 
 
 def test_unanswered_queries_share_one_timer_and_time_out_at_their_own_deadlines():
-    loop, stub, alerts, det = attachment_harness(timeout=5.0)
+    loop, stub, alerts, det = attachment_harness()
     det.on_download(download())
     for t, path in ((100.0, "/tmp/a"), (101.0, "/tmp/b"), (103.0, "/tmp/c")):
         loop.run_until(t)
         det.on_process_added(make_proc(pid=9000, binary=path), now=t)
         assert len(loop._heap) == 1  # the detector's one timeout timer
-    for t, retracted in ((104.5, []), (105.0, ["q1"]), (105.5, ["q1"]),
-                         (106.0, ["q1", "q2"]), (108.0, ["q1", "q2", "q3"])):
+    timeout = HASH_QUERY_TIMEOUT
+    for t, retracted in ((99.5 + timeout, []), (100.0 + timeout, ["q1"]),
+                         (100.5 + timeout, ["q1"]), (101.0 + timeout, ["q1", "q2"]),
+                         (103.0 + timeout, ["q1", "q2", "q3"])):
         loop.run_until(t)
         assert stub.retracted == retracted, t
         assert det.counters["hash_query_timeouts"] == len(retracted)
@@ -359,8 +369,8 @@ class PerQueryTimerDetector(AttachmentDetector):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._queries = _HostQueries(self._publish, self._retract,
-                                     kwargs["scheduler"],
-                                     kwargs["query_timeout"], self._on_timeout)
+                                     kwargs["scheduler"], HASH_QUERY_TIMEOUT,
+                                     self._on_timeout)
 
     def on_process_added(self, proc, now):
         self.downloads.prune(now)
@@ -396,8 +406,9 @@ query_steps = st.lists(st.one_of(
               st.sampled_from((DOWNLOADED, "c" * 64))),
     st.tuples(st.just("empty_answer"), st.sampled_from(Q_HOSTS)),
     st.tuples(st.just("clear_cache")),
-    # sums of these hit the 5 s timeout exactly: deadline ties
-    st.tuples(st.just("advance"), st.sampled_from((0.0, 1.25, 2.5, 5.0)))),
+    # sums of these hit the timeout exactly: deadline ties
+    st.tuples(st.just("advance"), st.sampled_from(
+        (0.0, HASH_QUERY_TIMEOUT / 4, HASH_QUERY_TIMEOUT / 2, HASH_QUERY_TIMEOUT)))),
     max_size=40)
 
 
@@ -406,7 +417,7 @@ def run_query_world(detector_cls, steps):
     stub = QueryStub()
     alerts = []
     det = detector_cls(DownloadStore(), stub.publish, stub.retract, alerts.append,
-                       scheduler=loop, query_timeout=5.0)
+                       scheduler=loop)
     det.on_download(download(ts=0.0, sha=DOWNLOADED))
     most_timers = 0
     for pid, (name, *args) in enumerate(steps, 9000):
@@ -442,9 +453,10 @@ def test_one_timer_query_table_equals_per_query_timers(steps):
 
 
 def test_expired_download_never_matches():
-    loop, stub, alerts, det = attachment_harness(retention=100.0)
+    loop, stub, alerts, det = attachment_harness()
     det.on_download(download(ts=10.0))
-    det.on_process_added(make_proc(pid=9000, binary="/tmp/x"), now=200.0)
+    det.on_process_added(make_proc(pid=9000, binary="/tmp/x"),
+                         now=100.0 + DOWNLOAD_RETENTION)
     assert stub.published == [] and alerts == []
 
 
@@ -484,10 +496,10 @@ class FakeView:
         return self.states.get(host)
 
 
-def stepping_harness(window=600.0, trees=None):
+def stepping_harness(trees=None):
     view = FakeView({"h001": RELAY_TREE} if trees is None else trees)
     alerts = []
-    det = SteppingStoneDetector(view, alerts.append, pairing_window=window)
+    det = SteppingStoneDetector(view, alerts.append)
     return view, alerts, det
 
 
@@ -536,11 +548,12 @@ def test_legs_on_different_hosts_never_pair():
 
 
 def test_pairing_window_excludes_stale_legs():
-    view, alerts, det = stepping_harness(window=600.0)
+    view, alerts, det = stepping_harness()
     det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=100.0),
                       now=100.0)
-    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=800.0),
-                      now=800.0)
+    late = 200.0 + SSH_PAIRING_WINDOW
+    det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=late),
+                      now=late)
     assert view.asked == [] and alerts == []
 
 
@@ -576,15 +589,16 @@ def test_re_reported_leg_re_derives_the_same_alert():
 
 
 def test_legs_expire_with_the_pairing_window():
-    view, alerts, det = stepping_harness(window=600.0)
+    view, alerts, det = stepping_harness()
     det.on_attributed(ssh_result(orig=("h001", 205), uid="OUT", end=100.0),
                       now=100.0)
     det.on_attributed(ssh_result(resp=("h001", 201), uid="IN", end=101.0),
                       now=101.0)
     assert len(alerts) == 1
     # the next ssh flow comes after the pairing window: both legs are pruned
-    det.on_attributed(ssh_result(orig=("h002", 300), uid="LATER", end=800.0),
-                      now=800.0)
+    late = 200.0 + SSH_PAIRING_WINDOW
+    det.on_attributed(ssh_result(orig=("h002", 300), uid="LATER", end=late),
+                      now=late)
     assert dict(det._incoming) == {}
     assert {host: [leg.flow_uid for leg in legs]
             for host, legs in det._outgoing.items()} == {"h002": ["LATER"]}

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, iface_ev, make_proc, make_sock, make_user, proc_ev, snapshot, sock_ev, user_ev
@@ -925,7 +925,15 @@ def run_fold(s, clock, ops):
     return changes, hosts
 
 
+RECONNECTED = [("disconnect", 2.0), ("reconnect", 3.0),
+               ev(InterfaceRecord("h1", "10.0.0.1"), TableKind.INTERFACES, t=3.0)]
+
+
 @given(fold_ops())
+# an expiry past the grace of a state that a reconnect replaced, and of one
+# that a second disconnect froze again: both leave the held state alone
+@example(RECONNECTED + [("expire", 3.0 + GRACE)])
+@example(RECONNECTED + [("disconnect", 4.0), ("expire", 3.0 + GRACE)])
 @settings(max_examples=300, deadline=None)
 def test_shared_records_fold_equals_rebuilding_fold(ops):
     clock = FakeClock()
