@@ -56,8 +56,7 @@ WORKER_BINARIES = ("/usr/bin/worker-a", "/usr/bin/worker-b", "/usr/bin/curl",
 STATE_TABLE_ORDER = (TableKind.INTERFACES, TableKind.USERS, TableKind.PROCESSES,
                      TableKind.PROCESS_OPEN_SOCKETS, TableKind.LISTENING_PORTS)
 
-EVENTED_TABLES = (TableKind.PROCESS_EVENTS, TableKind.SOCKET_EVENTS,
-                  TableKind.TLS_KEYS)
+EVENTED_TABLES = (TableKind.PROCESS_EVENTS, TableKind.SOCKET_EVENTS)
 
 
 def file_digest(path: str) -> str:
@@ -74,7 +73,6 @@ class ScenarioKind(str, Enum):
     SSH_UNRELATED = "ssh_unrelated"
     ATTACHMENT_EXEC = "attachment_exec"
     ATTACHMENT_NOEXEC = "attachment_noexec"
-    TLS_KEYS = "tls_keys"
 
 
 @dataclass
@@ -141,7 +139,6 @@ _SCENARIO_PARAMS: dict[ScenarioKind, dict[str, type]] = {
     ScenarioKind.SSH_UNRELATED: {"chain": list},
     ScenarioKind.ATTACHMENT_EXEC: {"path": str, "origin_kind": str, "execs": int},
     ScenarioKind.ATTACHMENT_NOEXEC: {"path": str, "origin_kind": str},
-    ScenarioKind.TLS_KEYS: {"session": str},
 }
 
 
@@ -233,7 +230,6 @@ class ActionKind(str, Enum):
     SOCK_CLOSE = "sock_close"
     HOST_DOWN = "host_down"
     HOST_UP = "host_up"
-    TLS_KEYS = "tls_keys"
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,6 @@ class SimAction:
     sock: Optional[SocketInfo] = None
     audit: bool = True
     censor_local: bool = False
-    payload: Optional[dict] = None
 
     def audit_event(self) -> Optional[HostEvent]:
         if not self.audit:
@@ -272,9 +267,6 @@ class SimAction:
         if self.kind is ActionKind.SOCK_CLOSE:
             return HostEvent(self.host, TableKind.SOCKET_EVENTS, Action.REMOVED,
                              self.sock, self.time)
-        if self.kind is ActionKind.TLS_KEYS:
-            return HostEvent(self.host, TableKind.TLS_KEYS, Action.ADDED,
-                             dict(self.payload or {}), self.time)
         return None
 
 
@@ -739,11 +731,6 @@ def _script_hook(scripts: dict[str, _HostScript], hook: ScenarioHook,
                                     orig_bytes=64, resp_bytes=64,
                                     orig_pkts=2, resp_pkts=2))
             truth.flows[uid] = FlowTruth(uid, host, pid, 1000)
-    elif hook.kind is ScenarioKind.TLS_KEYS:
-        actions.append(SimAction(t, host, ActionKind.TLS_KEYS, audit=True,
-                                 payload={"session": hook.params.get(
-                                     "session", "deadbeef"),
-                                     "key": "0" * 64}))
 
 
 def build_workload(spec: WorkloadSpec) -> Workload:

@@ -7,7 +7,6 @@ config fails at startup instead of silently using defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, fields
@@ -59,16 +58,11 @@ class EngineConfig:
             if value <= 0:
                 raise ConfigError(f"{name}: duration must be positive, got {value!r}")
         if not _is_int(self.max_parked) or self.max_parked < 1:
-            raise ConfigError(f"max_parked: must be an integer >= 1, got {self.max_parked!r}")
+            raise ConfigError(f"max_parked: expected an integer >= 1, got {self.max_parked!r}")
         for port_field in ("listen_port", "metrics_port"):
             port = getattr(self, port_field)
             if not _is_int(port) or port < 0 or port > 65535:
-                raise ConfigError(f"{port_field}: invalid port {port!r}")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["dns_servers"] = list(self.dns_servers)
-        return out
+                raise ConfigError(f"{port_field}: expected a port 0-65535, got {port!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":

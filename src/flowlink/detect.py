@@ -50,11 +50,6 @@ class Alert:
         return {"kind": self.kind, "ts": self.ts, "host": self.host,
                 "summary": self.summary, "evidence": self.evidence}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Alert":
-        return cls(kind=d["kind"], ts=float(d["ts"]), host=d["host"],
-                   summary=d["summary"], evidence=dict(d["evidence"]))
-
 
 # A download is forgotten this many seconds after its newest sighting.
 DOWNLOAD_RETENTION = 86400.0

@@ -49,7 +49,7 @@ from .state import HostState, HostStateStore
 ENGINE_NODE_ID = "engine"
 
 # Streamed (evented) tables and the snapshot tables probed on a period.
-STREAM_TABLES = ("process_events", "socket_events", "tls_keys")
+STREAM_TABLES = ("process_events", "socket_events")
 PROBE_TABLES = ("processes", "process_open_sockets", "listening_ports",
                 "users", "interfaces")
 

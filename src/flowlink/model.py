@@ -50,7 +50,7 @@ class TableKind(str, Enum):
     FILE_HASH = "file_hash"
     PROCESS_DESCENDANTS = "process_descendants"  # in older recordings only
     VERIFICATION = "verification"
-    TLS_KEYS = "tls_keys"  # reserved: carried but never interpreted
+    TLS_KEYS = "tls_keys"  # in older recordings only
 
 
 class Action(str, Enum):
@@ -127,11 +127,6 @@ class FlowTuple:
             "proto": self.proto.value,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "FlowTuple":
-        return cls(d["orig_addr"], int(d["orig_port"]), d["resp_addr"],
-                   int(d["resp_port"]), PROTOS[d["proto"]])
-
 
 @dataclass(frozen=True)
 class SocketInfo:
@@ -199,10 +194,6 @@ class ProcessInfo:
     start_time: float
     source: Source
 
-    @property
-    def key(self) -> int:
-        return self.pid
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "host": self.host, "pid": self.pid, "parent_pid": self.parent_pid,
@@ -226,10 +217,6 @@ class UserInfo:
     name: str
     is_system: bool = False
 
-    @property
-    def key(self) -> int:
-        return self.uid
-
     def to_dict(self) -> dict[str, Any]:
         return {"host": self.host, "uid": self.uid, "name": self.name,
                 "is_system": self.is_system}
@@ -249,10 +236,6 @@ class InterfaceRecord:
     def __post_init__(self):
         object.__setattr__(self, "addr", canonical_addr(self.addr))
 
-    @property
-    def key(self) -> str:
-        return self.addr
-
     def to_dict(self) -> dict[str, Any]:
         return {"host": self.host, "addr": self.addr}
 
@@ -268,10 +251,6 @@ class FileHashRecord:
     host: str
     path: str
     sha256: str
-
-    @property
-    def key(self) -> str:
-        return self.path
 
     def to_dict(self) -> dict[str, Any]:
         return {"host": self.host, "path": self.path, "sha256": self.sha256}
@@ -296,12 +275,12 @@ def payload_to_dict(payload: Any) -> dict[str, Any]:
             d = payload.to_dict()
             d["_kind"] = kind
             return d
-    if isinstance(payload, dict):  # opaque records (tls_keys) pass through
-        return dict(payload, _kind="opaque")
     raise TypeError(f"unsupported payload type: {type(payload)!r}")
 
 
 def payload_from_dict(d: dict[str, Any]) -> Any:
+    """Decode one record; an `opaque` one, in older recordings only,
+    decodes as a plain dict."""
     kind = d.get("_kind", "opaque")
     if kind == "opaque":
         return {k: v for k, v in d.items() if k != "_kind"}
@@ -310,8 +289,8 @@ def payload_from_dict(d: dict[str, Any]) -> Any:
 
 @dataclass(frozen=True)
 class HostEvent:
-    """One telemetry record from a host; tls_keys payloads are carried
-    opaquely and never interpreted."""
+    """One telemetry record from a host.  A payload that decodes as a plain
+    dict occurs in older recordings only, and no table reads it."""
 
     host: str
     table: TableKind

@@ -246,11 +246,6 @@ class OverlayNode:
     def add_result_handler(self, fn: Callable) -> None:
         self._result_handlers.append(fn)
 
-    def subscribe_results(self, topic: str) -> None:
-        """Listen on an additional response topic (shared-topic deployments)."""
-        self._require(Role.AUTHORITATIVE)
-        self.bus.subscribe(topic, self.node_id, self._on_result)
-
     def _on_result(self, topic: str, payload) -> None:
         self.counters["results_received"] += 1
         for fn in self._result_handlers:

@@ -220,10 +220,6 @@ class HostStateStore:
 
     def _apply(self, st: HostState, ev: HostEvent) -> StateChange | None:
         row = ev.payload
-        if ev.table == TableKind.TLS_KEYS:
-            # Reserved message kind: counted, carried, never interpreted.
-            self.counters["tls_keys_received"] += 1
-            return None
         if ev.action != Action.REMOVED:
             return self._upsert(st, ev.table, row, ev.event_time)
         if ev.table in PROCESS_TABLES:

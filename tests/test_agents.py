@@ -74,6 +74,12 @@ def interest(iid, query, group="all", one_time=False, period=0.0, topic=""):
                     one_time=one_time, period=period, response_topic=topic)
 
 
+def collect(node, inbox, topic):
+    """Put the results sent to a shared response topic into `inbox` too."""
+    node.bus.subscribe(topic, node.node_id,
+                       lambda t, payload: inbox.append((t, payload)))
+
+
 def batches(inbox, table=None, topic=None):
     out = []
     for t, payload in inbox:
@@ -365,7 +371,7 @@ def test_one_time_runs_once_per_connection():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest("i1", "users", one_time=True, topic="collect"))
     connect(loop, node, agent)
     loop.run_until(5.0)
@@ -380,7 +386,7 @@ def test_scheduled_interest_three_batches_in_90s():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest("i1", "processes", period=30.0,
                                    topic="collect"))
     connect(loop, node, agent)
@@ -401,8 +407,8 @@ def test_agent_parses_each_entry_once(monkeypatch):
                         lambda text: parsed.append(text) or real(text))
     loop, node, inbox = wire()
     agent = make_agent(build_workload(spec(event_rate=0.0)), loop, node)
-    node.subscribe_results("collect")
-    node.subscribe_results("other")
+    collect(node, inbox, "collect")
+    collect(node, inbox, "other")
     node.publish_interest(interest("i1", "users", period=5.0, topic="collect"))
     node.publish_interest(interest("s1", "socket_events", period=1.0))
     connect(loop, node, agent)
@@ -421,7 +427,7 @@ def test_scheduled_interest_stops_after_retract():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest("i1", "users", period=10.0,
                                    topic="collect"))
     connect(loop, node, agent)
@@ -437,25 +443,26 @@ def test_evented_table_streams_on_change_not_on_period():
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
     node.publish_interest(interest("s1", "socket_events", period=1.0))
-    node.publish_interest(interest("s2", "tls_keys", period=1.0))
+    node.publish_interest(interest("s2", "process_events", period=1.0))
     connect(loop, node, agent)
     sock = SocketInfo("h000", 500, 9, Proto.TCP, Direction.OUTGOING,
                       Source.AUDIT, "10.1.0.1", 41000, "203.0.113.7", 443,
                       first_seen=3.0)
+    proc = ProcessInfo("h000", 501, 1, "/usr/bin/curl", 1000, 4.0, Source.AUDIT)
     from flowlink.agents import SimAction
     loop.call_at(3.0, agent.apply_action,
                  SimAction(3.0, "h000", ActionKind.SOCK_OPEN, sock=sock))
     loop.call_at(4.0, agent.apply_action,
-                 SimAction(4.0, "h000", ActionKind.TLS_KEYS,
-                           payload={"session": "abc", "key": "0" * 64}))
+                 SimAction(4.0, "h000", ActionKind.PROC_START, proc=proc))
     loop.run_until(30.0)
     events = [p for _, p in inbox if isinstance(p, HostEvent)]
     assert len(events) == 2
     assert events[0].table is TableKind.SOCKET_EVENTS
     assert events[0].payload == sock
-    assert events[1].table is TableKind.TLS_KEYS
-    assert events[1].payload == {"session": "abc", "key": "0" * 64}
+    assert events[1].table is TableKind.PROCESS_EVENTS
+    assert events[1].payload == proc
     assert batches(inbox, table=TableKind.SOCKET_EVENTS) == []
+    assert batches(inbox, table=TableKind.PROCESS_EVENTS) == []
 
 
 def test_malformed_query_reports_error_and_agent_continues():
@@ -480,7 +487,7 @@ def test_tables_the_agent_does_not_serve_answer_with_a_query_error():
     # recordings decode; no agent serves it
     loop, node, inbox = wire()
     agent = make_agent(build_workload(spec(event_rate=0.0)), loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     for iid, table in (("d1", "process_descendants"), ("n1", "nosuchtable")):
         node.publish_interest(interest(iid, f"{table} WHERE pid == 50",
                                        one_time=True, topic="collect"))
@@ -500,7 +507,7 @@ def test_file_hash_query_returns_generated_digest():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest(
         "h1", "file_hash WHERE path == '/usr/sbin/sshd'",
         group="host/h000", one_time=True, topic="collect"))
@@ -516,7 +523,7 @@ def test_file_hash_query_misses_unknown_path():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest(
         "h1", "file_hash WHERE path == '/nope'", one_time=True, topic="collect"))
     connect(loop, node, agent)
@@ -529,7 +536,7 @@ def test_verification_snapshot_is_flagged_and_atomic():
     loop, node, inbox = wire()
     w = build_workload(spec(event_rate=0.0))
     agent = make_agent(w, loop, node)
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest("v1", "verification", group="host/h000",
                                    one_time=True, topic="collect"))
     connect(loop, node, agent)
@@ -593,7 +600,7 @@ def test_host_reconnect_replays_initial_state_and_one_time():
         scenarios=[ScenarioHook(ScenarioKind.HOST_RECONNECT, 5.0,
                                 params={"down": 5.0})]))
     registrations = []
-    node.subscribe_results("collect")
+    collect(node, inbox, "collect")
     node.publish_interest(interest("i1", "users", one_time=True,
                                    topic="collect"))
     sim, _, _ = fleet(w, loop, node,

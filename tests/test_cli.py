@@ -10,6 +10,7 @@ import pytest
 
 from flowlink.agents import ENGINE_TOPIC
 from flowlink.cli import main
+from flowlink.engine import Engine
 from flowlink.flowlog import read_alerts, read_enriched
 
 
@@ -62,9 +63,12 @@ def test_sim_then_replay_reproduces_logs_byte_for_byte(tmp_path):
     assert _read(first / "alerts.log") == _read(second / "alerts.log")
 
 
-def test_replay_of_an_older_recording_with_a_process_descendants_answer(tmp_path):
+def test_replay_of_an_older_recording_with_a_process_descendants_answer(
+        tmp_path, monkeypatch):
     """Older engines asked the relay host for the inbound session's process
-    tree; the answer in their recordings still decodes and changes no log."""
+    tree, and streamed TLS-key events with opaque payloads.  Either entry
+    in their recordings still decodes, is counted as a table the store does
+    not route, and changes no log."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"workload": {
         "hosts": 3, "duration": 45.0, "event_rate": 1.0, "seed": 17,
@@ -79,17 +83,28 @@ def test_replay_of_an_older_recording_with_a_process_descendants_answer(tmp_path
                        "batch_id": 1, "event_time": alert["ts"] + 0.001,
                        "rows": [{"_kind": "opaque", "root": ev["in_pid"],
                                  "pid": ev["out_pid"]}]}}
+    tls_keys = {"t": alert["ts"] + 0.002, "kind": "host_event",
+                "topic": ENGINE_TOPIC,
+                "data": {"host": ev["host"], "table": "tls_keys",
+                         "action": "added", "event_time": alert["ts"] + 0.001,
+                         "payload": {"_kind": "opaque", "session": "deadbeef",
+                                     "key": "0" * 64}}}
+    engines = []
+    monkeypatch.setattr("flowlink.cli.Engine", lambda *args, **kwargs: (
+        engines.append(Engine(*args, **kwargs)) or engines[-1]))
     lines = _read(rec / "inputs.log").splitlines(True)
-    at = next(i for i in range(1, len(lines))
-              if json.loads(lines[i])["t"] > answer["t"])
-    lines.insert(at, json.dumps(answer) + "\n")
-    inputs = tmp_path / "inputs.log"
-    inputs.write_text("".join(lines))
-    out = tmp_path / "out"
-    assert main(["replay", "--config", str(config), "--inputs", str(inputs),
-                 "--log-dir", str(out)]) == 0
-    assert _read(out / "conn.log") == _read(rec / "conn.log")
-    assert _read(out / "alerts.log") == _read(rec / "alerts.log")
+    for n, entry in enumerate((answer, tls_keys)):
+        at = next(i for i in range(1, len(lines))
+                  if json.loads(lines[i])["t"] > entry["t"])
+        inputs = tmp_path / f"inputs{n}.log"
+        inputs.write_text("".join(lines[:at] + [json.dumps(entry) + "\n"]
+                                  + lines[at:]))
+        out = tmp_path / f"out{n}"
+        assert main(["replay", "--config", str(config), "--inputs", str(inputs),
+                     "--log-dir", str(out)]) == 0
+        assert _read(out / "conn.log") == _read(rec / "conn.log")
+        assert _read(out / "alerts.log") == _read(rec / "alerts.log")
+        assert engines[-1].store.counters["unroutable_table"] == 1
 
 
 def test_sim_seed_changes_logs(tmp_path):
@@ -125,13 +140,13 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
     ({"scenarios": ["process_crash"]}, "scenarios"),
     ([{"hosts": 8}], "workload"),
     ({"scenarios": [{"kind": "process_crash", "at": 5, "host": "nope"}]}, "host"),
-    ({"hosts": 0, "scenarios": [{"kind": "tls_keys", "at": 5}]}, "host"),
+    ({"hosts": 0, "scenarios": [{"kind": "host_reconnect", "at": 5}]}, "host"),
     ({"scenarios": [{"kind": "process_crash", "at": 5, "params": {"after": [1]}}]},
      "after"),
     ({"scenarios": [{"kind": "short_socket", "at": 5, "params": {"flow": 1}}]},
      "flow"),
-    ({"scenarios": [{"kind": "tls_keys", "at": 5, "params": {"sesion": "x"}}]},
-     "sesion"),
+    ({"scenarios": [{"kind": "attachment_noexec", "at": 5,
+                     "params": {"sesion": "x"}}]}, "sesion"),
     ({"hosts": 4, "scenarios": [{"kind": "ssh_chain", "at": 5,
                                  "params": {"chain": ["h000", "h001"]}}]}, "chain"),
     ({"hosts": 2, "scenarios": [{"kind": "ssh_chain", "at": 5}]}, "chain"),
@@ -143,6 +158,7 @@ def test_sim_rejects_unknown_workload_field(tmp_path, capsys):
     ({"probe_interval": -5}, "probe_interval"),
     ({"udp_sockets_per_host": -1}, "udp_sockets_per_host"),
     ({"flows_per_host": -1}, "flows_per_host"),
+    ({"scenarios": [{"kind": "tls_keys", "at": 5}]}, "tls_keys"),
 ])
 def test_malformed_workload_exits_2_before_opening_logs(tmp_path, capsys, command,
                                                         workload, field):
@@ -180,7 +196,8 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"engine": {"dns_servers": 5}}))
     assert main(["sim", "--config", str(cfg),
                  "--log-dir", str(tmp_path / "logs")]) == 2
-    assert "dns_servers" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: dns_servers: expected a list of strings, got 5\n")
 
 
 def test_config_with_non_finite_duration_exits_2(tmp_path, capsys):

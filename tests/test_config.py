@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from flowlink.agents import ScenarioKind
 from flowlink.config import ConfigError, EngineConfig, load_config_sections
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -22,7 +23,7 @@ def test_defaults_are_valid():
 
 def test_roundtrip_through_dict():
     cfg = EngineConfig(dns_servers=("10.0.0.53",), retry_window=1.5)
-    again = EngineConfig.from_dict(cfg.to_dict())
+    again = EngineConfig.from_dict(dataclasses.asdict(cfg))
     assert again == cfg
 
 
@@ -30,7 +31,7 @@ def test_roundtrip_through_file(tmp_path):
     cfg = EngineConfig(verification_interval=15.0, log_dir="out")
     path = tmp_path / "cfg.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh)
+        json.dump(dataclasses.asdict(cfg), fh)
     assert load_config_sections(str(path)) == (cfg, {})
 
 
@@ -61,6 +62,13 @@ def test_ports_validated():
         EngineConfig(metrics_port=99999)
 
 
+# what each field's type check says it expected
+EXPECTED = {"retry_window": "a number", "dns_servers": "a list of strings",
+            "max_parked": "an integer >= 1", "metrics_port": "a port 0-65535",
+            "listen_port": "a port 0-65535", "listen_addr": "a string",
+            "log_dir": "a string"}
+
+
 @pytest.mark.parametrize("name, value", [
     ("retry_window", True), ("dns_servers", "203.0.113.53"),
     ("dns_servers", 5), ("dns_servers", [5]),
@@ -69,7 +77,9 @@ def test_ports_validated():
     ("listen_addr", None), ("log_dir", 5),
 ])
 def test_wrong_type_named_in_error(name, value):
-    with pytest.raises(ConfigError, match=name):
+    # the type check's own text: an unknown-field error also names the field
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{name}: expected {EXPECTED[name]}, got ")):
         EngineConfig.from_dict({name: value})
 
 
@@ -111,3 +121,10 @@ def test_readme_engine_fields_name_exactly_the_config_fields():
     paragraph = text[text.index("Engine fields"):].split("\n\n", 1)[0]
     named = re.findall(r"`([a-z_]+)`", paragraph)
     assert sorted(named) == sorted(f.name for f in dataclasses.fields(EngineConfig))
+
+
+def test_readme_scenario_kinds_name_exactly_the_scenario_kinds():
+    text = README.read_text(encoding="utf-8")
+    sentence = text[text.index("Scenario kinds:"):].split(".", 1)[0]
+    named = re.findall(r"`([a-z_]+)`", sentence)
+    assert sorted(named) == sorted(kind.value for kind in ScenarioKind)

@@ -90,11 +90,6 @@ def test_alert_identity_is_kind_plus_evidence_digest():
     assert a.identity != d.identity
 
 
-def test_alert_dict_roundtrip():
-    a = Alert(STEPPING_STONE, 3.5, "h2", "s", {"in_pid": 1, "out_pid": 2})
-    assert Alert.from_dict(a.to_dict()) == a
-
-
 # --- download store ------------------------------------------------------------------
 
 

@@ -333,14 +333,6 @@ def test_pid_reuse_closes_stale_socket():
     assert all(k[0] != 9800 for k in view.sockets)
 
 
-def test_tls_keys_counted_never_parsed():
-    w = build_workload(spec(
-        hosts=1, duration=20.0, event_rate=0.0,
-        scenarios=[ScenarioHook(ScenarioKind.TLS_KEYS, 5.0)]))
-    engine = run_simulation(config(), w)
-    assert engine.store.counters["tls_keys_received"] == 1
-
-
 def test_same_timestamp_downloads_are_both_ingested():
     # a mail with two attachments: two downloads with one timestamp
     out = outputs()

@@ -251,8 +251,3 @@ def test_mapped_address_matches_after_canonicalization():
     f = FlowTuple(A, 4000, B, 443, Proto.TCP)
     s = sock(local=("::ffff:10.0.0.1", 4000), remote=("::ffff:10.0.0.2", 443))
     assert match_socket(f, Side.ORIGINATOR, s) is MatchQuality.EXACT
-
-
-def test_flow_tuple_roundtrips_through_dict():
-    f = FlowTuple(A, 4000, B, 443, Proto.TCP)
-    assert FlowTuple.from_dict(f.to_dict()) == f

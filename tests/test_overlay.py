@@ -179,8 +179,10 @@ def test_republish_is_idempotent():
 
 def test_shared_response_topic_consolidates_and_fans_out():
     loop, bus, (a1, a2), (proxy,) = mesh(n_auth=2)
-    a1.subscribe_results("results/shared")
-    a2.subscribe_results("results/shared")
+    received = []
+    for node in (a1, a2):
+        bus.subscribe("results/shared", node.node_id,
+                      lambda topic, payload, n=node.node_id: received.append(n))
     stub = AgentStub("h1")
     proxy.connect_agent("h1", set(), stub.deliver)
     a1.publish_interest(interest("a1/q", topic="results/shared"))
@@ -193,8 +195,7 @@ def test_shared_response_topic_consolidates_and_fans_out():
 
     proxy.route_result("results/shared", object())
     loop.run_until_idle()
-    assert a1.counters["results_received"] == 1
-    assert a2.counters["results_received"] == 1
+    assert sorted(received) == sorted([a1.node_id, a2.node_id])
 
 
 def test_late_joiner_receives_stored_interests():

@@ -15,6 +15,7 @@ SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
     ("attribution_study.py", ["--hosts", "3", "--duration", "60"]),
     ("run_scale_experiment.py", ["--hosts", "10", "--seconds", "1",
                                  "--memory-hosts", "5,10"]),
+    ("production_census.py", ["--hosts", "4", "--duration", "30"]),
 ])
 def test_script_runs_and_writes_its_report(tmp_path, script, args):
     out = tmp_path / "report.json"

@@ -696,9 +696,6 @@ class RebuildingStore(HostStateStore):
                 return []
             st.addresses.add(addr)
             return [StateChange(st.host, "address", Action.ADDED, addr)]
-        if ev.table == TableKind.TLS_KEYS:
-            self.counters["tls_keys_received"] += 1
-            return []
         self.counters["unroutable_table"] += 1
         return []
 
@@ -883,7 +880,7 @@ def fold_ops(draw):
             ops.append(snapshot("h1", table, draw(st.lists(rows, max_size=4)),
                                 batch_id=bid, t=t))
         elif which == 9:
-            # a reserved table, and one the store does not route
+            # a table of older recordings, and one the store does not route
             ops.append(draw(st.sampled_from([
                 ev(make_user(), TableKind.TLS_KEYS, t=t),
                 ev(make_user(), TableKind.FILE_HASH, draw(actions), t=t),
