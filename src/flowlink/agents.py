@@ -38,7 +38,6 @@ from .model import (
     Source,
     TableKind,
     UserInfo,
-    payload_to_dict,
 )
 from .overlay import (ParsedQuery, QueryError, ScheduleDelta, ScheduleEntry,
                       parse_query)
@@ -963,7 +962,7 @@ class SimAgent:
         else:
             return None
         if parsed is not None and parsed.column:
-            rows = [r for r in rows if parsed.matches(payload_to_dict(r))]
+            rows = [r for r in rows if parsed.matches(r)]
         return rows
 
 

@@ -94,21 +94,21 @@ def _spec_from(section: dict, args) -> WorkloadSpec:
     return WorkloadSpec.from_dict(merged)
 
 
-def _print_summary(engine: Engine, log_dir: str, out=sys.stderr) -> None:
+def _print_summary(engine: Engine, log_dir: str) -> None:
     snap = engine.metrics_snapshot()
     counters = snap["counters"]["engine"]
     print(f"flows in/out: {counters.get('flows_in', 0)}"
           f"/{counters.get('flows_out', 0)}"
           f"  events: {counters.get('events_in', 0)}"
           f"  batches: {counters.get('batches_in', 0)}"
-          f"  alerts: {snap['alerts']}", file=out)
+          f"  alerts: {snap['alerts']}", file=sys.stderr)
     for proto, tally in sorted(snap["per_proto"].items()):
         print(f"  {proto}: {tally['flows']} flows, "
               f"attribution rate {tally['attribution_rate']:.4f}, "
               f"process uniqueness {tally['process_uniqueness']:.4f}",
-              file=out)
+              file=sys.stderr)
     print(f"logs: {os.path.join(log_dir, FLOWS_LOG)}, "
-          f"{os.path.join(log_dir, ALERTS_LOG)}", file=out)
+          f"{os.path.join(log_dir, ALERTS_LOG)}", file=sys.stderr)
 
 
 # --- run ---------------------------------------------------------------------------

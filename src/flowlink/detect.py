@@ -20,6 +20,7 @@ from typing import Callable, Optional
 from .correlate import AttributionResult
 from .flowlog import DownloadEvent, FlowRecord
 from .model import ProcessInfo, Proto, SnapshotBatch
+from .overlay import quote_literal
 from .runtime import DeadlineMap
 from .state import HostState
 
@@ -133,16 +134,11 @@ class AttachmentDetector:
         if cached is not None:
             self._check(proc, cached, now)
             return
-        # a literal cannot escape its quote: a path holding both is unqueryable
-        quote = "'" if "'" not in proc.binary_path else '"'
-        if quote in proc.binary_path:
-            self.counters["unqueryable_paths"] += 1
-            return
         pending = self._queries.get(key)
         if pending is not None:
             pending.execs.append(proc)
             return
-        query = f"file_hash WHERE path == {quote}{proc.binary_path}{quote}"
+        query = f"file_hash WHERE path == {quote_literal(proc.binary_path)}"
         self._queries.add(key, _HashQuery(self._publish(query, proc.host), [proc]))
         self.counters["hash_queries"] += 1
 

@@ -9,8 +9,9 @@ agent's entries from the stored interests of its groups and delivers the
 difference, so a late joiner gets every stored interest that applies and
 identical queries share one entry.  One node may hold both roles.
 
-A query is `table [WHERE column op literal]`.  A scheduled interest carries
-its period in `Interest.period`, never in the query text.
+A query is `table [WHERE column == 'literal']`, with `''` for a `'` in the
+literal.  A scheduled interest carries its period in `Interest.period`,
+never in the query text.
 
 Transport is an in-process message bus, deterministic under a fixed
 scheduler.
@@ -58,68 +59,40 @@ class QueryError(ValueError):
 
 
 _QUERY_RE = re.compile(
-    r"""^\s*(?P<table>\w+)
-        (?:\s+WHERE\s+(?P<column>\w+)\s*(?P<op>==|!=|<=|>=|=|<|>)\s*
-            (?P<literal>'[^']*'|"[^"]*"|\S+))?
-        \s*$""",
+    r"""\s*(?P<table>\w+)
+        (?:\s+WHERE\s+(?P<column>\w+)\s*==\s*'(?P<literal>(?:[^']|'')*)')?
+        \s*""",
     re.IGNORECASE | re.VERBOSE,
 )
 
 
 @dataclass(frozen=True)
 class ParsedQuery:
-    """`table [WHERE column op literal]`; the period of a scheduled query
+    """`table [WHERE column == 'literal']`; the period of a scheduled query
     is its interest's, not part of the text."""
 
     table: str
     column: str = ""
-    op: str = ""
-    literal: object = None
+    literal: str = ""
 
-    def matches(self, row: dict) -> bool:
-        if not self.column:
-            return True
-        value = row.get(self.column)
-        if value is None:
-            return False
-        lit = self.literal
-        if self.op in ("=", "=="):
-            return value == lit
-        if self.op == "!=":
-            return value != lit
-        try:
-            if self.op == "<":
-                return value < lit
-            if self.op == "<=":
-                return value <= lit
-            if self.op == ">":
-                return value > lit
-            return value >= lit
-        except TypeError:
-            return False
+    def matches(self, record) -> bool:
+        return not self.column or getattr(record, self.column, None) == self.literal
 
 
-def _parse_literal(text: str):
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def quote_literal(text: str) -> str:
+    """`text` as a query literal: in `'`, with each `'` inside doubled."""
+    return "'" + text.replace("'", "''") + "'"
 
 
 def parse_query(text: str) -> ParsedQuery:
-    m = _QUERY_RE.match(text)
+    """Parse `table [WHERE column == '<literal>']`, keywords in any case; a
+    `'` inside the literal is written `''`, as in SQL."""
+    m = _QUERY_RE.fullmatch(text)
     if not m:
         raise QueryError(f"unparseable query: {text!r}")
-    column = m.group("column") or ""
-    literal = _parse_literal(m.group("literal")) if column else None
-    return ParsedQuery(table=m.group("table").lower(), column=column,
-                       op=m.group("op") or "", literal=literal)
+    return ParsedQuery(table=m.group("table").lower(),
+                       column=m.group("column") or "",
+                       literal=(m.group("literal") or "").replace("''", "'"))
 
 
 # --- interests and schedules ----------------------------------------------------

@@ -489,16 +489,16 @@ def test_tables_the_agent_does_not_serve_answer_with_a_query_error():
     agent = make_agent(build_workload(spec(event_rate=0.0)), loop, node)
     collect(node, inbox, "collect")
     for iid, table in (("d1", "process_descendants"), ("n1", "nosuchtable")):
-        node.publish_interest(interest(iid, f"{table} WHERE pid == 50",
+        node.publish_interest(interest(iid, f"{table} WHERE pid == '50'",
                                        one_time=True, topic="collect"))
     connect(loop, node, agent)
     loop.run_until(1.0)
     assert batches(inbox, topic="collect") == []
     errors = [p for t, p in inbox if t == "collect"]
     assert sorted((type(e), e.query, e.error) for e in errors) == [
-        (QueryErrorResult, "nosuchtable WHERE pid == 50",
+        (QueryErrorResult, "nosuchtable WHERE pid == '50'",
          "unknown table 'nosuchtable'"),
-        (QueryErrorResult, "process_descendants WHERE pid == 50",
+        (QueryErrorResult, "process_descendants WHERE pid == '50'",
          "unknown table 'process_descendants'")]
     assert agent.counters["query_errors"] == 2
 

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: every subcommand, config diagnostics,
 the ingestion sources, and log accounting across clean shutdowns."""
 
+import contextlib
+import io
 import json
 import socket
 import threading
@@ -105,6 +107,16 @@ def test_replay_of_an_older_recording_with_a_process_descendants_answer(
         assert _read(out / "conn.log") == _read(rec / "conn.log")
         assert _read(out / "alerts.log") == _read(rec / "alerts.log")
         assert engines[-1].store.counters["unroutable_table"] == 1
+
+
+def test_run_summary_follows_a_redirect_of_stderr(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["sim", "--hosts", "2", "--duration", "8", "--rate", "2",
+                     "--log-dir", str(tmp_path)]) == 0
+    lines = err.getvalue().splitlines()
+    assert any(line.startswith("flows in/out: ") for line in lines)
+    assert f"logs: {tmp_path / 'conn.log'}, {tmp_path / 'alerts.log'}" in lines
 
 
 def test_sim_seed_changes_logs(tmp_path):

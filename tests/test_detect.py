@@ -4,6 +4,8 @@ import collections
 import hashlib
 import io
 import json
+import pathlib
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from flowlink.detect import (
 from flowlink.engine import Engine, EngineOutputs
 from flowlink.flowlog import DownloadEvent, FlowRecord, read_alerts
 from flowlink.model import FileHashRecord, FlowTuple, Proto, SnapshotBatch, TableKind
-from flowlink.overlay import parse_query
+from flowlink.overlay import parse_query, quote_literal
 from flowlink.runtime import EventLoop
 from flowlink.state import HostState
 
@@ -184,16 +186,17 @@ def test_exec_of_downloaded_binary_alerts():
     assert stub.retracted == ["q1"]  # answered queries are withdrawn
 
 
-def test_path_quoting_falls_back_to_double_quotes():
+@given(st.text(alphabet="'\"\\ /.a_é日\t", min_size=1) | st.text(min_size=1))
+@settings(max_examples=300, deadline=None)
+def test_published_query_parses_back_to_the_path(path):
+    # any path is asked for, whatever quotes it holds: `'` is written `''`
     loop, stub, alerts, det = attachment_harness()
     det.on_download(download(ts=100.0))
-    for pid, path in ((9000, "/home/alice/bob's.bin"),
-                      (9001, "/home/alice/\"both\" o'clock.bin")):
-        det.on_process_added(make_proc(host="h1", pid=pid, binary=path), now=101.0)
-    assert stub.published == [
-        ("q1", "file_hash WHERE path == \"/home/alice/bob's.bin\"", "h1")]
-    assert parse_query(stub.published[0][1]).literal == "/home/alice/bob's.bin"
-    assert det.counters["unqueryable_paths"] == 1
+    det.on_process_added(make_proc(host="h1", pid=9000, binary=path), now=101.0)
+    ((_, query, host),) = stub.published
+    q = parse_query(query)
+    assert (host, q.table, q.column, q.literal) == ("h1", "file_hash", "path", path)
+    assert q.matches(FileHashRecord("h1", path, "0" * 64))
 
 
 def test_hash_mismatch_means_no_alert():
@@ -358,8 +361,7 @@ class _HostQueries:
 
 
 class PerQueryTimerDetector(AttachmentDetector):
-    """`AttachmentDetector` on `_HostQueries`.  Paths here never hold a
-    quote, so the unqueryable-path branch is left out."""
+    """`AttachmentDetector` on `_HostQueries`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -376,7 +378,7 @@ class PerQueryTimerDetector(AttachmentDetector):
         if cached is not None:
             self._check(proc, cached, now)
             return
-        query = f"file_hash WHERE path == '{proc.binary_path}'"
+        query = f"file_hash WHERE path == {quote_literal(proc.binary_path)}"
         if self._queries.ask(key, proc.host, query, proc):
             self.counters["hash_queries"] += 1
 
@@ -615,3 +617,16 @@ def test_descends_from_is_strict_and_transitive():
     assert not descends_from(cycle, 205, 201)
     assert not descends_from(cycle, 203, 203)  # reached only through itself
     assert descends_from(cycle, 201, 205)      # met before the walk repeats
+
+
+# --- docs ----------------------------------------------------------------------------
+
+
+def test_readme_metrics_name_exactly_the_detector_counters():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    metrics = readme[readme.index("## Metrics"):]
+    sentence = metrics[metrics.index("the detectors count"):].split("not alerts", 1)[0]
+    source = (root / "src" / "flowlink" / "detect.py").read_text(encoding="utf-8")
+    assert sorted(re.findall(r"`([a-z_]+)`", sentence)) == \
+        sorted(set(re.findall(r'counters\["([a-z_]+)"\]', source)))

@@ -242,19 +242,21 @@ def test_attachment_execution_alerts_match_truth():
 
 
 def test_attachment_path_with_a_quote_is_still_checked():
-    # the query quotes with `"` a path that holds `'`
+    # the query writes a path's `'` as `''`, so a path may hold either quote
+    both = "/home/alice/\"bob's\" invoice.bin"
     w = build_workload(spec(
-        hosts=2, duration=40.0, event_rate=1.0,
+        hosts=3, duration=40.0, event_rate=1.0,
         scenarios=[ScenarioHook(ScenarioKind.ATTACHMENT_EXEC, 10.0, host="h000"),
                    ScenarioHook(ScenarioKind.ATTACHMENT_EXEC, 15.0, host="h001",
-                                params={"path": "/home/alice/bob's invoice.bin"})]))
+                                params={"path": "/home/alice/bob's invoice.bin"}),
+                   ScenarioHook(ScenarioKind.ATTACHMENT_EXEC, 20.0, host="h002",
+                                params={"path": both})]))
     engine = run_simulation(config(), w)
     got = [a for a in engine.alerts if a.kind == ATTACHMENT_EXECUTED]
     assert sorted((a.evidence["host"], a.evidence["pid"]) for a in got) == \
         sorted((t["host"], t["pid"]) for t in w.truth.expected_alerts)
     assert {a.evidence["binary_path"] for a in got} == {
-        "/home/alice/attachment-h000.bin", "/home/alice/bob's invoice.bin"}
-    assert engine.attachments.counters["unqueryable_paths"] == 0
+        "/home/alice/attachment-h000.bin", "/home/alice/bob's invoice.bin", both}
 
 
 def test_attachment_download_without_exec_stays_quiet():

@@ -25,6 +25,7 @@ from flowlink.overlay import (
     host_group,
     parse_query,
 )
+from flowlink.model import InterfaceRecord, UserInfo
 from flowlink.runtime import EventLoop
 
 
@@ -36,13 +37,14 @@ def test_parse_table_only():
 
 
 def test_parse_where_string_literal():
-    q = parse_query("file_hash WHERE path = '/usr/bin/curl'")
-    assert (q.table, q.column, q.op, q.literal) == ("file_hash", "path", "=", "/usr/bin/curl")
+    q = parse_query("file_hash WHERE path == '/usr/bin/curl'")
+    assert (q.table, q.column, q.literal) == ("file_hash", "path", "/usr/bin/curl")
 
 
-def test_parse_where_numeric():
-    q = parse_query("process_descendants WHERE pid = 4242")
-    assert q.literal == 4242 and isinstance(q.literal, int)
+def test_parse_doubled_quote_is_one_quote():
+    q = parse_query("file_hash WHERE path == '/home/''a'' \"b\".bin'''")
+    assert q.literal == "/home/'a' \"b\".bin'"
+    assert parse_query("t WHERE c == ''").literal == ""
 
 
 @pytest.mark.parametrize("text", [
@@ -56,27 +58,39 @@ def test_parse_rejects_every_clause(text):
 
 
 def test_parse_keywords_case_insensitive():
-    q = parse_query("USERS where uid >= 1000")
-    assert (q.table, q.op, q.literal) == ("users", ">=", 1000)
+    q = parse_query("USERS where name == 'root'")
+    assert (q.table, q.column, q.literal) == ("users", "name", "root")
 
 
 @pytest.mark.parametrize("bad", [
     "", "WHERE x = 1", "t WHERE col", "t WHERE col ~ 3", "t EVERY", "t EVERY -5s",
-    "t EVERY abc", "t WHERE a = 1 b = 2",
+    "t EVERY abc", "t WHERE a = 1 b = 2", "t WHERE c == 'a'b'", "t WHERE c == 'open",
+    "t WHERE c == 'a''",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(QueryError):
         parse_query(bad)
 
 
+@pytest.mark.parametrize("removed", [
+    "t WHERE c = 'x'", "t WHERE c != 'x'", "t WHERE c < 'x'", "t WHERE c <= 'x'",
+    "t WHERE c > 'x'", "t WHERE c >= 'x'", 't WHERE c == "x"', "t WHERE c == x",
+    "t WHERE c == 4242",
+])
+def test_parse_rejects_removed_forms(removed):
+    # one operator, `==`, and one literal form, `'...'`
+    with pytest.raises(QueryError):
+        parse_query(removed)
+
+
 def test_predicate_evaluation():
-    q = parse_query("processes WHERE uid >= 1000")
-    assert q.matches({"uid": 1000}) and q.matches({"uid": 5000})
-    assert not q.matches({"uid": 0})
-    assert not q.matches({"pid": 7})  # missing column never matches
-    assert parse_query("processes").matches({"anything": 1})
-    assert parse_query("p WHERE name != 'sh'").matches({"name": "bash"})
-    assert not parse_query("p WHERE uid < 10").matches({"uid": "oops"})
+    root = UserInfo("h1", 0, "root", True)
+    q = parse_query("users WHERE name == 'root'")
+    assert q.matches(root)
+    assert not q.matches(UserInfo("h1", 1000, "alice", False))
+    assert not q.matches(InterfaceRecord("h1", "10.0.0.1"))  # no such column
+    assert not parse_query("users WHERE uid == '0'").matches(root)  # text only
+    assert parse_query("users").matches(root)
 
 
 # --- bus ----------------------------------------------------------------------
