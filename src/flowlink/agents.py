@@ -74,7 +74,7 @@ class ScenarioKind(str, Enum):
     ATTACHMENT_NOEXEC = "attachment_noexec"
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioHook:
     kind: ScenarioKind
     at: float
@@ -167,7 +167,7 @@ def _check_field(name: str, value, kind: type) -> None:
         raise ValueError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkloadSpec:
     hosts: int = 4
     duration: float = 60.0
@@ -231,7 +231,7 @@ class ActionKind(str, Enum):
     HOST_UP = "host_up"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimAction:
     """One scripted host-side change.
 
@@ -269,7 +269,7 @@ class SimAction:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class HostInit:
     """A host's baseline: identity, address, accounts, long-lived daemons,
     their sockets, and its file inventory."""
@@ -282,7 +282,7 @@ class HostInit:
     files: dict[str, str]           # path -> sha256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowTruth:
     flow_uid: str
     host: str
@@ -291,14 +291,14 @@ class FlowTruth:
     spans_probe: Optional[bool] = None   # set for probe-visibility-only sockets
 
 
-@dataclass
+@dataclass(slots=True)
 class GroundTruth:
     flows: dict[str, FlowTruth] = field(default_factory=dict)
     expected_alerts: list[dict] = field(default_factory=list)
     crashes: list[tuple[float, str, int]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Workload:
     spec: WorkloadSpec
     hosts: list[HostInit]
@@ -765,7 +765,7 @@ def build_workload(spec: WorkloadSpec) -> Workload:
 # --- the runtime agent ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     """One schedule entry as an agent runs it: the proxy's entry, its query
     parsed once, the table the query reads (None if no such table) and,

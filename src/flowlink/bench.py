@@ -64,7 +64,7 @@ _EXTRA_SOCKETS = 8
 # --- reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThroughputReport:
     hosts: int
     rate_per_host: float
@@ -86,13 +86,13 @@ class ThroughputReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryPoint:
     hosts: int
     state_bytes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryReport:
     points: tuple[MemoryPoint, ...]
     slope_bytes_per_host: float
@@ -108,7 +108,7 @@ class MemoryReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchReport:
     throughput: ThroughputReport
     memory: MemoryReport
@@ -298,11 +298,21 @@ def run_throughput(hosts: int, rate: float = 4.0,
 # --- memory scaling ----------------------------------------------------------------
 
 
+def _decode(d: dict) -> SnapshotBatch | HostEvent:
+    return SnapshotBatch.from_dict(d) if "rows" in d else HostEvent.from_dict(d)
+
+
 def _measure_state_bytes(n_hosts: int) -> int:
     """Retained engine bytes after ingesting one fleet's worth of telemetry.
 
     Payloads are staged as JSON strings before tracing starts, so only what
-    the engine actually allocates and retains is counted.
+    the engine actually allocates and retains is counted.  Each payload is
+    also decoded once, untraced, and the records are held: the strings the
+    decoders intern are then already in the process-wide intern table,
+    which would otherwise grow, by hundreds of kilobytes at once, in
+    whichever measurement crosses its threshold.  So the one shared copy of
+    each host name is not counted, as the name `register_host` is handed
+    never was.
     """
     wire: list[tuple[str, list[str]]] = []
     for i in range(n_hosts):
@@ -325,6 +335,7 @@ def _measure_state_bytes(n_hosts: int) -> int:
                 init.name, TableKind.SOCKET_EVENTS, Action.ADDED, sock,
                 0.0).to_dict()))
         wire.append((init.name, msgs))
+    interned = [_decode(json.loads(raw)) for _, msgs in wire for raw in msgs]
 
     gc.collect()
     tracemalloc.start()
@@ -334,14 +345,12 @@ def _measure_state_bytes(n_hosts: int) -> int:
     for name, msgs in wire:
         engine.register_host(name)
         for raw in msgs:
-            d = json.loads(raw)
-            payload = (SnapshotBatch.from_dict(d) if "rows" in d
-                       else HostEvent.from_dict(d))
-            engine.ingest_result(ENGINE_TOPIC, payload)
+            engine.ingest_result(ENGINE_TOPIC, _decode(json.loads(raw)))
     gc.collect()
     used = tracemalloc.get_traced_memory()[0] - base
     tracemalloc.stop()
     engine.shutdown()
+    del interned
     return used
 
 

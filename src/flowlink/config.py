@@ -27,7 +27,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineConfig:
     listen_addr: str = "127.0.0.1"
     listen_port: int = 0                      # 0 = no TCP flow listener

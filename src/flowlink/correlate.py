@@ -20,7 +20,7 @@ from .state import AddressIndex, HostState, HostStateStore, StateChange
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One (host, process, user) explanation for a flow endpoint."""
 
@@ -44,7 +44,7 @@ VAGUE = "vague"
 UNATTRIBUTED = "unattributed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributionResult:
     flow: FlowTuple
     flow_start: float
@@ -150,7 +150,7 @@ def attribute(flow: FlowTuple, flow_start: float, flow_end: float,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Parked:
     flow: FlowTuple
     flow_start: float
@@ -288,7 +288,7 @@ class Correlator:
         self.emit(result)
 
 
-@dataclass
+@dataclass(slots=True)
 class SideTally:
     flows: int = 0
     attributed: int = 0

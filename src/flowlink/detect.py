@@ -30,7 +30,7 @@ STEPPING_STONE = "stepping_stone"
 SSH_PORT = 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alert:
     """Identity is the kind plus a digest of the evidence, so re-deriving the
     same conclusion from replayed inputs never duplicates an alert."""
@@ -86,7 +86,7 @@ class DownloadStore:
 HASH_QUERY_TIMEOUT = 5.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _HashQuery:
     """A `file_hash` query in flight and the execs waiting on its answer."""
 
@@ -172,7 +172,7 @@ class AttachmentDetector:
                       "origin_kind": dl.origin_kind}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _SSHLeg:
     pid: int
     flow_uid: str

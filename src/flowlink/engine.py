@@ -58,7 +58,7 @@ ALERTS_LOG = "alerts.log"
 INPUTS_LOG = "inputs.log"
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineOutputs:
     """Open text sinks; any of them may be absent.  `owns` marks streams the
     engine opened itself and should close on shutdown (callers handing in

@@ -52,7 +52,7 @@ def _finite(value, key: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
     """One flow observation; `ts` is the start, the record is reported at
     ts + duration."""
@@ -220,7 +220,7 @@ def read_alerts(lines: Iterator[str]) -> Iterator[dict]:
 
 # --- download events ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DownloadEvent:
     """A completed file download observed on the wire: hash plus the flow
     that carried it."""

@@ -4,11 +4,16 @@ matches a flow tuple against a socket record.
 Flow orientation (originator vs. responder) is semantic: it is fixed by who
 initiated the flow, never by address ordering. Socket endpoints are local vs.
 remote as seen from the host that owns the socket.
+
+The `from_dict` decoders intern each record's host, binary path and user
+name, so a decoded fleet holds one copy of each string; addresses are shared
+through `canonical_addr`'s cache.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -104,7 +109,7 @@ def is_wildcard(addr: str | None) -> bool:
     return addr in WILDCARD_ADDRS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowTuple:
     """5-tuple identity of a network flow, oriented by flow initiation."""
 
@@ -128,7 +133,7 @@ class FlowTuple:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SocketInfo:
     """One socket as known from host telemetry; identity is (host, pid, fd)."""
 
@@ -173,7 +178,7 @@ class SocketInfo:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SocketInfo":
         return cls(
-            host=d["host"], pid=int(d["pid"]), fd=int(d["fd"]),
+            host=sys.intern(d["host"]), pid=int(d["pid"]), fd=int(d["fd"]),
             proto=PROTOS[d["proto"]], direction=DIRECTIONS[d["direction"]],
             source=SOURCES[d["source"]],
             local_addr=d.get("local_addr"), local_port=d.get("local_port"),
@@ -182,7 +187,7 @@ class SocketInfo:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessInfo:
     """One process generation; (host, pid, start_time) guards pid reuse."""
 
@@ -204,13 +209,14 @@ class ProcessInfo:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ProcessInfo":
         return cls(
-            host=d["host"], pid=int(d["pid"]), parent_pid=int(d["parent_pid"]),
-            binary_path=d["binary_path"], uid=int(d["uid"]),
+            host=sys.intern(d["host"]), pid=int(d["pid"]),
+            parent_pid=int(d["parent_pid"]),
+            binary_path=sys.intern(d["binary_path"]), uid=int(d["uid"]),
             start_time=float(d["start_time"]), source=SOURCES[d["source"]],
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserInfo:
     host: str
     uid: int
@@ -223,10 +229,11 @@ class UserInfo:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "UserInfo":
-        return cls(d["host"], int(d["uid"]), d["name"], bool(d["is_system"]))
+        return cls(sys.intern(d["host"]), int(d["uid"]), sys.intern(d["name"]),
+                   bool(d["is_system"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfaceRecord:
     """One interface address of a host."""
 
@@ -241,10 +248,10 @@ class InterfaceRecord:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "InterfaceRecord":
-        return cls(d["host"], d["addr"])
+        return cls(sys.intern(d["host"]), d["addr"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileHashRecord:
     """Digest of a file on a host, answered by on-demand hash queries."""
 
@@ -257,7 +264,7 @@ class FileHashRecord:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FileHashRecord":
-        return cls(d["host"], d["path"], d["sha256"])
+        return cls(sys.intern(d["host"]), d["path"], d["sha256"])
 
 
 _PAYLOAD_KINDS = {
@@ -287,7 +294,7 @@ def payload_from_dict(d: dict[str, Any]) -> Any:
     return _PAYLOAD_KINDS[kind].from_dict(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostEvent:
     """One telemetry record from a host.  A payload that decodes as a plain
     dict occurs in older recordings only, and no table reads it."""
@@ -309,14 +316,14 @@ class HostEvent:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "HostEvent":
         return cls(
-            host=d["host"], table=TABLE_KINDS[d["table"]],
+            host=sys.intern(d["host"]), table=TABLE_KINDS[d["table"]],
             action=ACTIONS[d["action"]],
             payload=payload_from_dict(d["payload"]),
             event_time=float(d["event_time"]),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotBatch:
     """A complete table snapshot from one probe of a host.
 
@@ -341,14 +348,14 @@ class SnapshotBatch:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SnapshotBatch":
         return cls(
-            host=d["host"], table=TABLE_KINDS[d["table"]],
+            host=sys.intern(d["host"]), table=TABLE_KINDS[d["table"]],
             batch_id=int(d["batch_id"]),
             rows=tuple(payload_from_dict(r) for r in d["rows"]),
             event_time=float(d["event_time"]),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryErrorResult:
     """Agent-side failure executing a scheduled or one-time query."""
 
@@ -363,7 +370,7 @@ class QueryErrorResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QueryErrorResult":
-        return cls(host=d["host"], query=d["query"], error=d["error"],
+        return cls(host=sys.intern(d["host"]), query=d["query"], error=d["error"],
                    event_time=float(d.get("event_time", 0.0)))
 
 

@@ -66,7 +66,7 @@ _QUERY_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedQuery:
     """`table [WHERE column == 'literal']`; the period of a scheduled query
     is its interest's, not part of the text."""
@@ -97,7 +97,7 @@ def parse_query(text: str) -> ParsedQuery:
 
 # --- interests and schedules ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interest:
     """A query bound to a group: executed on a period, or once, with results
     sent to `response_topic`."""
@@ -118,7 +118,7 @@ class Interest:
         return (self.query, self.one_time, self.period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleEntry:
     query: str
     one_time: bool
@@ -130,13 +130,13 @@ class ScheduleEntry:
         return (self.query, self.one_time, self.period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     agent: str
     entries: frozenset[ScheduleEntry] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleDelta:
     """Minimal schedule change pushed to an agent: add a new entry, update an
     existing entry's response topics, or remove it."""
@@ -167,7 +167,7 @@ class InProcessBus:
         return len(subs)
 
 
-@dataclass
+@dataclass(slots=True)
 class _AgentConn:
     agent: str
     groups: set[str]

@@ -31,18 +31,20 @@ SOCKET_TABLES = (TableKind.SOCKET_EVENTS, TableKind.LISTENING_PORTS,
                  TableKind.PROCESS_OPEN_SOCKETS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateChange:
     """A mutation that can alter an attribution, announced to listeners.
 
-    Exactly three kinds are announced: `socket` (every socket upsert, key
-    `(pid, fd)`, action ADDED), `address` (an interface address added to or
-    removed from the host, key the address) and `host` (the host
-    disconnected, action REMOVED, key the host name).  Process and user
-    rows, socket removals and verification purges announce nothing: none of
-    them can give a flow side a candidate or change its host set.  Nor do a
-    reconnect and an expiry beyond their address removals: by then the
-    host claims no address, so no flow side can name it."""
+    Exactly three kinds are announced: `socket` (a socket upsert whose
+    stored record differs from the one held before, key `(pid, fd)`, action
+    ADDED), `address` (an interface address added to or removed from the
+    host, key the address) and `host` (the host disconnected, action
+    REMOVED, key the host name).  Process and user rows, socket removals,
+    verification purges and a socket re-sighting equal to the held record
+    announce nothing: none of them can give a flow side a candidate or
+    change its host set.  Nor do a reconnect and an expiry beyond their
+    address removals: by then the host claims no address, so no flow side
+    can name it."""
 
     host: str
     kind: str              # socket | address | host
@@ -50,7 +52,7 @@ class StateChange:
     key: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecTransition:
     """Binary handover on a pid (execve): the prior generation stays quotable
     as an attribution candidate for sockets created near the transition."""
@@ -96,7 +98,7 @@ class AddressIndex:
                 self.remove(change.host, change.key)
 
 
-@dataclass
+@dataclass(slots=True)
 class HostState:
     """One host's held state.  After a disconnect it stays readable, frozen,
     until the grace period runs out; `disconnected_at` is None while the
@@ -263,7 +265,10 @@ class HostStateStore:
     def _upsert(self, st: HostState, table: TableKind, row, now: float) -> StateChange | None:
         """Fold one added or sighted row of `table`."""
         if table in SOCKET_TABLES:
-            st.sockets[row.key] = _merge_socket(st.sockets.get(row.key), row, now)
+            old = st.sockets.get(row.key)
+            st.sockets[row.key] = merged = _merge_socket(old, row, now)
+            if merged == old:
+                return None
             return StateChange(st.host, "socket", Action.ADDED, row.key)
         if table in PROCESS_TABLES:
             self._upsert_process(st, row, now)

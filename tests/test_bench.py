@@ -57,6 +57,14 @@ def test_memory_slope_positive_finite_and_near_linear():
     assert report.max_slope_deviation <= 0.25
 
 
+def test_memory_per_host_stays_under_its_guard():
+    # slotted records and decoded strings shared through interning hold it
+    # near 5.9 KiB/host; records with a __dict__ each and a string copy per
+    # record took 8.7 KiB
+    report = run_memory_scaling((50, 100, 200))
+    assert report.slope_bytes_per_host <= 6.5 * 1024
+
+
 def test_percentile_helper_edges():
     assert _percentiles([]) == (0.0, 0.0, 0.0)
     assert _percentiles([0.5]) == (0.5, 0.5, 0.5)

@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import itertools
+import json
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowlink
 from flowlink.model import (
+    Action,
     Direction,
     FlowTuple,
+    HostEvent,
     MatchQuality,
+    ProcessInfo,
     Proto,
     Side,
+    SnapshotBatch,
     SocketInfo,
     Source,
+    TableKind,
+    UserInfo,
     canonical_addr,
     match_socket,
 )
@@ -251,3 +262,51 @@ def test_mapped_address_matches_after_canonicalization():
     f = FlowTuple(A, 4000, B, 443, Proto.TCP)
     s = sock(local=("::ffff:10.0.0.1", 4000), remote=("::ffff:10.0.0.2", 443))
     assert match_socket(f, Side.ORIGINATOR, s) is MatchQuality.EXACT
+
+
+# --- footprint -------------------------------------------------------------------
+
+def _flowlink_dataclasses():
+    for info in pkgutil.iter_modules(flowlink.__path__):
+        module = importlib.import_module(f"flowlink.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+def test_every_dataclass_is_slotted():
+    classes = list(_flowlink_dataclasses())
+    assert len(classes) > 30
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls.__qualname__
+        assert not hasattr(object.__new__(cls), "__dict__"), cls.__qualname__
+
+
+def _decoded_twice(record):
+    """`record` decoded from two separately parsed JSON texts."""
+    cls = type(record)
+    return [cls.from_dict(json.loads(json.dumps(record.to_dict())))
+            for _ in range(2)]
+
+
+def test_decoded_records_share_host_binary_and_user_strings():
+    host, binary, name = "build-host-17", "/usr/local/bin/compile-job", "builder-9"
+    proc = ProcessInfo(host, 300, 1, binary, 1000, 5.0, Source.AUDIT)
+    user = UserInfo(host, 1000, name)
+    sock = SocketInfo(host, 300, 7, Proto.TCP, Direction.OUTGOING, Source.AUDIT)
+    events = [HostEvent(host, table, Action.ADDED, row, 5.0)
+              for table, row in ((TableKind.PROCESS_EVENTS, proc),
+                                 (TableKind.USERS, user),
+                                 (TableKind.SOCKET_EVENTS, sock))]
+    batch = SnapshotBatch(host, TableKind.PROCESSES, 1, (proc, user, sock), 5.0)
+    first, second = zip(*(_decoded_twice(r) for r in events + [batch]))
+    for a, b in zip(first, second):
+        assert a == b and a.host is b.host
+    (p1, u1, s1, b1), (p2, u2, s2, b2) = first, second
+    assert p1.payload.binary_path is p2.payload.binary_path
+    assert u1.payload.name is u2.payload.name
+    assert p1.payload.host is s2.payload.host is b2.host
+    assert b1.rows[0].binary_path is b2.rows[0].binary_path is p1.payload.binary_path
+    assert b1.rows[1].name is b2.rows[1].name is u1.payload.name
+    assert all(r.host is b1.host for r in b1.rows + b2.rows)
