@@ -168,6 +168,8 @@ class Correlator:
     addresses, such a host disconnecting, and one of its addresses being
     added to or removed from any host (a reconnect or a grace expiry reaches
     it this way, by removing the host's addresses).
+    A socket change retries nothing while no parked flow has the socket's
+    protocol: a socket never matches a flow of another protocol.
     At the deadline the flow is finalized as-is.  Hosts are looked up in the
     store's address index, which already holds each change the correlator
     hears.
@@ -175,9 +177,10 @@ class Correlator:
     The park is a `DeadlineMap`: every entry waits the same `retry_window`
     under the map's one timer, which expires what is due.  Resolved,
     expired, evicted and flushed entries all leave through `_release`, so
-    each submitted flow is emitted exactly once.  `counters["retry_attempts"]`
-    counts the re-attributions and `counters["retry_resolved"]` those that
-    decided the flow.
+    each submitted flow is emitted exactly once; `_park` and `_release` also
+    keep the count of parked flows per protocol.
+    `counters["retry_attempts"]` counts the re-attributions and
+    `counters["retry_resolved"]` those that decided the flow.
     """
 
     def __init__(self, store: HostStateStore,
@@ -193,6 +196,7 @@ class Correlator:
         self._parked = DeadlineMap(
             scheduler, retry_window,
             lambda pid: self._release(pid, "retry_expired"))
+        self._parked_protos: collections.Counter = collections.Counter()
         self._next_id = 0
         self.counters: collections.Counter = collections.Counter()
 
@@ -223,6 +227,7 @@ class Correlator:
         while len(self._parked) >= self.max_parked:
             self._release(next(iter(self._parked)), "parked_evicted")
         self._parked.add(self._next_id, _Parked(flow, flow_start, flow_end, tag))
+        self._parked_protos[flow.proto] += 1
         self._next_id += 1
         self.counters["parked"] += 1
 
@@ -232,11 +237,17 @@ class Correlator:
         # The store announces only the changes that can decide a parked
         # flow: a socket upsert (a side gains a candidate), a disconnect (a
         # side loses its last connected host) and an address added or
-        # removed (a side's host set changes).
+        # removed (a side's host set changes).  A socket upsert retries
+        # nothing while no parked flow has the socket's protocol; skipping
+        # the whole scan keeps the park order of what one batch decides.
         if not self._parked:
             return
         kind = change.kind
         host, addr = change.host, change.key
+        if kind == "socket":
+            sock = self.store.view(host).sockets[change.key]
+            if not self._parked_protos[sock.proto]:
+                return
         for pid in list(self._parked):
             entry = self._parked.get(pid)
             if entry is None:
@@ -265,6 +276,11 @@ class Correlator:
     def parked_count(self) -> int:
         return len(self._parked)
 
+    @property
+    def parked_by_proto(self) -> dict[str, int]:
+        """Parked flows per protocol value, for each protocol that has any."""
+        return {proto.value: n for proto, n in self._parked_protos.items() if n}
+
     # -- internals ----------------------------------------------------------
 
     def _release(self, pid: int, outcome: str,
@@ -272,6 +288,7 @@ class Correlator:
         """The one way out of the park: count `outcome`, attribute the flow
         now unless `result` already decided it, and emit."""
         entry = self._parked.pop(pid)
+        self._parked_protos[entry.flow.proto] -= 1
         self.counters[outcome] += 1
         if result is None:
             result = self._attribute(entry.flow, entry.flow_start, entry.flow_end,

@@ -287,6 +287,7 @@ class Engine:
                 "stepping": dict(self.stepping.counters),
             }
             out["parked"] = self.correlator.parked_count
+            out["parked_by_proto"] = self.correlator.parked_by_proto
             out["hosts"] = {"known": len(self.store.hosts()),
                             "connected": len(self.store.connected_hosts())}
             out["alerts"] = len(self.alerts)

@@ -395,23 +395,44 @@ def test_parked_flow_resolves_on_late_telemetry():
 
 
 def test_one_batch_emits_the_flows_it_decides_in_park_order():
-    """Parked TCP then UDP; one snapshot lists the UDP socket first.  Both
-    flows are decided by that batch and leave the park in the order they
-    entered it."""
+    """Parked TCP then UDP, and one snapshot lists the UDP socket first; and
+    the mirror: UDP then TCP, the TCP socket listed first.  Both flows are
+    decided by that batch and leave the park in the order they entered it."""
+    tcp = flow()
+    udp = flow(orig=(A, 5353), resp=(B, 53), proto=Proto.UDP)
+    tcp_sock = make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443))
+    udp_sock = make_sock(pid=200, fd=6, proto=Proto.UDP, local=(A, 5353), remote=(B, 53))
+    for parked, rows in (([tcp, udp], [udp_sock, tcp_sock]),
+                         ([udp, tcp], [tcp_sock, udp_sock])):
+        loop, store, idx, corr, results = make_correlator()
+        store.handle_reconnect("h1")
+        wire(store, "h1", A)
+        for f in parked:
+            corr.submit(f, 1.0, 2.0)
+        assert results == [] and corr.parked_count == 2
+        store.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, rows))
+        assert [r.flow for r in results] == parked
+        assert all(r.side_status(Side.ORIGINATOR) == UNIQUE for r in results)
+
+
+def test_socket_change_retries_only_while_its_protocol_is_parked():
+    """With only a UDP flow parked, a TCP socket on its host cannot decide
+    it and runs no retry; the UDP socket that explains it does."""
     loop, store, idx, corr, results = make_correlator()
     store.handle_reconnect("h1")
     wire(store, "h1", A)
-    tcp = flow()
     udp = flow(orig=(A, 5353), resp=(B, 53), proto=Proto.UDP)
-    corr.submit(tcp, 1.0, 2.0)
     corr.submit(udp, 1.0, 2.0)
-    assert results == [] and corr.parked_count == 2
-    store.merge_snapshot(snapshot("h1", TableKind.PROCESS_OPEN_SOCKETS, [
-        make_sock(pid=200, fd=6, proto=Proto.UDP, local=(A, 5353), remote=(B, 53)),
-        make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443)),
-    ]))
-    assert [r.flow for r in results] == [tcp, udp]
-    assert all(r.side_status(Side.ORIGINATOR) == UNIQUE for r in results)
+    assert corr.parked_by_proto == {"udp": 1}
+    store.apply_event(sock_ev(make_sock(pid=100, fd=5, local=(A, 4000), remote=(B, 443))))
+    assert corr.counters["retry_attempts"] == 0
+    assert results == [] and corr.parked_count == 1
+    store.apply_event(sock_ev(make_sock(pid=200, fd=6, proto=Proto.UDP,
+                                        local=(A, 5353), remote=(B, 53))))
+    assert corr.counters["retry_attempts"] == corr.counters["retry_resolved"] == 1
+    assert [r.flow for r in results] == [udp]
+    assert results[0].side_status(Side.ORIGINATOR) == UNIQUE
+    assert corr.parked_by_proto == {}
 
 
 def test_parked_flow_expires_at_deadline():
@@ -831,8 +852,63 @@ def test_one_timer_park_equals_per_flow_timers(ops, max_parked):
     assert c["parked"] == (c["retry_resolved"] + c["retry_expired"]
                            + c["parked_evicted"] + c["flushed"])
     assert corr.parked_count == 0
+    # a count lowered twice would let a socket change skip a scan that
+    # could decide a flow; it would show here as a negative count
+    assert corr.parked_by_proto == {}
     assert loop.most_park_timers <= 1
     assert loop.cancels == 0
+
+
+@st.composite
+def parked_then_sockets(draw):
+    """TCP and UDP flows from one or two hosts parked in drawn order, then
+    their sockets and stray ones of either protocol, in drawn order, some in
+    one `process_open_sockets` snapshot and the rest as single events.  A
+    stray socket may reuse a flow socket's (pid, fd)."""
+    hosts = draw(st.sampled_from([("h1",), ("h1", "h2")]))
+    addr_of = {"h1": A, "h2": B}    # as `run_retry_world` wires them
+    mostly = st.sampled_from([True, True, True, False])
+    ops, socks = [], []
+    for i in range(draw(st.integers(1, 4))):
+        orig_host = draw(st.sampled_from(hosts))
+        peers = [D_EXTERNAL] + [addr_of[h] for h in hosts if h != orig_host]
+        f = FlowTuple(addr_of[orig_host], 4000 + i, draw(st.sampled_from(peers)), 443,
+                      draw(st.sampled_from([Proto.TCP, Proto.UDP])))
+        ops.append(("flow", f))
+        orig, resp = (f.orig_addr, f.orig_port), (f.resp_addr, f.resp_port)
+        sides = [(orig_host, orig, resp)]
+        if f.resp_addr != D_EXTERNAL:
+            sides.append(("h1" if f.resp_addr == A else "h2", resp, orig))
+        for j, (host, local, remote) in enumerate(sides):
+            if draw(mostly):
+                socks.append(make_sock(host=host, pid=100 + i, fd=3 + j, proto=f.proto,
+                                       local=local, remote=remote))
+    for k in range(draw(st.integers(0, 3))):
+        host = draw(st.sampled_from(hosts))
+        socks.append(make_sock(host=host, pid=draw(st.sampled_from([100, 101, 102])),
+                               fd=draw(st.sampled_from([3, 4])),
+                               proto=draw(st.sampled_from([Proto.TCP, Proto.UDP])),
+                               local=(addr_of[host], 6000 + k), remote=(D_EXTERNAL, 80)))
+    batch_host = draw(st.sampled_from(hosts))
+    rows: list = []
+    for sock in draw(st.permutations(socks)):
+        if sock.host == batch_host and draw(mostly):
+            if not rows:    # the snapshot sits where its first row is drawn
+                ops.append(("snapshot", (batch_host, TableKind.PROCESS_OPEN_SOCKETS, rows)))
+            rows.append(sock)
+        else:
+            ops.append(("event", sock_ev(sock)))
+    return ops
+
+
+@given(parked_then_sockets(), st.sampled_from([2, 10_000]))
+@settings(max_examples=300, deadline=None)
+def test_socket_protocol_guard_equals_retry_everything(ops, max_parked):
+    """Skipping the scan for a socket whose protocol no parked flow has
+    decides the same flows at the same changes, in the same order."""
+    got, _, _ = run_retry_world(Correlator, ops, max_parked)
+    want, _, _ = run_retry_world(RetryEverythingCorrelator, ops, max_parked)
+    assert got == want
 
 
 # --- metrics ---------------------------------------------------------------------

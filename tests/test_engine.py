@@ -461,6 +461,18 @@ def test_metrics_snapshot_counts_retry_attempts():
     assert corr["retry_resolved"] == 1
 
 
+def test_metrics_snapshot_counts_parked_flows_per_protocol():
+    loop = EventLoop()
+    engine = Engine(config(), loop)
+    engine.register_host("h1")
+    engine.ingest_result("t", iface_ev("h1", "10.0.0.1"))
+    engine.submit_flow(FlowRecord(ts=0.0, uid="F1", orig_h="10.0.0.1", orig_p=5353,
+                                  resp_h="203.0.113.53", resp_p=53, proto=Proto.UDP))
+    snap = engine.metrics_snapshot()
+    assert snap["parked"] == 1
+    assert snap["parked_by_proto"] == {"udp": 1}
+
+
 def test_record_then_replay_reproduces_logs_byte_identical():
     w = build_workload(spec(
         hosts=2, duration=40.0, event_rate=2.0, flow_coupling=0.7, seed=31,
